@@ -6,9 +6,8 @@ the clean Hamiltonian with -i*gamma on the disordered diagonal."""
 from .cavity import (CavityParams, PolaritonPoles, absorption, delta_rho_m,
                      delta_rho_t, g_cc, g_mol_mol, polariton_poles, rho_c,
                      self_energy)
-from .engine import (EigenSystem, GreensEvaluation, SpectralGrid,
-                     averaged_greens, default_eta, diagonalize, site_dos,
-                     solve_greens, total_dos)
+from .engine import (EigenSystem, SpectralGrid, averaged_greens, default_eta,
+                     diagonalize, solve_greens)
 from .lattice import (DisorderSpec, Distribution, Family, HamiltonianSpec,
                       Topology, adjacency, assemble_cavity, assemble_huckel,
                       build_topology)
@@ -22,8 +21,8 @@ __all__ = [
     "CavityParams", "PolaritonPoles", "absorption", "delta_rho_m",
     "delta_rho_t", "g_cc", "g_mol_mol", "polariton_poles", "rho_c",
     "self_energy",
-    "EigenSystem", "GreensEvaluation", "SpectralGrid", "averaged_greens",
-    "default_eta", "diagonalize", "site_dos", "solve_greens", "total_dos",
+    "EigenSystem", "SpectralGrid", "averaged_greens", "default_eta",
+    "diagonalize", "solve_greens",
     "DisorderSpec", "Distribution", "Family", "HamiltonianSpec", "Topology",
     "adjacency", "assemble_cavity", "assemble_huckel", "build_topology",
     "EnsembleConfig", "EnsembleResult", "ensemble_average",

@@ -59,6 +59,10 @@ class CavityParams:
     mu_debye: float | None = None
 
     def __post_init__(self):
+        for name in ("epsilon_c", "epsilon_a", "gamma", "mu_debye"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.n_molecules < 1:

@@ -7,7 +7,8 @@ configuration, with every default resolved, is echoed into the JSON summary
 so a run is reproducible from its artifacts alone.
 
 Exit codes: 0 success, 2 usage (argparse), 3 config file problems,
-4 filesystem problems.
+4 filesystem problems, 5 numerical failure (a singular shifted matrix or a
+non-converging eigensolver, e.g. an undisordered resonance probed at eta = 0).
 """
 
 from __future__ import annotations
@@ -22,15 +23,13 @@ import numpy as np
 
 from . import cavity as cavity_mod
 from .cavity import CavityParams, polariton_poles
-from .engine import (SpectralGrid, averaged_greens, default_eta, diagonalize,
-                     solve_greens)
+from .engine import SpectralGrid, averaged_greens, default_eta, solve_greens
 from .errors import ConfigParseError
 from .lattice import (DisorderSpec, Family, assemble_cavity, assemble_huckel,
                       build_topology)
 from .montecarlo import EnsembleConfig, ensemble_average
 from .output import write_csv, write_json
-from .quadrature import (DEFAULT_PAD_FACTOR, DEFAULT_PROMINENCE_FRACTION,
-                         Window, auto_window, integrate_trapezoid)
+from .quadrature import Window, auto_window, integrate_trapezoid
 
 # Defaults, all overridable per run (see README for the full table).
 DEFAULT_SEED = 1
@@ -42,6 +41,7 @@ DELTA_RHO_T_LINE_FACTOR = 0.5  # bare-line width = this * gamma when eta == 0
 
 EXIT_CONFIG = 3
 EXIT_IO = 4
+EXIT_NUMERICAL = 5
 
 _REQUIRED = object()
 
@@ -155,8 +155,6 @@ def _resolve_grid(cfg, args, fallback: Window, eta_default: float):
         window = fallback
     eta = args.eta if getattr(args, "eta", None) is not None else \
         _get(cfg, "grid", "eta", float, eta_default)
-    if eta < 0:
-        raise ConfigParseError(f"eta must be non-negative, got {eta}")
     grid = SpectralGrid.from_window(window, eta)
     echo = {"lo": window.lo, "hi": window.hi, "n": window.n_points, "eta": eta}
     return grid, echo
@@ -201,11 +199,9 @@ def _dos_columns(cfg, n_sites):
 
 def _cmd_dos(cfg, args):
     spec, _, model_echo = _resolve_model(cfg)
-    eigensystem = diagonalize(spec) if spec.disordered.all() else None
-    spectrum = eigensystem.eigenvalues if eigensystem is not None \
-        else np.linalg.eigvalsh(spec.h0)
     grid, grid_echo = _resolve_grid(
-        cfg, args, auto_window(spectrum, spec.gamma), default_eta(spec))
+        cfg, args, auto_window(np.linalg.eigvalsh(spec.h0), spec.gamma),
+        default_eta(spec))
 
     columns = _dos_columns(cfg, spec.n_sites)
     elements = [(i, i) for i in range(spec.n_sites)]
@@ -215,13 +211,9 @@ def _cmd_dos(cfg, args):
             pair = (int(match.group(2)), int(match.group(3)))
             if pair not in elements:
                 elements.append(pair)
-    if eigensystem is not None:
-        evaluations = averaged_greens(eigensystem, spec, grid, elements)
-    else:
-        evaluations = solve_greens(spec, grid, elements)
+    greens = averaged_greens(spec, grid, elements)  # (n_omega, len(elements))
 
-    diag = np.array([ev.diagonal() for ev in evaluations])
-    rho_sites = -diag.imag / np.pi
+    rho_sites = -greens[:, :spec.n_sites].imag / np.pi
     series = {"omega": grid.omegas, "rho_total": rho_sites.sum(axis=1)}
     for i in range(spec.n_sites):
         series[f"rho_site_{i}"] = rho_sites[:, i]
@@ -229,7 +221,7 @@ def _cmd_dos(cfg, args):
         match = _G_COLUMN.match(name)
         if match:
             i, j = int(match.group(2)), int(match.group(3))
-            values = np.array([ev.entry(i, j) for ev in evaluations])
+            values = greens[:, elements.index((i, j))]
             series[f"re_G_{i}_{j}"] = values.real
             series[f"im_G_{i}_{j}"] = values.imag
 
@@ -320,8 +312,7 @@ def _cmd_mc_compare(cfg, args):
         grid_echo["eta"] = ensemble.eta
 
     result = ensemble_average(spec, ensemble, grid)
-    reference = solve_greens(spec, grid, result.elements)
-    ref = np.array([ev.values for ev in reference])  # (n_omega, k)
+    ref = solve_greens(spec, grid, result.elements)  # (n_omega, k)
 
     dev_re = np.abs(result.mean_greens.real - ref.real)
     dev_im = np.abs(result.mean_greens.imag - ref.imag)
@@ -387,13 +378,10 @@ def _cmd_sum_rules(cfg, args):
                              target=0.0, tolerance=0.05))
         grid_echo["delta_rho_t_eta"] = line_eta
     else:
-        eigensystem = diagonalize(spec)
         grid, grid_echo = _resolve_grid(
-            cfg, args, auto_window(eigensystem.eigenvalues, spec.gamma), 0.0)
-        evaluations = averaged_greens(eigensystem, spec, grid,
-                                      [(i, i) for i in range(spec.n_sites)])
-        rho_total = np.array(
-            [-ev.diagonal().imag.sum() / np.pi for ev in evaluations])
+            cfg, args, auto_window(np.linalg.eigvalsh(spec.h0), spec.gamma), 0.0)
+        diagonal = averaged_greens(spec, grid, [(i, i) for i in range(spec.n_sites)])
+        rho_total = -diagonal.imag.sum(axis=1) / np.pi
         checks.append(_check("total_dos_norm",
                              integrate_trapezoid(grid.omegas, rho_total),
                              target=float(spec.n_sites),
@@ -434,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cauchygf",
         description="Exact disorder-averaged spectra for tight-binding graphs "
                     "and the single-mode cavity model with Cauchy site noise.",
-        epilog="exit codes: 0 success, 2 usage, 3 config error, 4 i/o error")
+        epilog="exit codes: 0 success, 2 usage, 3 config error, 4 i/o error, "
+               "5 numerical failure")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="INI run configuration")
     common.add_argument("--out", help="output base path (extension-adjusted per artifact)")
@@ -466,6 +455,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (ArithmeticError, RuntimeError) as exc:  # SingularMatrix, ConvergenceFailure
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     if not args.quiet:
         for path in written:
             print(f"wrote {path}")

@@ -3,30 +3,37 @@
 Averaging the resolvent over independent Cauchy noise on the marked diagonal
 entries is exactly equivalent to deleting the noise and subtracting i*gamma
 from those same entries.  The whole ensemble therefore collapses to a single
-complex matrix, evaluated by either of two routes:
+complex matrix, evaluated by one route for every disorder mask:
 
-* ``averaged_greens`` -- one real-symmetric eigendecomposition of h0, then
-  G(w) = U diag(1/(w + i(eta+gamma) - eps_m)) U^T per frequency.  Valid only
-  when every site is disordered, because only then is the shift a multiple of
-  the identity.
+* ``averaged_greens`` -- one real-symmetric eigendecomposition of h0 gives
+  G0(z) = V diag(1/(z + i*gamma - eps_m)) V^T, the answer when every site is
+  disordered (z = w + i*eta).  The few undisordered sites U (the cavity state;
+  none on the graphs) are put back by the rank-|U| Woodbury identity
+  G = G0 - G0[:, U] (i/gamma I + G0[U, U])^-1 G0[U, :].
 * ``solve_greens`` -- a direct complex linear solve of
   (w + i*eta)I - h0 + i*gamma*D per frequency, where D is the disorder mask.
-  Works for any mask (the cavity state carries no -i*gamma).
+  It is kept only as the independent oracle the route above is checked
+  against.
 
-Densities of states are the usual -Im/pi of the diagonal.
+Both return one complex array of shape (n_omega, n_elements); densities of
+states are the usual -Im/pi of its diagonal-element columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, NonMonotonicGrid, SingularMatrix,
-                     SingularResolvent)
+from .errors import ConvergenceFailure, NonMonotonicGrid, SingularMatrix
 from .lattice import HamiltonianSpec
 
 PARTIAL_MASK_ETA_FACTOR = 1e-3
+
+# Frequencies are evaluated in blocks that keep the widest temporary at about
+# this many complex cells, so memory stays flat however long the grid is.
+_BLOCK_BUDGET = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -44,8 +51,8 @@ class SpectralGrid:
             raise NonMonotonicGrid("frequencies must be strictly increasing")
         if not np.all(np.isfinite(omegas)):
             raise NonMonotonicGrid("frequencies must be finite")
-        if self.eta < 0:
-            raise ValueError(f"eta must be non-negative, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be finite and non-negative, got {self.eta}")
         omegas = omegas.copy()
         omegas.setflags(write=False)
         object.__setattr__(self, "omegas", omegas)
@@ -77,42 +84,6 @@ def default_eta(spec: HamiltonianSpec) -> float:
     return 0.0 if spec.disordered.all() else PARTIAL_MASK_ETA_FACTOR * spec.gamma
 
 
-@dataclass(frozen=True)
-class GreensEvaluation:
-    """Averaged Green's function at one frequency.
-
-    Either the full complex-symmetric ``matrix`` is present, or ``values``
-    holds just the requested ``elements`` (index pairs).  ``gamma`` records
-    the Cauchy half-width the average was taken at.
-    """
-
-    omega: float
-    gamma: float
-    n_sites: int
-    matrix: np.ndarray | None = None
-    elements: tuple[tuple[int, int], ...] | None = None
-    values: np.ndarray | None = None
-
-    def entry(self, i: int, j: int) -> complex:
-        if self.matrix is not None:
-            return complex(self.matrix[i, j])
-        for (a, b), v in zip(self.elements, self.values):
-            if (a, b) == (i, j) or (a, b) == (j, i):  # G is complex symmetric
-                return complex(v)
-        raise KeyError(f"element ({i}, {j}) was not evaluated")
-
-    def diagonal(self) -> np.ndarray:
-        if self.matrix is not None:
-            return np.diagonal(self.matrix).copy()
-        diag = np.full(self.n_sites, np.nan + 0j)
-        for (a, b), v in zip(self.elements, self.values):
-            if a == b:
-                diag[a] = v
-        if np.isnan(diag.real).any():
-            raise KeyError("full diagonal was not evaluated")
-        return diag
-
-
 def _normalized_elements(elements, n):
     pairs = []
     for i, j in elements:
@@ -123,80 +94,89 @@ def _normalized_elements(elements, n):
     return tuple(pairs)
 
 
-def averaged_greens(eig: EigenSystem, spec: HamiltonianSpec, grid: SpectralGrid,
-                    elements=None) -> list[GreensEvaluation]:
-    """Eigenmode route: G(w) = U diag(1/(w + i(eta+gamma) - eps_m)) U^T.
+def _element_pairs(elements, n):
+    """The requested (i, j) pairs; None means every pair in row-major order,
+    so ``result.reshape(-1, n, n)`` is the full matrix at each frequency."""
+    if elements is None:
+        return tuple((i, j) for i in range(n) for j in range(n))
+    return _normalized_elements(elements, n)
 
-    Requires the uniform disorder mask; a partial mask (cavity) must go
-    through solve_greens because the -i*gamma shift there is not a multiple
-    of the identity.  When ``elements`` is given, only those entries are
-    materialized: G_ij = sum_m U_im U_jm / (w + i(eta+gamma) - eps_m).
+
+def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
+                    elements=None) -> np.ndarray:
+    """Averaged G_ij(w + i*eta) for every frequency and requested element.
+
+    Returns a complex array of shape (n_omega, n_elements), columns in the
+    order of ``elements`` (default: every pair, row-major).  Every entry of G0
+    that is needed -- the requested ones plus, for the Woodbury correction,
+    the rows and columns of the undisordered sites -- is a fixed real mix of
+    the eigenmode factors, sum_m V_am V_bm / (z + i*gamma - eps_m), so each
+    frequency block costs one real matrix product and one batched |U| x |U|
+    solve.  Raises SingularMatrix where that small matrix is exactly
+    singular, i.e. an undisordered resonance probed at eta = 0.
     """
-    if not spec.disordered.all():
-        raise ValueError("eigenmode route needs every site disordered; use solve_greens")
     n = spec.n_sites
-    shift = grid.eta + spec.gamma
-    eps = eig.eigenvalues
-    u = eig.eigenvectors
-    if elements is not None:
-        elements = _normalized_elements(elements, n)
-        weights = np.array([u[i, :] * u[j, :] for i, j in elements])  # (k, n)
-    out = []
-    for omega in grid.omegas:
-        denom = omega + 1j * shift - eps
-        if np.any(denom == 0):
-            raise SingularResolvent(f"resolvent pole hit exactly at omega = {omega}")
-        modes = 1.0 / denom
-        if elements is None:
-            g = (u * modes) @ u.T
-            out.append(GreensEvaluation(float(omega), spec.gamma, n, matrix=g))
-        else:
-            out.append(GreensEvaluation(float(omega), spec.gamma, n, elements=elements,
-                                        values=weights @ modes))
+    pairs = _element_pairs(elements, n)
+    eig = diagonalize(spec)
+    undisordered = np.flatnonzero(~spec.disordered).tolist()
+
+    # One column of G0 values per distinct symmetric pair (G0 = G0^T).
+    columns = {}
+
+    def column(a, b):
+        return columns.setdefault((a, b) if a <= b else (b, a), len(columns))
+
+    k, n_u, n_omega = len(pairs), len(undisordered), grid.omegas.size
+    target = [column(i, j) for i, j in pairs]
+    left = np.array([[column(i, u) for u in undisordered] for i, _ in pairs],
+                    dtype=int).reshape(k, n_u)
+    right = np.array([[column(u, j) for u in undisordered] for _, j in pairs],
+                     dtype=int).reshape(k, n_u)
+    square = [[column(u, v) for v in undisordered] for u in undisordered]
+    keys = np.array(list(columns), dtype=int).reshape(-1, 2)
+    weights = eig.eigenvectors[keys[:, 0]] * eig.eigenvectors[keys[:, 1]]  # (p, n)
+
+    block = max(1, _BLOCK_BUDGET // max(n, len(columns), k * max(n_u, 1)))
+    z = grid.omegas + 1j * (grid.eta + spec.gamma)
+    out = np.empty((n_omega, k), dtype=complex)
+    for w0 in range(0, n_omega, block):
+        w1 = min(w0 + block, n_omega)
+        modes = 1.0 / (z[w0:w1] - eig.eigenvalues[:, None])          # (n, b)
+        g0 = (weights @ modes.view(float)).view(complex).T            # (b, p)
+        out[w0:w1] = g0[:, target]
+        if n_u:
+            kernel = g0[:, square] + (1j / spec.gamma) * np.eye(n_u)   # (b, u, u)
+            try:
+                solved = np.linalg.solve(kernel, g0[:, right].swapaxes(1, 2))  # (b, u, k)
+            except np.linalg.LinAlgError as exc:
+                raise SingularMatrix(
+                    f"shifted matrix singular in omega [{grid.omegas[w0]}, "
+                    f"{grid.omegas[w1 - 1]}]") from exc
+            out[w0:w1] -= np.einsum("bku,buk->bk", g0[:, left], solved)
     return out
 
 
 def solve_greens(spec: HamiltonianSpec, grid: SpectralGrid,
-                 elements=None) -> list[GreensEvaluation]:
-    """Direct route: solve ((w + i*eta)I - h0 + i*gamma*D) G = I columnwise.
+                 elements=None) -> np.ndarray:
+    """Direct oracle: solve ((w + i*eta)I - h0 + i*gamma*D) G = I columnwise.
 
     D is the diagonal disorder mask, so partial masks are handled exactly;
-    this is the reference the eigenmode shortcut is checked against.
+    this is the reference ``averaged_greens`` is checked against.  Same
+    arguments and (n_omega, n_elements) result as ``averaged_greens``.
     """
     n = spec.n_sites
-    shift = np.where(spec.disordered, spec.gamma, 0.0)
-    base = -spec.h0 + 1j * np.diag(shift)
-    if elements is not None:
-        elements = _normalized_elements(elements, n)
-        columns = sorted({j for _, j in elements})
-        rhs = np.eye(n, dtype=complex)[:, columns]
-    out = []
-    for omega in grid.omegas:
-        m = base + (omega + 1j * grid.eta) * np.eye(n)
+    pairs = _element_pairs(elements, n)
+    columns = sorted({j for _, j in pairs})
+    lookup = {j: c for c, j in enumerate(columns)}
+    rows = [i for i, _ in pairs]
+    cols = [lookup[j] for _, j in pairs]
+    rhs = np.eye(n, dtype=complex)[:, columns]
+    base = -spec.h0 + 1j * np.diag(np.where(spec.disordered, spec.gamma, 0.0))
+    out = np.empty((grid.omegas.size, len(pairs)), dtype=complex)
+    for w, omega in enumerate(grid.omegas):
         try:
-            if elements is None:
-                g = np.linalg.solve(m, np.eye(n, dtype=complex))
-                evaluation = GreensEvaluation(float(omega), spec.gamma, n, matrix=g)
-            else:
-                cols = np.linalg.solve(m, rhs)
-                lookup = {j: k for k, j in enumerate(columns)}
-                values = np.array([cols[i, lookup[j]] for i, j in elements])
-                evaluation = GreensEvaluation(float(omega), spec.gamma, n,
-                                              elements=elements, values=values)
+            solution = np.linalg.solve(base + (omega + 1j * grid.eta) * np.eye(n), rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix(f"shifted matrix singular at omega = {omega}") from exc
-        out.append(evaluation)
+        out[w] = solution[rows, cols]
     return out
-
-
-def site_dos(evaluations) -> np.ndarray:
-    """Per-site densities of states, shape (n_omega, n_sites).
-
-    rho_i(w) = -Im G_ii(w + i*eta)/pi; column i is the curve for site i.
-    """
-    return np.array([-ev.diagonal().imag / np.pi for ev in evaluations])
-
-
-def total_dos(evaluations) -> np.ndarray:
-    """Trace version: rho_T(w) = -Im Tr G/pi, shape (n_omega,)."""
-    return site_dos(evaluations).sum(axis=1)

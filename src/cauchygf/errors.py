@@ -17,10 +17,6 @@ class ConvergenceFailure(RuntimeError):
     """The symmetric eigensolver did not converge."""
 
 
-class SingularResolvent(ArithmeticError):
-    """A resolvent denominator vanished (gamma = eta = 0 at an eigenvalue)."""
-
-
 class SingularMatrix(ArithmeticError):
     """The shifted Hamiltonian is exactly singular (eta = 0 at a bare resonance)."""
 

@@ -8,6 +8,7 @@ state are always index 0 so downstream CSV columns are stable.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,18 +45,8 @@ class DisorderSpec:
     def __post_init__(self):
         if isinstance(self.distribution, str):
             object.__setattr__(self, "distribution", Distribution(self.distribution))
-        if self.scale <= 0:
-            raise ValueError(f"disorder scale must be positive, got {self.scale}")
-
-    def density(self, x):
-        """Probability density at x (vectorized)."""
-        x = np.asarray(x, dtype=float)
-        s = self.scale
-        if self.distribution is Distribution.CAUCHY:
-            return s / (np.pi * (s ** 2 + x ** 2))
-        if self.distribution is Distribution.GAUSSIAN:
-            return np.exp(-0.5 * (x / s) ** 2) / (s * np.sqrt(2 * np.pi))
-        return np.where(np.abs(x) < s, 1.0 / (2 * s), 0.0)
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"disorder scale must be finite and positive, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -129,23 +120,23 @@ class HamiltonianSpec:
     """Clean real-symmetric Hamiltonian plus its Cauchy disorder half-width.
 
     ``disordered`` marks the sites whose diagonal carries the random term (the
-    cavity state does not); ``hopping`` records the uniform off-diagonal
-    element used during assembly.
+    cavity state does not).
     """
 
     h0: np.ndarray
     gamma: float
     disordered: np.ndarray = field(default=None)
-    hopping: float = 0.0
 
     def __post_init__(self):
         h0 = np.asarray(self.h0, dtype=float)
         if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
             raise ValueError(f"h0 must be square, got shape {h0.shape}")
+        if not np.all(np.isfinite(h0)):
+            raise ValueError("h0 must be finite")
         if not np.array_equal(h0, h0.T):
             raise ValueError("h0 must be exactly symmetric")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         mask = self.disordered
         mask = np.ones(h0.shape[0], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         if mask.shape != (h0.shape[0],):
@@ -161,10 +152,6 @@ class HamiltonianSpec:
     def n_sites(self) -> int:
         return self.h0.shape[0]
 
-    @property
-    def onsite(self) -> np.ndarray:
-        return np.diagonal(self.h0).copy()
-
 
 def assemble_huckel(topology: Topology, alpha: float, beta: float,
                     gamma: float) -> HamiltonianSpec:
@@ -175,7 +162,7 @@ def assemble_huckel(topology: Topology, alpha: float, beta: float,
     """
     h0 = beta * adjacency(topology)
     np.fill_diagonal(h0, alpha)
-    return HamiltonianSpec(h0, gamma, np.ones(topology.n_sites, dtype=bool), beta)
+    return HamiltonianSpec(h0, gamma, np.ones(topology.n_sites, dtype=bool))
 
 
 def assemble_cavity(params: CavityParams) -> HamiltonianSpec:
@@ -195,4 +182,4 @@ def assemble_cavity(params: CavityParams) -> HamiltonianSpec:
     h0[0, 1:] = h0[1:, 0] = v
     mask = np.ones(n + 1, dtype=bool)
     mask[0] = False
-    return HamiltonianSpec(h0, params.gamma, mask, v)
+    return HamiltonianSpec(h0, params.gamma, mask)

@@ -10,6 +10,7 @@ inputs do not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,9 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError(f"need at least one sample, got {self.n_samples}")
-        if self.eta <= 0:
-            raise ValueError("realizations have real spectra; eta must be > 0")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"realizations have real spectra; eta must be finite "
+                             f"and > 0, got {self.eta}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
@@ -148,13 +150,16 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
         g = np.empty((c, k, nw), dtype=complex)
         for w0 in range(0, nw, omega_block):
             w1 = min(w0 + omega_block, nw)
-            modes = 1.0 / (z[w0:w1][None, None, :] - evals[:, :, None])
-            g[:, :, w0:w1] = np.einsum("ckn,cnw->ckw", weights, modes)
+            # In place throughout: the (c, n, block) and (c, k, nw) arrays
+            # are the chunk's largest, so each exists once.
+            modes = z[w0:w1][None, None, :] - evals[:, :, None]
+            np.divide(1.0, modes, out=modes)
+            np.einsum("ckn,cnw->ckw", weights, modes, out=g[:, :, w0:w1])
         chunk_mean = g.mean(axis=0)
-        dev = g - chunk_mean
+        g -= chunk_mean  # now the deviations from the chunk mean
         count, mean, m2_re, m2_im = _merge_streams(
             count, mean, m2_re, m2_im,
-            c, chunk_mean, (dev.real ** 2).sum(axis=0), (dev.imag ** 2).sum(axis=0))
+            c, chunk_mean, (g.real ** 2).sum(axis=0), (g.imag ** 2).sum(axis=0))
         remaining -= c
 
     if count > 1:

@@ -12,32 +12,49 @@ import json
 import numpy as np
 
 
+_FLOAT_FORMAT = "%.12e"
+
+
 def format_float(x) -> str:
-    return f"{float(x):.12e}"
+    return _FLOAT_FORMAT % float(x)
 
 
-def csv_text(header, columns) -> str:
-    """Render named columns to CSV text.
+# Rows formatted and written per block: the text of a wide table never has to
+# exist in memory all at once.
+_CSV_BLOCK_ROWS = 512
+
+
+def _csv_blocks(header, columns):
+    """Yield the CSV text in blocks of rows: the header line first.
 
     ``header`` is a list of column names; ``columns`` the matching list of
-    equal-length sequences.  Numeric cells go through format_float; strings
-    pass through untouched.
+    equal-length sequences.  A column of strings passes through untouched;
+    every other column is read as floats and printed as format_float does.
     """
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} names for {len(columns)} columns")
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError(f"column lengths differ: {sorted(lengths)}")
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(
-            cell if isinstance(cell, str) else format_float(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+    arrays = [np.asarray(c) for c in columns]
+    arrays = [a if a.dtype.kind in "US" else np.asarray(a, dtype=float) for a in arrays]
+    row_format = ",".join("%s" if a.dtype.kind in "US" else _FLOAT_FORMAT for a in arrays) + "\n"
+    yield ",".join(header) + "\n"
+    n_rows = lengths.pop() if lengths else 0
+    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+        cells = [a[start:start + _CSV_BLOCK_ROWS].tolist() for a in arrays]
+        yield "".join(row_format % row for row in zip(*cells))
+
+
+def csv_text(header, columns) -> str:
+    """Render named columns to CSV text (see _csv_blocks)."""
+    return "".join(_csv_blocks(header, columns))
 
 
 def write_csv(path, header, columns) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(csv_text(header, columns))
+        for block in _csv_blocks(header, columns):
+            fh.write(block)
 
 
 def _plain(value):

@@ -7,8 +7,8 @@ import pytest
 
 from cauchygf.cavity import CavityParams, polariton_poles
 from cauchygf.cli import main
-from cauchygf.engine import SpectralGrid, averaged_greens, diagonalize
-from cauchygf.lattice import assemble_huckel, build_topology
+from cauchygf.engine import SpectralGrid, solve_greens
+from cauchygf.lattice import assemble_cavity, assemble_huckel, build_topology
 
 STAR_INI = """\
 [model]
@@ -52,9 +52,8 @@ def test_dos_star_matches_engine(tmp_path):
     np.testing.assert_allclose(omegas, np.linspace(-3, 3, 41), atol=1e-12)
 
     spec = assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1)
-    evaluations = averaged_greens(diagonalize(spec), spec,
-                                  SpectralGrid(omegas))
-    want = np.array([-ev.diagonal().imag.sum() / np.pi for ev in evaluations])
+    want = -solve_greens(spec, SpectralGrid(omegas)).reshape(-1, 7, 7).imag \
+        .trace(axis1=1, axis2=2) / np.pi
     got = np.array([float(x) for x in table["rho_total"]])
     np.testing.assert_allclose(got, want, rtol=1e-11)
     hub = np.array([float(x) for x in table["rho_site_0"]])
@@ -75,12 +74,29 @@ def test_dos_greens_element_columns(tmp_path):
     table = read_columns(out)
     assert list(table) == ["omega", "rho_total", "re_G_0_1", "im_G_0_1"]
     spec = assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1)
-    evaluations = averaged_greens(diagonalize(spec), spec,
-                                  SpectralGrid(np.linspace(0.4, 0.6, 3)),
-                                  elements=[(0, 1)])
-    want = evaluations[1].entry(0, 1)
+    want = solve_greens(spec, SpectralGrid(np.linspace(0.4, 0.6, 3)),
+                        elements=[(0, 1)])[1, 0]
     assert float(table["re_G_0_1"][1]) == pytest.approx(want.real, rel=1e-11)
     assert float(table["im_G_0_1"][1]) == pytest.approx(want.imag, rel=1e-11)
+
+
+def test_dos_cavity_matches_direct_solve(tmp_path):
+    # The cavity state is undisordered, so this goes through the Woodbury
+    # correction; the default eta is 1e-3 * gamma.
+    ini = CAVITY_INI + "[output]\ncolumns = rho_total, rho_site_0, re_G_0_1, im_G_0_1\n"
+    out = tmp_path / "cav.csv"
+    assert run(tmp_path, ini, "dos", "--out", str(out), "--grid", "1.8:2.4:61") == 0
+    table = read_columns(out)
+    spec = assemble_cavity(CavityParams(2.1, 2.1, 0.02, 6, v_tilde=4.06e-14,
+                                        number_density=1.16e25))
+    grid = SpectralGrid(np.linspace(1.8, 2.4, 61), eta=2e-5)
+    want = solve_greens(spec, grid, [(i, i) for i in range(7)] + [(0, 1)])
+    got = {name: np.array([float(x) for x in table[name]]) for name in table}
+    np.testing.assert_allclose(got["rho_total"],
+                               -want[:, :7].imag.sum(axis=1) / np.pi, rtol=1e-9)
+    np.testing.assert_allclose(got["rho_site_0"], -want[:, 0].imag / np.pi, rtol=1e-9)
+    np.testing.assert_allclose(got["re_G_0_1"] + 1j * got["im_G_0_1"], want[:, 7],
+                               rtol=1e-9)
 
 
 def test_dos_rejects_unknown_column(tmp_path):
@@ -213,6 +229,29 @@ def test_unknown_model_kind_is_config_error(tmp_path):
 
 def test_missing_required_key_is_config_error(tmp_path):
     assert run(tmp_path, "[model]\nkind = star\ngamma = 0.1\n", "dos") == 3
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf", "-0.1"])
+def test_bad_eta_is_config_error(tmp_path, eta, capsys):
+    assert run(tmp_path, STAR_INI, "dos", "--eta", eta) == 3
+    assert "eta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ini", [STAR_INI, CAVITY_INI], ids=["star", "cavity"])
+def test_non_finite_gamma_is_config_error(tmp_path, ini, capsys):
+    assert run(tmp_path, ini.replace("gamma = 0.1", "gamma = nan")
+               .replace("gamma = 0.02", "gamma = nan"), "dos") == 3
+    assert "gamma must be finite" in capsys.readouterr().err
+
+
+def test_undisordered_resonance_at_zero_eta_is_numerical_error(tmp_path, capsys):
+    # With no coupling the cavity state is an undisordered level at 2.1, and
+    # eta = 0 probes it exactly on its pole: exit 5, not a traceback.
+    ini = ("[model]\nkind = cavity\nepsilon_c = 2.1\nepsilon_a = 2.1\n"
+           "gamma = 0.02\nn_molecules = 6\ncoupling = 0\n")
+    assert run(tmp_path, ini, "dos", "--out", str(tmp_path / "d"), "--eta", "0",
+               "--grid", "2.0:2.2:3") == 5
+    assert "numerical error" in capsys.readouterr().err
 
 
 def test_bad_grid_flag_is_config_error(tmp_path):

@@ -3,9 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cauchygf.cavity import CavityParams
-from cauchygf.engine import (EigenSystem, SpectralGrid, averaged_greens,
-                             default_eta, diagonalize, site_dos, solve_greens,
-                             total_dos)
+from cauchygf.engine import (SpectralGrid, averaged_greens, default_eta,
+                             diagonalize, solve_greens)
 from cauchygf.errors import NonMonotonicGrid, SingularMatrix
 from cauchygf.lattice import (HamiltonianSpec, assemble_cavity,
                               assemble_huckel, build_topology)
@@ -14,6 +13,15 @@ from cauchygf.quadrature import auto_window, integrate_trapezoid
 
 def huckel(kind, n, gamma=0.1):
     return assemble_huckel(build_topology(kind, n), 0.0, 1.0, gamma)
+
+
+def matrices(greens, n):
+    """(n_omega, n*n) result for elements=None -> (n_omega, n, n) matrices."""
+    return greens.reshape(-1, n, n)
+
+
+def diagonal(n):
+    return [(i, i) for i in range(n)]
 
 
 # ------------------------------------------------------------- SpectralGrid
@@ -30,6 +38,12 @@ def test_grid_single_frequency_and_eta_validation():
     assert grid.omegas.shape == (1,)
     with pytest.raises(ValueError):
         SpectralGrid(np.array([0.0, 1.0]), eta=-0.1)
+
+
+@pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+def test_grid_rejects_non_finite_eta(eta):
+    with pytest.raises(ValueError, match="eta"):
+        SpectralGrid(np.array([0.0, 1.0]), eta=eta)
 
 
 # -------------------------------------------------------------- diagonalize
@@ -60,8 +74,9 @@ def test_default_eta_by_mask():
 
 def test_scalar_resolvent_value():
     spec = HamiltonianSpec(np.zeros((1, 1)), 0.1)
-    ev = averaged_greens(diagonalize(spec), spec, SpectralGrid(np.array([0.0])))[0]
-    assert ev.matrix[0, 0] == pytest.approx(-10j)
+    greens = averaged_greens(spec, SpectralGrid(np.array([0.0])))
+    assert greens.shape == (1, 1)
+    assert greens[0, 0] == pytest.approx(-10j)
 
 
 def test_two_routes_agree_on_uniform_mask():
@@ -71,16 +86,17 @@ def test_two_routes_agree_on_uniform_mask():
         h = rng.standard_normal((n, n))
         spec = HamiltonianSpec((h + h.T) / 2, gamma=0.07)
         grid = SpectralGrid(np.linspace(-3, 3, 17), eta=0.01)
-        a = averaged_greens(diagonalize(spec), spec, grid)
+        a = averaged_greens(spec, grid)
         b = solve_greens(spec, grid)
-        worst = max(np.abs(x.matrix - y.matrix).max() for x, y in zip(a, b))
-        assert worst < 1e-10
+        assert a.shape == b.shape == (17, n * n)
+        assert np.abs(a - b).max() < 1e-10
 
 
-def test_eigenroute_rejects_partial_mask():
+def test_partial_mask_matches_direct_solve():
+    # The Woodbury correction restores the undisordered cavity site.
     cav = assemble_cavity(CavityParams(0.0, 0.0, 0.1, 2, coupling=1.0))
-    with pytest.raises(ValueError):
-        averaged_greens(diagonalize(cav), cav, SpectralGrid(np.array([0.0]), 0.01))
+    grid = SpectralGrid(np.linspace(-2, 2, 9), 0.01)
+    assert np.abs(averaged_greens(cav, grid) - solve_greens(cav, grid)).max() < 1e-12
 
 
 def test_tiny_gamma_standin_matches_clean_resolvent():
@@ -89,24 +105,23 @@ def test_tiny_gamma_standin_matches_clean_resolvent():
     # leftover offset is bounded by gamma/eta^2 = 4e-10.
     spec = huckel("ring", 6, gamma=1e-12)
     grid = SpectralGrid(np.linspace(-3, 3, 13), eta=0.05)
-    for ev in averaged_greens(diagonalize(spec), spec, grid):
+    for omega, g in zip(grid.omegas, matrices(averaged_greens(spec, grid), 6)):
         clean = np.linalg.solve(
-            (ev.omega + 0.05j) * np.eye(6) - spec.h0, np.eye(6, dtype=complex))
-        assert np.abs(ev.matrix - clean).max() < 1e-9
+            (omega + 0.05j) * np.eye(6) - spec.h0, np.eye(6, dtype=complex))
+        assert np.abs(g - clean).max() < 1e-9
 
 
 def test_subset_elements_match_full_matrix():
     spec = huckel("star", 7)
     grid = SpectralGrid(np.linspace(-3, 3, 9), eta=0.02)
-    eig = diagonalize(spec)
-    full = averaged_greens(eig, spec, grid)
-    subset = averaged_greens(eig, spec, grid, elements=[(0, 0), (2, 5), (6, 6)])
-    for f, s in zip(full, subset):
-        for i, j in [(0, 0), (2, 5), (6, 6)]:
-            assert s.entry(i, j) == pytest.approx(f.matrix[i, j], abs=1e-14)
-        assert s.entry(5, 2) == s.entry(2, 5)  # symmetric lookup
-        with pytest.raises(KeyError):
-            s.entry(1, 1)
+    full = matrices(averaged_greens(spec, grid), 7)
+    pairs = [(0, 0), (2, 5), (6, 6), (5, 2)]
+    subset = averaged_greens(spec, grid, elements=pairs)
+    assert subset.shape == (9, 4)
+    for col, (i, j) in enumerate(pairs):
+        assert_allclose(subset[:, col], full[:, i, j], rtol=0, atol=1e-14)
+    with pytest.raises(IndexError):
+        averaged_greens(spec, grid, elements=[(0, 7)])
 
 
 def test_hub_dos_is_tail_of_edge_levels():
@@ -114,47 +129,47 @@ def test_hub_dos_is_tail_of_edge_levels():
     # so the hub DOS is exactly the two +-sqrt(6) Lorentzian tails:
     # -Im[ 0.5/(i g - r) + 0.5/(i g + r) ]/pi = g/(pi (6 + g^2)).
     spec = huckel("star", 7)
-    ev = averaged_greens(diagonalize(spec), spec, SpectralGrid(np.array([0.0])))[0]
-    hub_dos = -ev.matrix[0, 0].imag / np.pi
+    hub_dos = -averaged_greens(spec, SpectralGrid(np.array([0.0])), [(0, 0)])[0, 0].imag / np.pi
     assert hub_dos == pytest.approx(0.1 / (np.pi * (6 + 0.01)), rel=1e-12)
 
 
-# --------------------------------------------------------------- solve route
+# ------------------------------------------------- partial masks and oracle
 
 def test_cavity_two_level_self_energy_elimination():
     # N=1, eps=0, V=1, gamma=0.2, eta=0, omega=2:
     # G_00 = 1/(2 - 1/(2 + 0.2i)) by eliminating the molecule row.
     cav = assemble_cavity(CavityParams(0.0, 0.0, 0.2, 1, coupling=1.0))
-    ev = solve_greens(cav, SpectralGrid(np.array([2.0])))[0]
-    assert ev.matrix[0, 0] == pytest.approx(1 / (2 - 1 / (2 + 0.2j)), abs=1e-14)
+    grid = SpectralGrid(np.array([2.0]))
+    want = 1 / (2 - 1 / (2 + 0.2j))
+    assert solve_greens(cav, grid, [(0, 0)])[0, 0] == pytest.approx(want, abs=1e-14)
+    assert averaged_greens(cav, grid, [(0, 0)])[0, 0] == pytest.approx(want, abs=1e-14)
 
 
 def test_resolvent_identity_residual():
     cav = assemble_cavity(CavityParams(2.1, 2.1, 0.02, 6, coupling=0.05))
     grid = SpectralGrid(np.linspace(1.8, 2.4, 7), eta=0.0)
     shifted = np.diag(np.where(cav.disordered, cav.gamma, 0.0))
-    for ev in solve_greens(cav, grid):
-        m = ev.omega * np.eye(7) - cav.h0 + 1j * shifted
-        assert np.abs(m @ ev.matrix - np.eye(7)).max() < 1e-9
+    for omega, g in zip(grid.omegas, matrices(averaged_greens(cav, grid), 7)):
+        m = omega * np.eye(7) - cav.h0 + 1j * shifted
+        assert np.abs(m @ g - np.eye(7)).max() < 1e-9
 
 
 def test_greens_complex_symmetric_with_negative_imag_diagonal():
     for spec in (huckel("chain", 5), assemble_cavity(
             CavityParams(0.3, -0.2, 0.15, 4, coupling=0.7))):
         grid = SpectralGrid(np.linspace(-3, 3, 21), eta=0.01)
-        for ev in solve_greens(spec, grid):
-            assert np.abs(ev.matrix - ev.matrix.T).max() < 1e-12
-            assert np.all(np.diagonal(ev.matrix).imag <= 0)
+        g = matrices(averaged_greens(spec, grid), spec.n_sites)
+        assert np.abs(g - g.transpose(0, 2, 1)).max() < 1e-12
+        assert np.all(np.diagonal(g, axis1=1, axis2=2).imag <= 0)
 
 
 def test_solve_subset_matches_full():
     cav = assemble_cavity(CavityParams(0.0, 0.0, 0.1, 3, coupling=0.5))
     grid = SpectralGrid(np.linspace(-2, 2, 5), eta=0.01)
-    full = solve_greens(cav, grid)
+    full = matrices(solve_greens(cav, grid), 4)
     part = solve_greens(cav, grid, elements=[(0, 0), (1, 3)])
-    for f, p in zip(full, part):
-        assert p.entry(0, 0) == pytest.approx(f.matrix[0, 0], abs=1e-14)
-        assert p.entry(1, 3) == pytest.approx(f.matrix[1, 3], abs=1e-14)
+    assert_allclose(part[:, 0], full[:, 0, 0], rtol=0, atol=1e-14)
+    assert_allclose(part[:, 1], full[:, 1, 3], rtol=0, atol=1e-14)
 
 
 def test_exactly_singular_matrix_raises():
@@ -162,6 +177,8 @@ def test_exactly_singular_matrix_raises():
     spec = HamiltonianSpec(np.array([[0.5]]), 0.1, disordered=[False])
     with pytest.raises(SingularMatrix):
         solve_greens(spec, SpectralGrid(np.array([0.5])))
+    with pytest.raises(SingularMatrix):
+        averaged_greens(spec, SpectralGrid(np.array([0.5])))
 
 
 # ------------------------------------------------------------------ the DOS
@@ -169,30 +186,24 @@ def test_exactly_singular_matrix_raises():
 def test_single_site_dos_is_lorentzian():
     spec = HamiltonianSpec(np.zeros((1, 1)), 0.1)
     grid = SpectralGrid(np.linspace(-2, 2, 401))
-    evaluations = averaged_greens(diagonalize(spec), spec, grid)
-    rho = site_dos(evaluations)
+    rho = -averaged_greens(spec, grid).imag / np.pi
     expected = (0.1 / np.pi) / (grid.omegas ** 2 + 0.01)
     assert_allclose(rho[:, 0], expected, rtol=1e-12)
-    assert_allclose(total_dos(evaluations), expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("kind, n", [("chain", 5), ("star", 7), ("ring", 6)])
 def test_dos_positive_and_symmetric_for_bipartite_like_graphs(kind, n):
     spec = huckel(kind, n)
     omegas = np.linspace(-4, 4, 321)  # symmetric grid around 0
-    evaluations = averaged_greens(diagonalize(spec), spec, SpectralGrid(omegas))
-    rho = site_dos(evaluations)
+    rho = -averaged_greens(spec, SpectralGrid(omegas), diagonal(n)).imag / np.pi
     assert rho.min() >= -1e-12
-    total = total_dos(evaluations)
+    total = rho.sum(axis=1)
     assert np.abs(total - total[::-1]).max() < 1e-9
 
 
 def test_trace_sum_rule_star7():
     spec = huckel("star", 7)
-    eig = diagonalize(spec)
-    window = auto_window(eig.eigenvalues, spec.gamma)
+    window = auto_window(diagonalize(spec).eigenvalues, spec.gamma)
     grid = SpectralGrid.from_window(window)
-    evaluations = averaged_greens(eig, spec, grid,
-                                  elements=[(i, i) for i in range(7)])
-    total = np.array([-ev.diagonal().imag.sum() / np.pi for ev in evaluations])
+    total = -averaged_greens(spec, grid, diagonal(7)).imag.sum(axis=1) / np.pi
     assert integrate_trapezoid(grid.omegas, total) == pytest.approx(7.0, rel=0.02)

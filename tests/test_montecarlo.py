@@ -172,6 +172,12 @@ def test_config_validation():
         EnsembleConfig(10, 2 ** 64, CAUCHY, 0.05)
 
 
+@pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_eta(eta):
+    with pytest.raises(ValueError, match="eta"):
+        EnsembleConfig(10, 1, CAUCHY, eta)
+
+
 # ----------------------------------------------------------------- widths
 
 def test_peak_width_of_sampled_lorentzian():
