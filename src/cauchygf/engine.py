@@ -149,9 +149,11 @@ def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
             try:
                 solved = np.linalg.solve(kernel, g0[:, right].swapaxes(1, 2))  # (b, u, k)
             except np.linalg.LinAlgError as exc:
+                # The LU factorization that failed has an exact zero pivot
+                # there, so its determinant is exactly zero.
+                first = w0 + int(np.argmax(np.linalg.det(kernel) == 0))
                 raise SingularMatrix(
-                    f"shifted matrix singular in omega [{grid.omegas[w0]}, "
-                    f"{grid.omegas[w1 - 1]}]") from exc
+                    f"shifted matrix singular at omega = {grid.omegas[first]}") from exc
             out[w0:w1] -= np.einsum("bku,buk->bk", g0[:, left], solved)
     return out
 

@@ -246,12 +246,15 @@ def test_non_finite_gamma_is_config_error(tmp_path, ini, capsys):
 
 def test_undisordered_resonance_at_zero_eta_is_numerical_error(tmp_path, capsys):
     # With no coupling the cavity state is an undisordered level at 2.1, and
-    # eta = 0 probes it exactly on its pole: exit 5, not a traceback.
+    # eta = 0 probes it exactly on its pole: exit 5, not a traceback, and the
+    # message names that frequency, also from inside a long frequency block.
     ini = ("[model]\nkind = cavity\nepsilon_c = 2.1\nepsilon_a = 2.1\n"
            "gamma = 0.02\nn_molecules = 6\ncoupling = 0\n")
-    assert run(tmp_path, ini, "dos", "--out", str(tmp_path / "d"), "--eta", "0",
-               "--grid", "2.0:2.2:3") == 5
-    assert "numerical error" in capsys.readouterr().err
+    for grid in ("2.0:2.2:3", "1.5:2.1:601"):
+        assert run(tmp_path, ini, "dos", "--out", str(tmp_path / "d"), "--eta", "0",
+                   "--grid", grid) == 5
+        err = capsys.readouterr().err
+        assert "numerical error" in err and "omega = 2.1" in err
 
 
 def test_bad_grid_flag_is_config_error(tmp_path):

@@ -175,10 +175,10 @@ def test_solve_subset_matches_full():
 def test_exactly_singular_matrix_raises():
     # One undisordered site probed at its bare energy with eta = 0.
     spec = HamiltonianSpec(np.array([[0.5]]), 0.1, disordered=[False])
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(SingularMatrix, match="omega = 0.5"):
         solve_greens(spec, SpectralGrid(np.array([0.5])))
-    with pytest.raises(SingularMatrix):
-        averaged_greens(spec, SpectralGrid(np.array([0.5])))
+    with pytest.raises(SingularMatrix, match="omega = 0.5"):
+        averaged_greens(spec, SpectralGrid(np.array([0.3, 0.4, 0.5, 0.6])))
 
 
 # ------------------------------------------------------------------ the DOS

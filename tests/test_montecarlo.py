@@ -4,8 +4,9 @@ import pytest
 import cauchygf.montecarlo as mc
 from cauchygf.engine import SpectralGrid
 from cauchygf.errors import PeakNotFound, UnresolvedWidth
-from cauchygf.lattice import (DisorderSpec, HamiltonianSpec, assemble_huckel,
-                              build_topology)
+from cauchygf.cavity import CavityParams
+from cauchygf.lattice import (DisorderSpec, HamiltonianSpec, assemble_cavity,
+                              assemble_huckel, build_topology)
 from cauchygf.montecarlo import (EnsembleConfig, ensemble_average,
                                  estimate_peak_width, make_rng,
                                  sample_disorder)
@@ -150,6 +151,37 @@ def test_elements_default_to_diagonal_and_accept_offdiagonal():
     assert off.mean_greens.shape == (1, 2)
     # same seed: the shared element must agree exactly across the two runs
     assert off.mean_greens[0, 1] == out.mean_greens[0, 3]
+
+
+def star_with_hub(disordered_hub, disordered_leaves=4):
+    spec = assemble_huckel(build_topology("star", 5), 0.0, 1.0, 0.1)
+    mask = [disordered_hub] + [True] * disordered_leaves + [False] * (4 - disordered_leaves)
+    return HamiltonianSpec(spec.h0, 0.1, mask)
+
+
+def test_route_follows_hopping_between_disordered_sites():
+    # Schur when the disordered sites couple only through one undisordered
+    # site; the eigendecomposition as soon as two disordered sites hop, or
+    # when two sites are undisordered.
+    cavity = assemble_cavity(CavityParams(2.1, 2.1, 0.02, 6, coupling=0.1))
+    chain = assemble_huckel(build_topology("chain", 5), 0.0, 1.0, 0.1)
+    chain_end = HamiltonianSpec(chain.h0, 0.1, [False] + [True] * 4)
+    assert mc._realization_route(star_with_hub(False)) is mc._schur_chunk
+    assert mc._realization_route(cavity) is mc._schur_chunk
+    assert mc._realization_route(chain_end) is mc._eigh_chunk
+    assert mc._realization_route(star_with_hub(True)) is mc._eigh_chunk
+    assert mc._realization_route(star_with_hub(False, 3)) is mc._eigh_chunk
+
+
+@pytest.mark.parametrize("disordered_hub", [False, True], ids=["schur", "eigh"])
+def test_empty_element_list_gives_empty_columns(disordered_hub):
+    grid = SpectralGrid(np.linspace(-1, 1, 7), eta=0.05)
+    out = ensemble_average(star_with_hub(disordered_hub),
+                           EnsembleConfig(50, 4, CAUCHY, 0.05), grid, elements=[])
+    assert out.elements == ()
+    for values in (out.mean_greens, out.stderr_re, out.stderr_im):
+        assert values.shape == (7, 0)
+    assert out.n_samples == 50
 
 
 def test_grid_eta_must_match_config():
