@@ -6,13 +6,12 @@ the clean Hamiltonian with -i*gamma on the disordered diagonal."""
 from .cavity import (CavityParams, PolaritonPoles, absorption, delta_rho_m,
                      delta_rho_t, g_cc, g_mol_mol, polariton_poles, rho_c,
                      self_energy)
-from .engine import (EigenSystem, SpectralGrid, averaged_greens, default_eta,
-                     diagonalize, solve_greens)
+from .engine import SpectralGrid, averaged_greens, default_eta, diagonalize
 from .lattice import (DisorderSpec, Distribution, Family, HamiltonianSpec,
                       Topology, adjacency, assemble_cavity, assemble_huckel,
                       build_topology)
 from .montecarlo import (EnsembleConfig, EnsembleResult, ensemble_average,
-                         estimate_peak_width, make_rng, sample_disorder)
+                         estimate_peak_width, make_rng)
 from .quadrature import (Window, auto_window, find_peaks, integrate_trapezoid)
 
 __version__ = "0.1.0"
@@ -21,12 +20,11 @@ __all__ = [
     "CavityParams", "PolaritonPoles", "absorption", "delta_rho_m",
     "delta_rho_t", "g_cc", "g_mol_mol", "polariton_poles", "rho_c",
     "self_energy",
-    "EigenSystem", "SpectralGrid", "averaged_greens", "default_eta",
-    "diagonalize", "solve_greens",
+    "SpectralGrid", "averaged_greens", "default_eta", "diagonalize",
     "DisorderSpec", "Distribution", "Family", "HamiltonianSpec", "Topology",
     "adjacency", "assemble_cavity", "assemble_huckel", "build_topology",
     "EnsembleConfig", "EnsembleResult", "ensemble_average",
-    "estimate_peak_width", "make_rng", "sample_disorder",
+    "estimate_peak_width", "make_rng",
     "Window", "auto_window", "find_peaks", "integrate_trapezoid",
     "__version__",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import cavity as cavity_mod
 from .cavity import CavityParams, polariton_poles
-from .engine import SpectralGrid, averaged_greens, default_eta, solve_greens
+from .engine import SpectralGrid, averaged_greens, default_eta
 from .errors import ConfigParseError
 from .lattice import (DisorderSpec, Family, assemble_cavity, assemble_huckel,
                       build_topology)
@@ -308,11 +308,11 @@ def _cmd_mc_compare(cfg, args):
                       DEFAULT_MC_POINTS)
     grid, grid_echo = _resolve_grid(cfg, args, fallback, ensemble.eta)
     if grid.eta != ensemble.eta:
-        grid = SpectralGrid(grid.omegas, ensemble.eta)
-        grid_echo["eta"] = ensemble.eta
+        raise ConfigParseError(f"mc-compare probes at the [ensemble] eta = "
+                               f"{ensemble.eta}, but the grid eta is {grid.eta}")
 
     result = ensemble_average(spec, ensemble, grid)
-    ref = solve_greens(spec, grid, result.elements)  # (n_omega, k)
+    ref = averaged_greens(spec, grid, result.elements)  # (n_omega, k)
 
     dev_re = np.abs(result.mean_greens.real - ref.real)
     dev_im = np.abs(result.mean_greens.imag - ref.imag)
@@ -429,16 +429,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output base path (extension-adjusted per artifact)")
     common.add_argument("--grid", help="frequency window lo:hi:n, overrides [grid]")
     common.add_argument("--eta", type=float, help="probe regularizer, overrides [grid] eta")
-    common.add_argument("--seed", type=int, help="ensemble seed, overrides [ensemble] seed")
-    common.add_argument("--samples", type=int, help="ensemble size, overrides [ensemble] samples")
     common.add_argument("--quiet", action="store_true", help="suppress progress lines")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("dos", parents=[common],
                    help="total/per-site density of states of a graph model")
     sub.add_parser("cavity", parents=[common],
                    help="closed-form cavity spectra and polariton poles")
-    sub.add_parser("mc-compare", parents=[common],
-                   help="Monte-Carlo ensemble vs the deterministic engine")
+    mc = sub.add_parser("mc-compare", parents=[common],
+                        help="Monte-Carlo ensemble vs the deterministic engine")
+    mc.add_argument("--seed", type=int, help="ensemble seed, overrides [ensemble] seed")
+    mc.add_argument("--samples", type=int, help="ensemble size, overrides [ensemble] samples")
     sub.add_parser("sum-rules", parents=[common],
                    help="trapezoid sum rules with pass/fail verdicts")
     return parser

@@ -62,21 +62,13 @@ class SpectralGrid:
         return cls(window.omegas(), eta)
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Ascending eigenvalues and the orthogonal matrix of column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def diagonalize(spec: HamiltonianSpec) -> EigenSystem:
-    """Full spectrum of the clean h0 via the dense symmetric eigensolver."""
+def diagonalize(spec: HamiltonianSpec):
+    """Full spectrum of the clean h0 via the dense symmetric eigensolver:
+    ascending eigenvalues and the orthogonal matrix of column eigenvectors."""
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(spec.h0)
+        return np.linalg.eigh(spec.h0)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
-    return EigenSystem(eigenvalues, eigenvectors)
 
 
 def default_eta(spec: HamiltonianSpec) -> float:
@@ -117,7 +109,7 @@ def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
     """
     n = spec.n_sites
     pairs = _element_pairs(elements, n)
-    eig = diagonalize(spec)
+    eigenvalues, eigenvectors = diagonalize(spec)
     undisordered = np.flatnonzero(~spec.disordered).tolist()
 
     # One column of G0 values per distinct symmetric pair (G0 = G0^T).
@@ -134,14 +126,14 @@ def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
                      dtype=int).reshape(k, n_u)
     square = [[column(u, v) for v in undisordered] for u in undisordered]
     keys = np.array(list(columns), dtype=int).reshape(-1, 2)
-    weights = eig.eigenvectors[keys[:, 0]] * eig.eigenvectors[keys[:, 1]]  # (p, n)
+    weights = eigenvectors[keys[:, 0]] * eigenvectors[keys[:, 1]]  # (p, n)
 
     block = max(1, _BLOCK_BUDGET // max(n, len(columns), k * max(n_u, 1)))
     z = grid.omegas + 1j * (grid.eta + spec.gamma)
     out = np.empty((n_omega, k), dtype=complex)
     for w0 in range(0, n_omega, block):
         w1 = min(w0 + block, n_omega)
-        modes = 1.0 / (z[w0:w1] - eig.eigenvalues[:, None])          # (n, b)
+        modes = 1.0 / (z[w0:w1] - eigenvalues[:, None])              # (n, b)
         g0 = (weights @ modes.view(float)).view(complex).T            # (b, p)
         out[w0:w1] = g0[:, target]
         if n_u:

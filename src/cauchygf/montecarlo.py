@@ -7,10 +7,10 @@ h0 alone:
 
 * Schur complement, when h0 has no hopping between disordered sites (its
   disordered block D is exactly diagonal) and at most one site is
-  undisordered: the cavity, whose molecules couple only through the mode.
-  The undisordered block is G_UU = (z - h_UU - Sigma_UU)^-1 with the
-  self-energy Sigma_uv = sum_i h_ui h_iv / (z - h_ii - xi_i), and every other
-  element follows from G_UU, with no eigensolver.
+  undisordered: the cavity, whose molecules couple only through the mode u.
+  Then G_uu = 1/(z - h_uu - Sigma) with the self-energy
+  Sigma = sum_i h_ui^2 / (z - h_ii - xi_i), and every other element follows
+  from G_uu, with no eigensolver.
 * Batched symmetric eigendecomposition of h0 + diag(xi) otherwise (the
   graphs), G_ij = sum_m V_im V_jm / (z - lambda_m).  It is also the oracle the
   Schur route is tested against.
@@ -85,6 +85,8 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def _draw(dist: DisorderSpec, shape, rng) -> np.ndarray:
+    """I.i.d. draws from the disorder law.  Cauchy uses the inverse-CDF map
+    xi = scale*tan(pi*(u - 1/2)) with u uniform on the open interval (0, 1)."""
     if dist.distribution is Distribution.CAUCHY:
         u = np.asarray(rng.random(shape), dtype=float)
         while True:  # u = 0 would map tan to the excluded endpoint
@@ -96,15 +98,6 @@ def _draw(dist: DisorderSpec, shape, rng) -> np.ndarray:
     if dist.distribution is Distribution.GAUSSIAN:
         return dist.scale * rng.standard_normal(shape)
     return rng.uniform(-dist.scale, dist.scale, shape)
-
-
-def sample_disorder(dist: DisorderSpec, n_sites: int, rng) -> np.ndarray:
-    """One realization: n_sites i.i.d. draws from the disorder law.
-
-    Cauchy uses the inverse-CDF map xi = scale*tan(pi*(u - 1/2)) with u
-    uniform on the open interval (0, 1).
-    """
-    return _draw(dist, (int(n_sites),), rng)
 
 
 def _merge_streams(count, mean, m2_re, m2_im, add_count, add_mean, add_m2_re, add_m2_im):
@@ -169,40 +162,33 @@ def _eigh_chunk(spec, xi, pairs, omegas, eta):
 
 
 def _schur_chunk(spec, xi, pairs, omegas, eta):
-    """The same elements when no two disordered sites hop to each other.
+    """The same elements when no two disordered sites hop to each other and
+    at most one site u is undisordered.
 
-    Each disordered site i then couples only to the undisordered sites U, so
-    eliminating it gives G_UU = (z - h_UU - Sigma_UU)^-1 with the pole sum
-    Sigma_uv = sum_i h_ui h_iv / (z - a_i), a_i = h_ii + xi_i.  With
-    g_i = 1/(z - a_i), every element is G_ij = f_i f_j (l_i G_UU l_j^T) plus
-    g_i when i = j is disordered, where l_s is the unit row e_s and f_s = 1
-    for s in U, and l_s = h_sU, f_s = g_s for s disordered.
+    Each disordered site i then couples only to u, so eliminating it gives
+    G_uu = 1/(z - h_uu - sum_i h_ui^2 g_i) with g_i = 1/(z - a_i),
+    a_i = h_ii + xi_i, and every element is G_ij = phi_i phi_j G_uu plus g_i
+    when i = j is disordered, where phi_u = 1 and phi_i = h_iu g_i.  With no
+    u, G_uu = 0 and G is the diagonal of g.
     """
     disordered = spec.disordered
-    u_sites, d_sites = np.flatnonzero(~disordered), np.flatnonzero(disordered)
-    c, n_u, n_omega = xi.shape[0], u_sites.size, omegas.size
+    d_sites = np.flatnonzero(disordered)
+    c, n_omega = xi.shape[0], omegas.size
     z = omegas + 1j * eta
     poles = np.diagonal(spec.h0)[d_sites] + xi[:, d_sites]          # (c, |D|)
-    hop = spec.h0[np.ix_(u_sites, d_sites)]                         # (|U|, |D|)
-    sigma = np.empty((c, n_u * n_u, n_omega), dtype=complex)
-    _pole_sums((hop[:, None, :] * hop[None, :, :]).reshape(n_u * n_u, d_sites.size),
-               poles, omegas, eta, sigma)
-    # z*I - h_UU - Sigma_UU, one row per (u, v) entry.  Its imaginary part is
-    # at least eta*I, so the inverse always exists.
-    bare = np.eye(n_u).reshape(-1, 1) * z - spec.h0[np.ix_(u_sites, u_sites)].reshape(-1, 1)
-    kernel = np.subtract(bare, sigma, out=sigma)                     # (c, u*u, w)
-    if n_u == 1:  # as a reciprocal: batched 1x1 inverses cost ~70 times more
-        g_uu = np.reciprocal(kernel, out=kernel)
-    else:
-        g_uu = np.linalg.inv(np.moveaxis(kernel.reshape(c, n_u, n_u, n_omega), 3, 1))
-        g_uu = np.moveaxis(g_uu, 1, 3).reshape(c, n_u * n_u, n_omega)
+    g_uu = np.zeros((c, 1, n_omega), dtype=complex)
+    lead = np.zeros(spec.n_sites)                                   # h_su, 1 at u
+    if not disordered.all():
+        (u,) = np.flatnonzero(~disordered)
+        lead = spec.h0[:, u].copy()
+        lead[u] = 1.0
+        _pole_sums(lead[None, d_sites] ** 2, poles, omegas, eta, g_uu)
+        # Im(z - h_uu - Sigma) >= eta > 0, so the reciprocal always exists.
+        np.subtract(z - spec.h0[u, u], g_uu, out=g_uu)
+        np.reciprocal(g_uu, out=g_uu)
 
     ends = np.array(pairs, dtype=int).reshape(-1, 2)
-    lead = spec.h0[:, u_sites].copy()
-    lead[u_sites] = np.eye(n_u)
-    outer = lead[ends[:, 0], :, None] * lead[ends[:, 1], None, :]   # (k, u, u)
-    outer = outer.reshape(len(ends), n_u * n_u)
-    # f_s once for each site named in a pair; sample tiles keep it in cache.
+    # g_s once for each site named in a pair; sample tiles keep it in cache.
     sites, at = np.unique(ends, return_inverse=True)
     at = at.reshape(ends.shape)
     on_d = disordered[sites]
@@ -211,13 +197,13 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
     out = np.empty((c, len(ends), n_omega), dtype=complex)
     step = max(1, _TILE_BUDGET // max(1, (len(ends) + sites.size) * n_omega))
     for c0 in range(0, c, step):
-        g = out[c0:c0 + step]
-        np.matmul(outer, g_uu[c0:c0 + step], out=g)               # (c, k, w)
-        f = np.ones((len(g), sites.size, n_omega), dtype=complex)
-        f[:, on_d] = np.reciprocal(z - poles[c0:c0 + step, column, None])
-        g *= f[:, at[:, 0]]
-        g *= f[:, at[:, 1]]
-        g[:, on_site] += f[:, at[on_site, 0]]
+        g = np.ones((min(step, c - c0), sites.size, n_omega), dtype=complex)
+        g[:, on_d] = np.reciprocal(z - poles[c0:c0 + step, column, None])
+        phi = g * lead[sites, None]
+        tile = out[c0:c0 + step]
+        np.multiply(phi[:, at[:, 0]], phi[:, at[:, 1]], out=tile)
+        tile *= g_uu[c0:c0 + step]
+        tile[:, on_site] += g[:, at[on_site, 0]]
     return out
 
 
@@ -225,8 +211,8 @@ def _realization_route(spec):
     """The chunk solver for this h0: Schur when its disordered block is
     exactly diagonal and at most one site is undisordered, the batched
     eigendecomposition otherwise.  With two or more undisordered sites each
-    sample and frequency needs a |U| x |U| inverse, and those made the Schur
-    route up to 24 times slower than the eigendecomposition."""
+    sample and frequency would need a |U| x |U| inverse, and those made a
+    Schur route up to 24 times slower than the eigendecomposition."""
     block = spec.h0[np.ix_(spec.disordered, spec.disordered)]
     hops = np.count_nonzero(block) > np.count_nonzero(np.diagonal(block))
     few_u = np.count_nonzero(~spec.disordered) <= 1

@@ -14,11 +14,6 @@ import numpy as np
 
 _FLOAT_FORMAT = "%.12e"
 
-
-def format_float(x) -> str:
-    return _FLOAT_FORMAT % float(x)
-
-
 # Rows formatted and written per block: the text of a wide table never has to
 # exist in memory all at once.
 _CSV_BLOCK_ROWS = 512
@@ -29,7 +24,7 @@ def _csv_blocks(header, columns):
 
     ``header`` is a list of column names; ``columns`` the matching list of
     equal-length sequences.  A column of strings passes through untouched;
-    every other column is read as floats and printed as format_float does.
+    every other column is read as floats and printed with _FLOAT_FORMAT.
     """
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} names for {len(columns)} columns")
@@ -44,11 +39,6 @@ def _csv_blocks(header, columns):
     for start in range(0, n_rows, _CSV_BLOCK_ROWS):
         cells = [a[start:start + _CSV_BLOCK_ROWS].tolist() for a in arrays]
         yield "".join(row_format % row for row in zip(*cells))
-
-
-def csv_text(header, columns) -> str:
-    """Render named columns to CSV text (see _csv_blocks)."""
-    return "".join(_csv_blocks(header, columns))
 
 
 def write_csv(path, header, columns) -> None:

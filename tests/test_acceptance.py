@@ -142,7 +142,7 @@ def test_criterion_3_sum_rules(verdict):
 def _total_dos_peaks(kind, n_sites, gamma=0.1):
     spec = assemble_huckel(build_topology(kind, n_sites), 0.0, 1.0, gamma)
     grid = SpectralGrid.from_window(
-        auto_window(diagonalize(spec).eigenvalues, gamma))
+        auto_window(diagonalize(spec)[0], gamma))
     diagonal = averaged_greens(spec, grid, [(i, i) for i in range(n_sites)])
     rho = -diagonal.imag.sum(axis=1) / np.pi
     return grid, find_peaks(grid.omegas, rho)

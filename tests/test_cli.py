@@ -8,7 +8,9 @@ import pytest
 from cauchygf.cavity import CavityParams, polariton_poles
 from cauchygf.cli import main
 from cauchygf.engine import SpectralGrid, solve_greens
-from cauchygf.lattice import assemble_cavity, assemble_huckel, build_topology
+from cauchygf.lattice import (DisorderSpec, assemble_cavity, assemble_huckel,
+                              build_topology)
+from cauchygf.montecarlo import EnsembleConfig, ensemble_average
 
 STAR_INI = """\
 [model]
@@ -158,7 +160,7 @@ def test_mc_compare_is_bytewise_reproducible(tmp_path):
     assert summary["ensemble"] == {"samples": 400, "seed": 12,
                                    "distribution": "cauchy", "scale": 0.1,
                                    "eta": 0.05}
-    assert summary["grid"]["eta"] == 0.05  # forced to the ensemble eta
+    assert summary["grid"]["eta"] == 0.05  # defaults to the ensemble eta
     assert 0.0 <= summary["fraction_within_3_stderr"] <= 1.0
     assert summary["max_deviation_stderr_units"] >= 0.0
     table = read_columns(out)
@@ -174,6 +176,51 @@ def test_mc_compare_flag_overrides_beat_config(tmp_path):
     summary = json.loads((tmp_path / "mc.summary.json").read_text())
     assert summary["n_samples"] == 37
     assert summary["seed"] == 9
+
+
+def test_mc_compare_cavity_z_scores_match_direct_solve(tmp_path):
+    # The cavity state is undisordered: Schur realizations, and a reference
+    # from the engine's Woodbury correction, recomputed here by the direct
+    # solve.
+    ini = CAVITY_INI + "[ensemble]\nsamples = 200\nseed = 5\n"
+    out = tmp_path / "mc.csv"
+    assert run(tmp_path, ini, "mc-compare", "--out", str(out),
+               "--grid", "1.9:2.3:21") == 0
+    summary = json.loads((tmp_path / "mc.summary.json").read_text())
+
+    spec = assemble_cavity(CavityParams(2.1, 2.1, 0.02, 6, v_tilde=4.06e-14,
+                                        number_density=1.16e25))
+    grid = SpectralGrid(np.linspace(1.9, 2.3, 21), eta=0.02)
+    result = ensemble_average(
+        spec, EnsembleConfig(200, 5, DisorderSpec("cauchy", 0.02), 0.02), grid)
+    ref = solve_greens(spec, grid, result.elements)
+    units_re = np.abs(result.mean_greens.real - ref.real) / result.stderr_re
+    units_im = np.abs(result.mean_greens.imag - ref.imag) / result.stderr_im
+    assert summary["max_deviation_stderr_units"] == pytest.approx(
+        max(units_re.max(), units_im.max()), rel=1e-9)
+    assert summary["fraction_within_3_stderr"] == pytest.approx(
+        np.mean((units_re <= 3.0) & (units_im <= 3.0)), rel=1e-9)
+
+
+@pytest.mark.parametrize("grid_section, flags", [("", ["--eta", "0.3"]),
+                                                 ("[grid]\neta = 0.3\n", [])],
+                         ids=["flag", "config"])
+def test_mc_compare_rejects_grid_eta_off_the_ensemble_eta(tmp_path, grid_section,
+                                                          flags, capsys):
+    ini = STAR_INI + "[ensemble]\nsamples = 10\n" + grid_section
+    assert run(tmp_path, ini, "mc-compare", "--out", str(tmp_path / "mc"),
+               "--grid=-1:1:5", *flags) == 3
+    err = capsys.readouterr().err
+    assert "0.02" in err and "0.3" in err
+    assert not (tmp_path / "mc.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["dos", "cavity", "sum-rules"])
+@pytest.mark.parametrize("flag", ["--seed", "--samples"])
+def test_ensemble_flags_belong_to_mc_compare(tmp_path, command, flag):
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, CAVITY_INI, command, flag, "7")
+    assert info.value.code == 2
 
 
 # ----------------------------------------------------------------- sum-rules

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cauchygf
+from cauchygf import output
 from cauchygf.cavity import CavityParams
 from cauchygf.engine import (SpectralGrid, averaged_greens, default_eta,
                              diagonalize, solve_greens)
@@ -49,19 +51,19 @@ def test_grid_rejects_non_finite_eta(eta):
 # -------------------------------------------------------------- diagonalize
 
 def test_two_site_eigensystem():
-    eig = diagonalize(HamiltonianSpec(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.1))
-    assert_allclose(eig.eigenvalues, [-1.0, 1.0], atol=1e-12)
+    spec = HamiltonianSpec(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.1)
+    eigenvalues, _ = diagonalize(spec)
+    assert_allclose(eigenvalues, [-1.0, 1.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("kind, n", [("chain", 5), ("star", 7), ("ring", 6)])
 def test_eigensystem_invariants(kind, n):
     spec = huckel(kind, n)
-    eig = diagonalize(spec)
-    u = eig.eigenvectors
+    eigenvalues, u = diagonalize(spec)
     assert np.abs(u.T @ u - np.eye(n)).max() < 1e-10
-    residual = np.abs(spec.h0 @ u - u * eig.eigenvalues).max()
-    assert residual < 1e-8 * max(1.0, np.abs(eig.eigenvalues).max())
-    assert np.all(np.diff(eig.eigenvalues) >= 0)
+    residual = np.abs(spec.h0 @ u - u * eigenvalues).max()
+    assert residual < 1e-8 * max(1.0, np.abs(eigenvalues).max())
+    assert np.all(np.diff(eigenvalues) >= 0)
 
 
 def test_default_eta_by_mask():
@@ -203,7 +205,29 @@ def test_dos_positive_and_symmetric_for_bipartite_like_graphs(kind, n):
 
 def test_trace_sum_rule_star7():
     spec = huckel("star", 7)
-    window = auto_window(diagonalize(spec).eigenvalues, spec.gamma)
+    window = auto_window(diagonalize(spec)[0], spec.gamma)
     grid = SpectralGrid.from_window(window)
     total = -averaged_greens(spec, grid, diagonal(7)).imag.sum(axis=1) / np.pi
     assert integrate_trapezoid(grid.omegas, total) == pytest.approx(7.0, rel=0.02)
+
+
+# --------------------------------------------------------------- public API
+
+def test_public_api_has_no_test_only_names():
+    # solve_greens stays importable from the engine, as the oracle tests
+    # compare against, but is not a public name of the package.
+    assert sorted(cauchygf.__all__) == sorted([
+        "CavityParams", "PolaritonPoles", "absorption", "delta_rho_m",
+        "delta_rho_t", "g_cc", "g_mol_mol", "polariton_poles", "rho_c",
+        "self_energy",
+        "SpectralGrid", "averaged_greens", "default_eta", "diagonalize",
+        "DisorderSpec", "Distribution", "Family", "HamiltonianSpec", "Topology",
+        "adjacency", "assemble_cavity", "assemble_huckel", "build_topology",
+        "EnsembleConfig", "EnsembleResult", "ensemble_average",
+        "estimate_peak_width", "make_rng",
+        "Window", "auto_window", "find_peaks", "integrate_trapezoid",
+        "__version__"])
+    for name in cauchygf.__all__:
+        assert hasattr(cauchygf, name)
+    assert not hasattr(output, "format_float")
+    assert not hasattr(output, "csv_text")

@@ -8,8 +8,7 @@ from cauchygf.cavity import CavityParams
 from cauchygf.lattice import (DisorderSpec, HamiltonianSpec, assemble_cavity,
                               assemble_huckel, build_topology)
 from cauchygf.montecarlo import (EnsembleConfig, ensemble_average,
-                                 estimate_peak_width, make_rng,
-                                 sample_disorder)
+                                 estimate_peak_width, make_rng)
 
 CAUCHY = DisorderSpec("cauchy", 0.1)
 
@@ -21,7 +20,7 @@ def single_site(gamma=0.1):
 # ------------------------------------------------------------------ sampling
 
 def test_cauchy_draws_have_matching_median_and_quartiles():
-    xi = sample_disorder(CAUCHY, 200_000, make_rng(5))
+    xi = mc._draw(CAUCHY, (200_000,), make_rng(5))
     assert np.median(xi) == pytest.approx(0.0, abs=2e-3)
     # P(|xi| <= scale) = 1/2 for a Cauchy law of that half-width.
     assert np.mean(np.abs(xi) <= 0.1) == pytest.approx(0.5, abs=5e-3)
@@ -32,10 +31,10 @@ def test_cauchy_draws_have_matching_median_and_quartiles():
 
 def test_gaussian_and_uniform_draws():
     rng = make_rng(6)
-    g = sample_disorder(DisorderSpec("gaussian", 0.3), 200_000, rng)
+    g = mc._draw(DisorderSpec("gaussian", 0.3), (200_000,), rng)
     assert np.std(g) == pytest.approx(0.3, rel=0.01)
     assert np.mean(g) == pytest.approx(0.0, abs=0.005)
-    u = sample_disorder(DisorderSpec("uniform", 0.2), 200_000, rng)
+    u = mc._draw(DisorderSpec("uniform", 0.2), (200_000,), rng)
     assert u.min() >= -0.2 and u.max() <= 0.2
     assert np.mean(u) == pytest.approx(0.0, abs=0.002)
     assert np.std(u) == pytest.approx(0.2 / np.sqrt(3), rel=0.01)

@@ -3,33 +3,39 @@ import json
 import numpy as np
 import pytest
 
-from cauchygf.output import (csv_text, format_float, json_text, write_csv,
-                             write_json)
+from cauchygf.output import json_text, write_csv, write_json
 
 
-def test_format_float_full_precision():
-    assert format_float(1 / 3) == "3.333333333333e-01"
-    assert format_float(np.float64(-2.5e-17)) == "-2.500000000000e-17"
-    assert format_float(0) == "0.000000000000e+00"
+def render(tmp_path, header, columns):
+    path = tmp_path / "t.csv"
+    write_csv(path, header, columns)
+    return path.read_text()
+
+
+def test_format_float_full_precision(tmp_path):
+    values = [1 / 3, np.float64(-2.5e-17), 0]
+    assert render(tmp_path, ["x"], [values]).split("\n")[1:4] == [
+        "3.333333333333e-01", "-2.500000000000e-17", "0.000000000000e+00"]
     # 13 significant digits are enough to round-trip through the text form
     # at any magnitude this package produces.
-    for x in (np.pi, 6.02e23, 1.05e-34):
-        assert float(format_float(x)) == pytest.approx(x, rel=1e-12)
+    values = [np.pi, 6.02e23, 1.05e-34]
+    cells = render(tmp_path, ["x"], [values]).split()[1:]
+    assert [float(c) for c in cells] == pytest.approx(values, rel=1e-12)
 
 
-def test_csv_golden_rendering():
-    text = csv_text(["omega", "label", "rho"],
-                    [[0.5, -1.0], ["a", "b"], np.array([0.25, 0.75])])
+def test_csv_golden_rendering(tmp_path):
+    text = render(tmp_path, ["omega", "label", "rho"],
+                  [[0.5, -1.0], ["a", "b"], np.array([0.25, 0.75])])
     assert text == ("omega,label,rho\n"
                     "5.000000000000e-01,a,2.500000000000e-01\n"
                     "-1.000000000000e+00,b,7.500000000000e-01\n")
 
 
-def test_csv_rejects_mismatched_shapes():
+def test_csv_rejects_mismatched_shapes(tmp_path):
     with pytest.raises(ValueError):
-        csv_text(["a", "b"], [[1.0]])
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0]])
     with pytest.raises(ValueError):
-        csv_text(["a", "b"], [[1.0], [1.0, 2.0]])
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0], [1.0, 2.0]])
 
 
 def test_json_sorted_keys_and_numpy_coercion():

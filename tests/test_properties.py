@@ -16,6 +16,7 @@ import cauchygf.montecarlo as mc
 from cauchygf.cavity import CavityParams, g_cc
 from cauchygf.engine import SpectralGrid, averaged_greens, solve_greens
 from cauchygf.lattice import HamiltonianSpec, assemble_cavity
+from cauchygf.quadrature import auto_window, integrate_trapezoid
 
 @st.composite
 def grids(draw, lo, hi, eta):
@@ -74,6 +75,29 @@ def test_site_dos_is_non_negative(problem):
 
 
 @st.composite
+def fully_disordered(draw):
+    h0, _ = draw(matrices())
+    return HamiltonianSpec(h0, draw(st.floats(0.05, 1.0))), draw(st.floats(0.0, 0.5))
+
+
+@given(fully_disordered())
+def test_total_dos_integral_matches_lorentzian_sum(case):
+    # With every site disordered the total DOS is a sum of Lorentzians of
+    # half-width w = gamma + eta at the eigenvalues of h0, so its integral
+    # over [lo, hi] is exactly sum_m [atan((hi - e_m)/w) - atan((lo - e_m)/w)]/pi.
+    spec, eta = case
+    levels = np.linalg.eigvalsh(spec.h0)
+    window = auto_window(levels, spec.gamma, n_points=4001)
+    grid = SpectralGrid.from_window(window, eta)
+    diagonal = averaged_greens(spec, grid, [(i, i) for i in range(spec.n_sites)])
+    total = integrate_trapezoid(grid.omegas, -diagonal.imag.sum(axis=1) / np.pi)
+    w = spec.gamma + eta
+    exact = np.sum(np.arctan((window.hi - levels) / w)
+                   - np.arctan((window.lo - levels) / w)) / np.pi
+    assert abs(total - exact) <= 1e-6 * spec.n_sites
+
+
+@st.composite
 def cavities(draw):
     params = CavityParams(draw(st.floats(1.5, 2.5)), draw(st.floats(1.5, 2.5)),
                           draw(st.floats(0.01, 0.2)), draw(st.integers(1, 11)),
@@ -101,16 +125,19 @@ def realizations(draw):
 
 @given(realizations())
 def test_schur_realizations_match_eigh_and_direct_solve(case):
-    # Every pair, so U x U, U x D and D x D elements, on and off the diagonal.
+    # Every pair, so u x u, u x D and D x D elements, on and off the diagonal.
+    # The eigendecomposition serves every mask, the Schur route only masks
+    # with at most one undisordered site u: the only ones routed to it.
     spec, xi, grid = case
     n, z = spec.n_sites, grid.omegas + 1j * grid.eta
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    schur = mc._schur_chunk(spec, xi, pairs, grid.omegas, grid.eta)
     eigh = mc._eigh_chunk(spec, xi, pairs, grid.omegas, grid.eta)
     h = spec.h0 + xi[:, :, None] * np.eye(n)                        # (c, n, n)
     direct = np.linalg.solve(z[:, None, None] * np.eye(n) - h[:, None], np.eye(n))
     direct = direct.reshape(len(xi), z.size, n * n).transpose(0, 2, 1)
     scale = np.abs(direct).max(axis=(1, 2))[:, None, None]           # per realization
-    assert np.all(np.abs(schur - eigh) <= 1e-10 * scale)
-    assert np.all(np.abs(schur - direct) <= 1e-10 * scale)
     assert np.all(np.abs(eigh - direct) <= 1e-10 * scale)
+    if np.count_nonzero(~spec.disordered) <= 1:
+        schur = mc._schur_chunk(spec, xi, pairs, grid.omegas, grid.eta)
+        assert np.all(np.abs(schur - eigh) <= 1e-10 * scale)
+        assert np.all(np.abs(schur - direct) <= 1e-10 * scale)
