@@ -5,17 +5,13 @@ entries is exactly equivalent to deleting the noise and subtracting i*gamma
 from those same entries.  The whole ensemble therefore collapses to a single
 complex matrix, evaluated by one route for every disorder mask:
 
-* ``averaged_greens`` -- one real-symmetric eigendecomposition of h0 gives
-  G0(z) = V diag(1/(z + i*gamma - eps_m)) V^T, the answer when every site is
-  disordered (z = w + i*eta).  The few undisordered sites U (the cavity state;
-  none on the graphs) are put back by the rank-|U| Woodbury identity
-  G = G0 - G0[:, U] (i/gamma I + G0[U, U])^-1 G0[U, :].
-* ``solve_greens`` -- a direct complex linear solve of
-  (w + i*eta)I - h0 + i*gamma*D per frequency, where D is the disorder mask.
-  It is kept only as the independent oracle the route above is checked
-  against.
+``averaged_greens``: one real-symmetric eigendecomposition of h0 gives
+G0(z) = V diag(1/(z + i*gamma - eps_m)) V^T, the answer when every site is
+disordered (z = w + i*eta).  The few undisordered sites U (the cavity state;
+none on the graphs) are put back by the rank-|U| Woodbury identity
+G = G0 - G0[:, U] (i/gamma I + G0[U, U])^-1 G0[U, :].
 
-Both return one complex array of shape (n_omega, n_elements); densities of
+It returns one complex array of shape (n_omega, n_elements); densities of
 states are the usual -Im/pi of its diagonal-element columns.
 """
 
@@ -149,28 +145,3 @@ def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
             out[w0:w1] -= np.einsum("bku,buk->bk", g0[:, left], solved)
     return out
 
-
-def solve_greens(spec: HamiltonianSpec, grid: SpectralGrid,
-                 elements=None) -> np.ndarray:
-    """Direct oracle: solve ((w + i*eta)I - h0 + i*gamma*D) G = I columnwise.
-
-    D is the diagonal disorder mask, so partial masks are handled exactly;
-    this is the reference ``averaged_greens`` is checked against.  Same
-    arguments and (n_omega, n_elements) result as ``averaged_greens``.
-    """
-    n = spec.n_sites
-    pairs = _element_pairs(elements, n)
-    columns = sorted({j for _, j in pairs})
-    lookup = {j: c for c, j in enumerate(columns)}
-    rows = [i for i, _ in pairs]
-    cols = [lookup[j] for _, j in pairs]
-    rhs = np.eye(n, dtype=complex)[:, columns]
-    base = -spec.h0 + 1j * np.diag(np.where(spec.disordered, spec.gamma, 0.0))
-    out = np.empty((grid.omegas.size, len(pairs)), dtype=complex)
-    for w, omega in enumerate(grid.omegas):
-        try:
-            solution = np.linalg.solve(base + (omega + 1j * grid.eta) * np.eye(n), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix(f"shifted matrix singular at omega = {omega}") from exc
-        out[w] = solution[rows, cols]
-    return out

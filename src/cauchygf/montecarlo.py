@@ -16,9 +16,12 @@ h0 alone:
   Schur route is tested against.
 
 Both routes reduce to sums of weights over real poles, which one real-arithmetic
-kernel evaluates in cache-sized tiles.  Heavy Cauchy tails are safe without
-truncation because every element is bounded by 1/eta at frequency w + i*eta,
-so the estimator has finite variance even though the inputs do not.
+kernel evaluates in cache-sized tiles of samples x frequencies.  Each finished
+tile of G is folded into the running mean and variance while it is still in
+cache, so no array spans a chunk's samples, elements and frequencies.  Heavy
+Cauchy tails are safe without truncation because every element is bounded by
+1/eta at frequency w + i*eta, so the estimator has finite variance even though
+the inputs do not.
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ from .errors import PeakNotFound, UnresolvedWidth
 from .lattice import DisorderSpec, Distribution, HamiltonianSpec
 from .quadrature import _validated_curve
 
-# Chunk sizing targets, in array elements: keep the batched eigendecomposition
-# and the per-chunk Green's-function blocks comfortably inside a few hundred MB.
+# Chunk sizing target, in array elements: keep the batched eigendecomposition
+# and its eigenvector products comfortably inside a few hundred MB.
 _EIGH_BUDGET = int(1e7)
-_STATS_BUDGET = int(1.5e6)
 # Pole sums run over tiles of samples x frequencies whose real temporaries
 # hold about this many cells each, so they stay in cache.
 _TILE_BUDGET = 2 ** 15
@@ -100,37 +102,44 @@ def _draw(dist: DisorderSpec, shape, rng) -> np.ndarray:
     return rng.uniform(-dist.scale, dist.scale, shape)
 
 
-def _merge_streams(count, mean, m2_re, m2_im, add_count, add_mean, add_m2_re, add_m2_im):
-    # Exact pairwise combination of (count, mean, sum of squared deviations),
-    # applied to the real and imaginary components separately.
-    total = count + add_count
+def _merge_streams(count, mean, m2, add_count, add_mean, add_m2):
+    # Exact pairwise combination of (count, mean, sum of squared deviations)
+    # per real component (Chan, Golub & LeVeque), into mean and m2 in place.
     delta = add_mean - mean
-    mean = mean + delta * (add_count / total)
-    scale = count * add_count / total
-    m2_re = m2_re + add_m2_re + scale * delta.real ** 2
-    m2_im = m2_im + add_m2_im + scale * delta.imag ** 2
-    return total, mean, m2_re, m2_im
+    mean += delta * (add_count / (count + add_count))
+    delta *= delta
+    delta *= count * add_count / (count + add_count)
+    m2 += add_m2
+    m2 += delta
 
 
-def _pole_sums(weights, poles, omegas, eta, out):
-    """out[c, p, w] = sum_m weights[(c,) p, m] / (omegas[w] + i*eta - poles[c, m]).
+def _pole_sums(weights, poles, omegas, eta):
+    """Yield tiles (c0, c1, w0, w1, tile) of the pole sums
+    S[c, p, w] = sum_m weights[(c,) p, m] / (omegas[w] + i*eta - poles[c, m]),
+    with tile[:, 0] = Re S and tile[:, 1] = Im S over samples c0:c1 and
+    frequencies w0:w1.
 
     ``weights`` is (p, m), shared by every sample, or (c, p, m).  With
     d = w - pole and r = 1/(d^2 + eta^2) the real part is weights @ (d*r) and
-    the imaginary part weights @ (-eta*r): two real matrix products per tile
-    of samples x frequencies, each temporary about _TILE_BUDGET cells.
+    the imaginary part (-eta*weights) @ r: two real matrix products per tile,
+    each temporary about _TILE_BUDGET cells.  Sample blocks come in order,
+    each with all its frequency blocks, and every tile is a view of one
+    buffer that the next tile overwrites.
     """
     n_samples, m = poles.shape
-    n_omega = omegas.size
+    p, n_omega = weights.shape[-2], omegas.size
     w_tile = min(n_omega, max(1, _TILE_BUDGET // max(1, m)))
-    c_tile = max(1, _TILE_BUDGET // max(1, m * w_tile))
-    # Two buffers serve every tile: with fresh temporaries per tile the
-    # allocator handed their pages back to the system and faulted them in
-    # again, which doubled the time at some tile widths.
+    c_tile = min(n_samples, max(1, _TILE_BUDGET // max(1, m * w_tile)))
+    # Reused buffers: with fresh temporaries per tile the allocator handed
+    # their pages back to the system and faulted them in again, which
+    # doubled the time at some tile widths.
     d_cells, r_cells = np.empty((2, c_tile * m * w_tile))
+    tile_cells = np.empty(c_tile * p * 2 * w_tile)
+    damped_weights = -eta * weights
     for c0 in range(0, n_samples, c_tile):
         c1 = min(c0 + c_tile, n_samples)
         mix = weights if weights.ndim == 2 else weights[c0:c1]
+        damped = damped_weights if weights.ndim == 2 else damped_weights[c0:c1]
         for w0 in range(0, n_omega, w_tile):
             w1 = min(w0 + w_tile, n_omega)
             shape = (c1 - c0, m, w1 - w0)
@@ -141,70 +150,103 @@ def _pole_sums(weights, poles, omegas, eta, out):
             r += eta * eta
             np.reciprocal(r, out=r)
             d *= r
-            r *= -eta
-            tile = out[c0:c1, :, w0:w1]
-            tile.real = mix @ d
-            tile.imag = mix @ r
+            tile = tile_cells[:(c1 - c0) * 2 * p * (w1 - w0)].reshape(
+                c1 - c0, 2, p, w1 - w0)
+            np.matmul(mix, d, out=tile[:, 0])
+            np.matmul(damped, r, out=tile[:, 1])
+            yield c0, c1, w0, w1, tile
 
 
 def _eigh_chunk(spec, xi, pairs, omegas, eta):
-    """Elements ``pairs`` of each realization's resolvent, (c, k, n_omega),
-    from a batched eigendecomposition of h0 + diag(xi): the poles are the
-    eigenvalues, the weights the eigenvector products V_im V_jm."""
+    """Tiles of the elements ``pairs`` of each realization's resolvent, laid
+    out as ``_pole_sums`` yields them, from a batched eigendecomposition of
+    h0 + diag(xi): the poles are the eigenvalues, the weights the
+    eigenvector products V_im V_jm."""
     c, n = xi.shape
     h = np.broadcast_to(spec.h0, (c, n, n)).copy()
     h[:, np.arange(n), np.arange(n)] += xi
     evals, evecs = np.linalg.eigh(h)
     rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
-    out = np.empty((c, rows.size, omegas.size), dtype=complex)
-    _pole_sums(evecs[:, rows, :] * evecs[:, cols, :], evals, omegas, eta, out)
-    return out
+    yield from _pole_sums(evecs[:, rows, :] * evecs[:, cols, :], evals, omegas, eta)
 
 
 def _schur_chunk(spec, xi, pairs, omegas, eta):
-    """The same elements when no two disordered sites hop to each other and
-    at most one site u is undisordered.
+    """The same tiles when no two disordered sites hop to each other and at
+    most one site u is undisordered; each tile holds every frequency.
 
     Each disordered site i then couples only to u, so eliminating it gives
     G_uu = 1/(z - h_uu - sum_i h_ui^2 g_i) with g_i = 1/(z - a_i),
     a_i = h_ii + xi_i, and every element is G_ij = phi_i phi_j G_uu plus g_i
     when i = j is disordered, where phi_u = 1 and phi_i = h_iu g_i.  With no
-    u, G_uu = 0 and G is the diagonal of g.
+    u, G_uu = 0 and G is the diagonal of g.  The g_i come from real
+    arithmetic, (d*r, -eta*r) with d = w - a_i and r = 1/(d^2 + eta^2).
     """
     disordered = spec.disordered
     d_sites = np.flatnonzero(disordered)
     c, n_omega = xi.shape[0], omegas.size
-    z = omegas + 1j * eta
     poles = np.diagonal(spec.h0)[d_sites] + xi[:, d_sites]          # (c, |D|)
-    g_uu = np.zeros((c, 1, n_omega), dtype=complex)
-    lead = np.zeros(spec.n_sites)                                   # h_su, 1 at u
-    if not disordered.all():
-        (u,) = np.flatnonzero(~disordered)
-        lead = spec.h0[:, u].copy()
-        lead[u] = 1.0
-        _pole_sums(lead[None, d_sites] ** 2, poles, omegas, eta, g_uu)
-        # Im(z - h_uu - Sigma) >= eta > 0, so the reciprocal always exists.
-        np.subtract(z - spec.h0[u, u], g_uu, out=g_uu)
-        np.reciprocal(g_uu, out=g_uu)
-
     ends = np.array(pairs, dtype=int).reshape(-1, 2)
-    # g_s once for each site named in a pair; sample tiles keep it in cache.
-    sites, at = np.unique(ends, return_inverse=True)
-    at = at.reshape(ends.shape)
-    on_d = disordered[sites]
-    column = np.searchsorted(d_sites, sites[on_d])
-    on_site = (ends[:, 0] == ends[:, 1]) & disordered[ends[:, 0]]
-    out = np.empty((c, len(ends), n_omega), dtype=complex)
-    step = max(1, _TILE_BUDGET // max(1, (len(ends) + sites.size) * n_omega))
+    # g_s once for each site named in a pair, the disordered ones first.
+    sites = np.unique(ends)
+    sites = np.concatenate([sites[disordered[sites]], sites[~disordered[sites]]])
+    n_g = np.count_nonzero(disordered[sites])
+    column = np.searchsorted(d_sites, sites[:n_g])
+    at = np.zeros(spec.n_sites, dtype=int)
+    at[sites] = np.arange(sites.size)
+    at = at[ends]
+    # G_ij gains g_i on the diagonal of the disordered block; every other
+    # element takes the zero in g's last column instead.
+    on_site = np.where((ends[:, 0] == ends[:, 1]) & disordered[ends[:, 0]],
+                       at[:, 0], sites.size)
+    u = np.flatnonzero(~disordered)
+    lead = np.zeros(spec.n_sites)                                   # h_su, 1 at u
+    if u.size:
+        lead = spec.h0[:, u[0]].copy()
+        lead[u] = 1.0
+        coupling = lead[None, d_sites] ** 2
+        shifted = omegas - spec.h0[u[0], u[0]]
+
+    step = min(c, max(1, _TILE_BUDGET // max(1, (len(ends) + sites.size) * n_omega)))
+    # Buffers reused by every tile, for the same reason as in _pole_sums.
+    d, r = np.empty((2, step, n_g, n_omega))
+    g = np.ones((step, sites.size + 1, n_omega), dtype=complex)   # g_u stays 1
+    g[:, -1] = 0.0
+    phi, psi = np.empty((2, step, sites.size, n_omega), dtype=complex)
+    left, values = np.empty((2, step, len(ends), n_omega), dtype=complex)
+    g_uu = np.zeros((step, 1, n_omega), dtype=complex)
+    sigma = np.empty((step, 2, n_omega))
+    norm = np.empty((step, n_omega))
+    tile = np.empty((step, 2, len(ends), n_omega))
     for c0 in range(0, c, step):
-        g = np.ones((min(step, c - c0), sites.size, n_omega), dtype=complex)
-        g[:, on_d] = np.reciprocal(z - poles[c0:c0 + step, column, None])
-        phi = g * lead[sites, None]
-        tile = out[c0:c0 + step]
-        np.multiply(phi[:, at[:, 0]], phi[:, at[:, 1]], out=tile)
-        tile *= g_uu[c0:c0 + step]
-        tile[:, on_site] += g[:, at[on_site, 0]]
-    return out
+        s = min(step, c - c0)
+        np.subtract(omegas, poles[c0:c0 + s, column, None], out=d[:s])
+        np.multiply(d[:s], d[:s], out=r[:s])
+        r[:s] += eta * eta
+        np.reciprocal(r[:s], out=r[:s])
+        np.multiply(d[:s], r[:s], out=g.real[:s, :n_g])
+        np.multiply(r[:s], -eta, out=g.imag[:s, :n_g])
+        if u.size:
+            for t0, t1, w0, w1, sums in _pole_sums(coupling, poles[c0:c0 + s], omegas, eta):
+                sigma[t0:t1, :, w0:w1] = sums[:, :, 0]
+            # G_uu = 1/(a - ib) = (a + ib)/(a^2 + b^2), where a - ib is
+            # z - h_uu - Sigma and b = Im Sigma - eta <= -eta, so it exists.
+            a, b = sigma[:s, 0], sigma[:s, 1]
+            np.subtract(shifted, a, out=a)
+            b -= eta
+            np.multiply(a, a, out=norm[:s])
+            norm[:s] += b * b
+            np.divide(a, norm[:s], out=g_uu.real[:s, 0])
+            np.divide(b, norm[:s], out=g_uu.imag[:s, 0])
+        np.multiply(g[:s, :-1], lead[sites, None], out=phi[:s])
+        np.multiply(phi[:s], g_uu[:s], out=psi[:s])
+        np.take(phi[:s], at[:, 0], axis=1, out=left[:s], mode="clip")
+        np.take(psi[:s], at[:, 1], axis=1, out=values[:s], mode="clip")
+        values[:s] *= left[:s]
+        np.take(g[:s], on_site, axis=1, out=left[:s], mode="clip")
+        values[:s] += left[:s]
+        np.copyto(tile[:s, 0], values.real[:s])
+        np.copyto(tile[:s, 1], values.imag[:s])
+        yield c0, c0 + s, 0, n_omega, tile[:s]
 
 
 def _realization_route(spec):
@@ -226,10 +268,13 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
     Each sample, H = h0 + diag(xi * mask), is resolved exactly, through a
     Schur complement on the undisordered site when no two disordered sites
     hop to each other and at most one site is undisordered, and through its
-    eigenmode sum otherwise; accumulation
-    uses a numerically stable streaming mean/variance so nothing is stored
-    per sample.  ``elements`` defaults to the full diagonal.  The probe eta
-    comes from ``config``; a nonzero grid.eta must agree with it.
+    eigenmode sum otherwise.  The solver hands over tiles of samples x
+    frequencies; each tile is reduced to its mean and squared deviations
+    while it is still in cache and merged pairwise into the running
+    statistics (Chan, Golub & LeVeque), so no array holds a chunk's samples,
+    elements and frequencies at once.  ``elements`` defaults to the full
+    diagonal.  The probe eta comes from ``config``; a nonzero grid.eta must
+    agree with it.
     """
     if grid.eta not in (0.0, config.eta):
         raise ValueError(f"grid.eta = {grid.eta} conflicts with ensemble eta = {config.eta}")
@@ -242,39 +287,36 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
     nw = grid.omegas.size
     solve = _realization_route(spec)
 
-    chunk_cap = max(1, min(
-        max(32, min(8192, _EIGH_BUDGET // (n * n))),
-        max(1, _STATS_BUDGET // (max(1, k) * nw)),
-        config.n_samples))
+    # Samples per draw: the eigh batch (c, n, n) and its eigenvector
+    # products (c, k, n) stay within _EIGH_BUDGET cells.
+    chunk = max(32, min(8192, _EIGH_BUDGET // (n * max(n, k))))
 
     rng = make_rng(config.seed)
     count = 0
-    mean = np.zeros((k, nw), dtype=complex)
-    m2_re = np.zeros((k, nw))
-    m2_im = np.zeros((k, nw))
+    mean = np.zeros((2, k, nw))   # running (re, im) mean and squared deviations
+    m2 = np.zeros((2, k, nw))
     mask = spec.disordered.astype(float)
 
-    remaining = config.n_samples
-    while remaining > 0:
-        c = min(chunk_cap, remaining)
+    while count < config.n_samples:
+        c = min(chunk, config.n_samples - count)
         xi = _draw(config.distribution, (c, n), rng) * mask
-        g = solve(spec, xi, elements, grid.omegas, config.eta)  # (c, k, nw)
-        chunk_mean = g.mean(axis=0)
-        g -= chunk_mean  # now the deviations from the chunk mean
-        count, mean, m2_re, m2_im = _merge_streams(
-            count, mean, m2_re, m2_im,
-            c, chunk_mean, (g.real ** 2).sum(axis=0), (g.imag ** 2).sum(axis=0))
-        remaining -= c
+        for c0, c1, w0, w1, tile in solve(spec, xi, elements, grid.omegas, config.eta):
+            # Fold the tile while it is in cache: its mean and the squared
+            # deviations from it, merged into the cells it covers, which have
+            # seen count + c0 samples so far.
+            flat = tile.reshape(c1 - c0, -1)
+            tile_mean = flat.mean(axis=0)
+            flat -= tile_mean
+            cells = np.s_[:, :, w0:w1]
+            _merge_streams(count + c0, mean[cells], m2[cells], c1 - c0,
+                           tile_mean.reshape(2, k, w1 - w0),
+                           np.einsum("cx,cx->x", flat, flat).reshape(2, k, w1 - w0))
+        count += c
 
-    if count > 1:
-        stderr_re = np.sqrt(m2_re / (count - 1) / count)
-        stderr_im = np.sqrt(m2_im / (count - 1) / count)
-    else:
-        stderr_re = np.zeros((k, nw))
-        stderr_im = np.zeros((k, nw))
+    stderr = np.sqrt(m2 / max(1, count - 1) / count)
     return EnsembleResult(grid.omegas, config.eta, elements,
-                          mean.T.copy(), stderr_re.T.copy(), stderr_im.T.copy(),
-                          int(count))
+                          (mean[0] + 1j * mean[1]).T.copy(),
+                          stderr[0].T.copy(), stderr[1].T.copy(), int(count))
 
 
 def estimate_peak_width(omegas, dos, window) -> float:

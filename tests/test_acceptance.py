@@ -13,13 +13,13 @@ import pytest
 from cauchygf.cavity import (CavityParams, delta_rho_m, delta_rho_t, g_cc,
                              polariton_poles, rho_c)
 from cauchygf.cli import main
-from cauchygf.engine import (SpectralGrid, averaged_greens, diagonalize,
-                             solve_greens)
+from cauchygf.engine import SpectralGrid, averaged_greens, diagonalize
 from cauchygf.lattice import (DisorderSpec, HamiltonianSpec, assemble_cavity,
                               assemble_huckel, build_topology)
 from cauchygf.montecarlo import (EnsembleConfig, ensemble_average,
                                  estimate_peak_width)
 from cauchygf.quadrature import auto_window, find_peaks, integrate_trapezoid
+from oracles import solve_greens
 
 SEED = 20240817
 

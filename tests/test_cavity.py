@@ -8,10 +8,11 @@ from scipy.integrate import quad
 from cauchygf.cavity import (CavityParams, absorption, band_weight,
                              delta_rho_m, delta_rho_t, g_cc, g_mol_mol,
                              polariton_poles, rho_c, self_energy)
-from cauchygf.engine import SpectralGrid, solve_greens
+from cauchygf.engine import SpectralGrid
 from cauchygf.errors import MissingDipole
 from cauchygf.lattice import assemble_cavity
 from cauchygf.quadrature import auto_window, find_peaks, integrate_trapezoid
+from oracles import solve_greens
 
 # Bulk-route constants used throughout: N*V^2 = density * v_tilde^2 ~ 0.0191 eV^2.
 DENSITY = 1.16e25

@@ -7,10 +7,11 @@ import pytest
 
 from cauchygf.cavity import CavityParams, polariton_poles
 from cauchygf.cli import main
-from cauchygf.engine import SpectralGrid, solve_greens
+from cauchygf.engine import SpectralGrid
 from cauchygf.lattice import (DisorderSpec, assemble_cavity, assemble_huckel,
                               build_topology)
 from cauchygf.montecarlo import EnsembleConfig, ensemble_average
+from oracles import solve_greens
 
 STAR_INI = """\
 [model]

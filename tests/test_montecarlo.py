@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,20 +57,17 @@ def test_same_seed_reproduces_bitwise():
 def test_merge_matches_two_pass_statistics():
     rng = np.random.default_rng(3)
     data = rng.standard_normal((1000, 4)) + 1j * rng.standard_normal((1000, 4))
-    count, mean = 0, np.zeros(4, complex)
-    m2r, m2i = np.zeros(4), np.zeros(4)
-    for chunk in np.split(data, [130, 131, 700]):  # ragged chunks incl. size 1
-        if not len(chunk):
-            continue
+    parts = np.stack([data.real, data.imag], axis=1)             # (1000, 2, 4)
+    count, mean, m2 = 0, np.zeros((2, 4)), np.zeros((2, 4))
+    for chunk in np.split(parts, [130, 131, 700]):  # ragged chunks incl. size 1
         add_mean = chunk.mean(axis=0)
-        count, mean, m2r, m2i = mc._merge_streams(
-            count, mean, m2r, m2i, len(chunk), add_mean,
-            ((chunk.real - add_mean.real) ** 2).sum(axis=0),
-            ((chunk.imag - add_mean.imag) ** 2).sum(axis=0))
+        mc._merge_streams(count, mean, m2, len(chunk), add_mean,
+                          ((chunk - add_mean) ** 2).sum(axis=0))
+        count += len(chunk)
     assert count == 1000
-    np.testing.assert_allclose(mean, data.mean(axis=0), atol=1e-12)
-    np.testing.assert_allclose(m2r, data.real.var(axis=0) * 1000, rtol=1e-10)
-    np.testing.assert_allclose(m2i, data.imag.var(axis=0) * 1000, rtol=1e-10)
+    np.testing.assert_allclose(mean[0] + 1j * mean[1], data.mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(m2[0], data.real.var(axis=0) * 1000, rtol=1e-10)
+    np.testing.assert_allclose(m2[1], data.imag.var(axis=0) * 1000, rtol=1e-10)
 
 
 def test_zero_noise_rng_gives_clean_resolvent(monkeypatch):
@@ -88,6 +87,78 @@ def test_zero_noise_rng_gives_clean_resolvent(monkeypatch):
         want = np.diagonal(np.linalg.solve((w + 0.03j) * eye - spec.h0, eye))
         np.testing.assert_allclose(out.mean_greens[k], want, atol=1e-12)
     assert np.all(out.stderr_re == 0) and np.all(out.stderr_im == 0)
+
+
+# ------------------------------------------- tiles folded into the statistics
+
+def two_pass_statistics(spec, config, grid, elements):
+    """Oracle for ensemble_average: every realization from the same draws,
+    solved directly, then np.mean and np.std(ddof=1)/sqrt(M) per component."""
+    n, m = spec.n_sites, config.n_samples
+    xi = mc._draw(config.distribution, (m, n), make_rng(config.seed)) * spec.disordered
+    h = spec.h0 + xi[:, :, None] * np.eye(n)                          # (M, n, n)
+    rows, cols = np.array(elements).T
+    values = np.empty((m, grid.omegas.size, len(elements)), dtype=complex)
+    for w, omega in enumerate(grid.omegas):
+        g = np.linalg.solve((omega + 1j * config.eta) * np.eye(n) - h, np.eye(n))
+        values[:, w] = g[:, rows, cols]
+    if m == 1:
+        return values[0], np.zeros(values.shape[1:]), np.zeros(values.shape[1:])
+    return (values.mean(axis=0), values.real.std(axis=0, ddof=1) / np.sqrt(m),
+            values.imag.std(axis=0, ddof=1) / np.sqrt(m))
+
+
+ORACLE_SHAPES = {
+    # every site disordered, hopping between them: batched eigh route
+    "star-eigh": (assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1),
+                  [(i, i) for i in range(7)] + [(0, 3), (4, 2)]),
+    # molecules coupled only through the undisordered mode: Schur route
+    "cavity-schur": (assemble_cavity(CavityParams(0.0, 0.0, 0.1, 6, coupling=0.4)),
+                     [(0, 0), (1, 1), (0, 3), (2, 5), (4, 4), (6, 0)]),
+}
+
+
+def boundary_sample_counts(spec, elements, grid):
+    """1, 2, one tile plus one and one chunk plus one sample."""
+    n, k = spec.n_sites, len(elements)
+    chunk = max(32, min(8192, mc._EIGH_BUDGET // (n * max(n, k))))  # as ensemble_average
+    route = mc._realization_route(spec)
+    _, tile, *_ = next(route(spec, np.zeros((chunk, n)), elements, grid.omegas, grid.eta))
+    return [1, 2, tile + 1, chunk + 1]
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+def test_fused_statistics_match_two_pass_oracle(shape):
+    spec, elements = ORACLE_SHAPES[shape]
+    grid = SpectralGrid(np.linspace(-2.5, 2.5, 9), eta=0.05)
+    route = mc._realization_route(spec)
+    assert route is (mc._eigh_chunk if shape == "star-eigh" else mc._schur_chunk)
+    counts = boundary_sample_counts(spec, elements, grid)
+    assert 2 < counts[2] < counts[3]
+    for m in counts:
+        config = EnsembleConfig(m, 31 + m, CAUCHY, 0.05)
+        out = ensemble_average(spec, config, grid, elements)
+        want = two_pass_statistics(spec, config, grid, elements)
+        assert out.n_samples == m
+        for got, ref in zip((out.mean_greens, out.stderr_re, out.stderr_im), want):
+            assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300), m
+
+
+def test_statistics_hold_no_per_sample_array():
+    # star(7), 4000 samples, 201 omega, full diagonal: G held as one
+    # (samples, elements, omega) complex array takes 24 MB even for 1066
+    # samples (90 MB for all 4000), while the eigh batch and its eigenvector
+    # products take about 5 MB.
+    spec = assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1)
+    grid = SpectralGrid(np.linspace(-4, 4, 201), eta=0.02)
+    config = EnsembleConfig(4000, 7, CAUCHY, 0.02)
+    tracemalloc.start()
+    try:
+        ensemble_average(spec, config, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # --------------------------------------------------- convergence to theorem

@@ -14,9 +14,10 @@ from hypothesis.extra import numpy as hnp
 
 import cauchygf.montecarlo as mc
 from cauchygf.cavity import CavityParams, g_cc
-from cauchygf.engine import SpectralGrid, averaged_greens, solve_greens
+from cauchygf.engine import SpectralGrid, averaged_greens
 from cauchygf.lattice import HamiltonianSpec, assemble_cavity
 from cauchygf.quadrature import auto_window, integrate_trapezoid
+from oracles import solve_greens
 
 @st.composite
 def grids(draw, lo, hi, eta):
@@ -131,13 +132,22 @@ def test_schur_realizations_match_eigh_and_direct_solve(case):
     spec, xi, grid = case
     n, z = spec.n_sites, grid.omegas + 1j * grid.eta
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    eigh = mc._eigh_chunk(spec, xi, pairs, grid.omegas, grid.eta)
+
+    def collected(solver):
+        # The solvers hand over (re, im) tiles of samples x frequencies;
+        # gather them back into one (c, k, n_omega) complex array.
+        out = np.full((len(xi), len(pairs), z.size), np.nan, dtype=complex)
+        for c0, c1, w0, w1, tile in solver(spec, xi, pairs, grid.omegas, grid.eta):
+            out[c0:c1, :, w0:w1] = tile[:, 0] + 1j * tile[:, 1]
+        return out
+
+    eigh = collected(mc._eigh_chunk)
     h = spec.h0 + xi[:, :, None] * np.eye(n)                        # (c, n, n)
     direct = np.linalg.solve(z[:, None, None] * np.eye(n) - h[:, None], np.eye(n))
     direct = direct.reshape(len(xi), z.size, n * n).transpose(0, 2, 1)
     scale = np.abs(direct).max(axis=(1, 2))[:, None, None]           # per realization
     assert np.all(np.abs(eigh - direct) <= 1e-10 * scale)
     if np.count_nonzero(~spec.disordered) <= 1:
-        schur = mc._schur_chunk(spec, xi, pairs, grid.omegas, grid.eta)
+        schur = collected(mc._schur_chunk)
         assert np.all(np.abs(schur - eigh) <= 1e-10 * scale)
         assert np.all(np.abs(schur - direct) <= 1e-10 * scale)
