@@ -12,7 +12,7 @@ from .lattice import (DisorderSpec, Distribution, Family, HamiltonianSpec,
                       build_topology)
 from .montecarlo import (EnsembleConfig, EnsembleResult, ensemble_average,
                          estimate_peak_width, make_rng)
-from .quadrature import (Window, auto_window, find_peaks, integrate_trapezoid)
+from .quadrature import Window, auto_window, integrate_trapezoid
 
 __version__ = "0.1.0"
 
@@ -25,6 +25,6 @@ __all__ = [
     "adjacency", "assemble_cavity", "assemble_huckel", "build_topology",
     "EnsembleConfig", "EnsembleResult", "ensemble_average",
     "estimate_peak_width", "make_rng",
-    "Window", "auto_window", "find_peaks", "integrate_trapezoid",
+    "Window", "auto_window", "integrate_trapezoid",
     "__version__",
 ]

@@ -30,7 +30,6 @@ from .errors import InvalidCoupling, MissingDipole
 EPSILON_0_F_PER_M = 8.8541878128e-12
 C_M_PER_S = 299792458.0
 HBAR_J_S = 1.054571817e-34
-E_CHARGE_C = 1.602176634e-19
 DEBYE_TO_C_M = 3.33564e-30
 
 COUPLING_CONSISTENCY_RTOL = 1e-9
@@ -59,10 +58,12 @@ class CavityParams:
     mu_debye: float | None = None
 
     def __post_init__(self):
-        for name in ("epsilon_c", "epsilon_a", "gamma", "mu_debye"):
+        coupling_fields = ("v_tilde", "number_density", "coupling", "volume")
+        for name in ("epsilon_c", "epsilon_a", "gamma", "mu_debye") + coupling_fields:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                error = InvalidCoupling if name in coupling_fields else ValueError
+                raise error(f"{name} must be finite, got {value}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.n_molecules < 1:
@@ -99,8 +100,6 @@ class CavityParams:
             nv2_bulk = density * self.v_tilde ** 2
         nv2_site = None
         if coupling is not None:
-            if not math.isfinite(coupling):
-                raise InvalidCoupling(f"coupling must be finite, got {coupling}")
             nv2_site = self.n_molecules * coupling ** 2
 
         if nv2_bulk is None and nv2_site is None:

@@ -160,6 +160,12 @@ def _resolve_grid(cfg, args, fallback: Window, eta_default: float):
     return grid, echo
 
 
+def _polariton_window(params, poles) -> Window:
+    """Auto window over both polaritons and the bare cavity and molecule lines."""
+    return auto_window([poles.eps_plus, poles.eps_minus, params.epsilon_a,
+                        params.epsilon_c], params.gamma)
+
+
 def _out_paths(args, default_base):
     base = args.out if args.out else default_base
     stem, ext = os.path.splitext(base)
@@ -204,14 +210,13 @@ def _cmd_dos(cfg, args):
         default_eta(spec))
 
     columns = _dos_columns(cfg, spec.n_sites)
-    elements = [(i, i) for i in range(spec.n_sites)]
+    # Result column of each element: the diagonal, then each G pair once.
+    position = {(i, i): i for i in range(spec.n_sites)}
     for name in columns:
         match = _G_COLUMN.match(name)
         if match:
-            pair = (int(match.group(2)), int(match.group(3)))
-            if pair not in elements:
-                elements.append(pair)
-    greens = averaged_greens(spec, grid, elements)  # (n_omega, len(elements))
+            position.setdefault((int(match.group(2)), int(match.group(3))), len(position))
+    greens = averaged_greens(spec, grid, list(position))  # (n_omega, len(position))
 
     rho_sites = -greens[:, :spec.n_sites].imag / np.pi
     series = {"omega": grid.omegas, "rho_total": rho_sites.sum(axis=1)}
@@ -221,7 +226,7 @@ def _cmd_dos(cfg, args):
         match = _G_COLUMN.match(name)
         if match:
             i, j = int(match.group(2)), int(match.group(3))
-            values = greens[:, elements.index((i, j))]
+            values = greens[:, position[(i, j)]]
             series[f"re_G_{i}_{j}"] = values.real
             series[f"im_G_{i}_{j}"] = values.imag
 
@@ -244,9 +249,7 @@ def _cmd_cavity(cfg, args):
     if not isinstance(params, CavityParams):
         raise ConfigParseError("the cavity command needs [model] kind = cavity")
     poles = polariton_poles(params)
-    fallback = auto_window([poles.eps_plus, poles.eps_minus, params.epsilon_a,
-                            params.epsilon_c], params.gamma)
-    grid, grid_echo = _resolve_grid(cfg, args, fallback, 0.0)
+    grid, grid_echo = _resolve_grid(cfg, args, _polariton_window(params, poles), 0.0)
 
     w = grid.omegas
     eta = grid.eta
@@ -322,21 +325,14 @@ def _cmd_mc_compare(cfg, args):
     worst = float(max(units_re.max(), units_im.max())) if result.n_samples > 1 else float("nan")
     within = float(np.mean((units_re <= 3.0) & (units_im <= 3.0)))
 
-    labels, omegas_col = [], []
-    re_mean, im_mean, re_err, im_err = [], [], [], []
-    for col, (i, j) in enumerate(result.elements):
-        labels += [f"G_{i}_{j}"] * grid.omegas.size
-        omegas_col.append(grid.omegas)
-        re_mean.append(result.mean_greens[:, col].real)
-        im_mean.append(result.mean_greens[:, col].imag)
-        re_err.append(result.stderr_re[:, col])
-        im_err.append(result.stderr_im[:, col])
-
+    # One block of rows per element, every frequency in each.
+    labels = np.repeat([f"G_{i}_{j}" for i, j in result.elements], grid.omegas.size)
     paths = _out_paths(args, "mc-compare.csv")
     write_csv(paths["csv"],
               ["omega", "element", "re_mean", "im_mean", "re_stderr", "im_stderr"],
-              [np.concatenate(omegas_col), labels, np.concatenate(re_mean),
-               np.concatenate(im_mean), np.concatenate(re_err), np.concatenate(im_err)])
+              [np.tile(grid.omegas, len(result.elements)), labels,
+               result.mean_greens.real.T.ravel(), result.mean_greens.imag.T.ravel(),
+               result.stderr_re.T.ravel(), result.stderr_im.T.ravel()])
     summary = {
         "command": "mc-compare",
         "model": model_echo,
@@ -357,10 +353,8 @@ def _cmd_sum_rules(cfg, args):
     checks = []
     if isinstance(extra, CavityParams):
         params = extra
-        poles = polariton_poles(params)
-        fallback = auto_window([poles.eps_plus, poles.eps_minus, params.epsilon_a,
-                                params.epsilon_c], params.gamma)
-        grid, grid_echo = _resolve_grid(cfg, args, fallback, 0.0)
+        grid, grid_echo = _resolve_grid(
+            cfg, args, _polariton_window(params, polariton_poles(params)), 0.0)
         w = grid.omegas
         checks.append(_check("rho_c_norm",
                              integrate_trapezoid(w, cavity_mod.rho_c(params, w, grid.eta)),

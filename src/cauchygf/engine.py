@@ -43,10 +43,10 @@ class SpectralGrid:
         omegas = np.atleast_1d(np.asarray(self.omegas, dtype=float))
         if omegas.size < 1:
             raise NonMonotonicGrid("grid needs at least one frequency")
-        if omegas.size > 1 and not np.all(np.diff(omegas) > 0):
-            raise NonMonotonicGrid("frequencies must be strictly increasing")
         if not np.all(np.isfinite(omegas)):
             raise NonMonotonicGrid("frequencies must be finite")
+        if omegas.size > 1 and not np.all(np.diff(omegas) > 0):
+            raise NonMonotonicGrid("frequencies must be strictly increasing")
         if not (math.isfinite(self.eta) and self.eta >= 0):
             raise ValueError(f"eta must be finite and non-negative, got {self.eta}")
         omegas = omegas.copy()

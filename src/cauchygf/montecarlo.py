@@ -6,14 +6,15 @@ Each realization is resolved by one of two routes, chosen from the structure of
 h0 alone:
 
 * Schur complement, when h0 has no hopping between disordered sites (its
-  disordered block D is exactly diagonal) and at most one site is
+  disordered block D is exactly diagonal) and exactly one site is
   undisordered: the cavity, whose molecules couple only through the mode u.
   Then G_uu = 1/(z - h_uu - Sigma) with the self-energy
   Sigma = sum_i h_ui^2 / (z - h_ii - xi_i), and every other element follows
   from G_uu, with no eigensolver.
 * Batched symmetric eigendecomposition of h0 + diag(xi) otherwise (the
-  graphs), G_ij = sum_m V_im V_jm / (z - lambda_m).  It is also the oracle the
-  Schur route is tested against.
+  graphs, and isolated sites with no u to couple through),
+  G_ij = sum_m V_im V_jm / (z - lambda_m).  It is also the oracle the Schur
+  route is tested against.
 
 Both routes reduce to sums of weights over real poles, which one real-arithmetic
 kernel evaluates in cache-sized tiles of samples x frequencies.  Each finished
@@ -71,8 +72,6 @@ class EnsembleConfig:
 class EnsembleResult:
     """Ensemble mean and component-wise standard error per (omega, element)."""
 
-    omegas: np.ndarray
-    eta: float
     elements: tuple[tuple[int, int], ...]
     mean_greens: np.ndarray   # (n_omega, n_elements) complex
     stderr_re: np.ndarray     # (n_omega, n_elements)
@@ -115,19 +114,20 @@ def _merge_streams(count, mean, m2, add_count, add_mean, add_m2):
 
 def _pole_sums(weights, poles, omegas, eta):
     """Yield tiles (c0, c1, w0, w1, tile) of the pole sums
-    S[c, p, w] = sum_m weights[(c,) p, m] / (omegas[w] + i*eta - poles[c, m]),
+    S[c, p, w] = sum_m weights[c, p, m] / (omegas[w] + i*eta - poles[c, m]),
     with tile[:, 0] = Re S and tile[:, 1] = Im S over samples c0:c1 and
     frequencies w0:w1.
 
-    ``weights`` is (p, m), shared by every sample, or (c, p, m).  With
-    d = w - pole and r = 1/(d^2 + eta^2) the real part is weights @ (d*r) and
-    the imaginary part (-eta*weights) @ r: two real matrix products per tile,
-    each temporary about _TILE_BUDGET cells.  Sample blocks come in order,
-    each with all its frequency blocks, and every tile is a view of one
-    buffer that the next tile overwrites.
+    ``weights`` is (c, p, m); weights that every sample shares can come as
+    an ``np.broadcast_to`` view.  With d = w - pole and r = 1/(d^2 + eta^2)
+    the real part is weights @ (d*r) and the imaginary part
+    (-eta*weights) @ r: two real matrix products per tile, each temporary
+    about _TILE_BUDGET cells.  Sample blocks come in order, each with all its
+    frequency blocks, and every tile is a view of one buffer that the next
+    tile overwrites.
     """
     n_samples, m = poles.shape
-    p, n_omega = weights.shape[-2], omegas.size
+    p, n_omega = weights.shape[1], omegas.size
     w_tile = min(n_omega, max(1, _TILE_BUDGET // max(1, m)))
     c_tile = min(n_samples, max(1, _TILE_BUDGET // max(1, m * w_tile)))
     # Reused buffers: with fresh temporaries per tile the allocator handed
@@ -138,8 +138,7 @@ def _pole_sums(weights, poles, omegas, eta):
     damped_weights = -eta * weights
     for c0 in range(0, n_samples, c_tile):
         c1 = min(c0 + c_tile, n_samples)
-        mix = weights if weights.ndim == 2 else weights[c0:c1]
-        damped = damped_weights if weights.ndim == 2 else damped_weights[c0:c1]
+        mix, damped = weights[c0:c1], damped_weights[c0:c1]
         for w0 in range(0, n_omega, w_tile):
             w1 = min(w0 + w_tile, n_omega)
             shape = (c1 - c0, m, w1 - w0)
@@ -171,15 +170,15 @@ def _eigh_chunk(spec, xi, pairs, omegas, eta):
 
 
 def _schur_chunk(spec, xi, pairs, omegas, eta):
-    """The same tiles when no two disordered sites hop to each other and at
-    most one site u is undisordered; each tile holds every frequency.
+    """The same tiles when no two disordered sites hop to each other and
+    exactly one site u is undisordered; each tile holds every frequency.
 
     Each disordered site i then couples only to u, so eliminating it gives
     G_uu = 1/(z - h_uu - sum_i h_ui^2 g_i) with g_i = 1/(z - a_i),
     a_i = h_ii + xi_i, and every element is G_ij = phi_i phi_j G_uu plus g_i
-    when i = j is disordered, where phi_u = 1 and phi_i = h_iu g_i.  With no
-    u, G_uu = 0 and G is the diagonal of g.  The g_i come from real
-    arithmetic, (d*r, -eta*r) with d = w - a_i and r = 1/(d^2 + eta^2).
+    when i = j is disordered, where phi_u = 1 and phi_i = h_iu g_i.  The g_i
+    come from real arithmetic, (d*r, -eta*r) with d = w - a_i and
+    r = 1/(d^2 + eta^2).
     """
     disordered = spec.disordered
     d_sites = np.flatnonzero(disordered)
@@ -198,13 +197,11 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
     # element takes the zero in g's last column instead.
     on_site = np.where((ends[:, 0] == ends[:, 1]) & disordered[ends[:, 0]],
                        at[:, 0], sites.size)
-    u = np.flatnonzero(~disordered)
-    lead = np.zeros(spec.n_sites)                                   # h_su, 1 at u
-    if u.size:
-        lead = spec.h0[:, u[0]].copy()
-        lead[u] = 1.0
-        coupling = lead[None, d_sites] ** 2
-        shifted = omegas - spec.h0[u[0], u[0]]
+    u = np.flatnonzero(~disordered)[0]
+    lead = spec.h0[:, u].copy()                                     # h_su, 1 at u
+    lead[u] = 1.0
+    coupling = lead[d_sites] ** 2
+    shifted = omegas - spec.h0[u, u]
 
     step = min(c, max(1, _TILE_BUDGET // max(1, (len(ends) + sites.size) * n_omega)))
     # Buffers reused by every tile, for the same reason as in _pole_sums.
@@ -213,7 +210,7 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
     g[:, -1] = 0.0
     phi, psi = np.empty((2, step, sites.size, n_omega), dtype=complex)
     left, values = np.empty((2, step, len(ends), n_omega), dtype=complex)
-    g_uu = np.zeros((step, 1, n_omega), dtype=complex)
+    g_uu = np.empty((step, 1, n_omega), dtype=complex)
     sigma = np.empty((step, 2, n_omega))
     norm = np.empty((step, n_omega))
     tile = np.empty((step, 2, len(ends), n_omega))
@@ -225,18 +222,18 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
         np.reciprocal(r[:s], out=r[:s])
         np.multiply(d[:s], r[:s], out=g.real[:s, :n_g])
         np.multiply(r[:s], -eta, out=g.imag[:s, :n_g])
-        if u.size:
-            for t0, t1, w0, w1, sums in _pole_sums(coupling, poles[c0:c0 + s], omegas, eta):
-                sigma[t0:t1, :, w0:w1] = sums[:, :, 0]
-            # G_uu = 1/(a - ib) = (a + ib)/(a^2 + b^2), where a - ib is
-            # z - h_uu - Sigma and b = Im Sigma - eta <= -eta, so it exists.
-            a, b = sigma[:s, 0], sigma[:s, 1]
-            np.subtract(shifted, a, out=a)
-            b -= eta
-            np.multiply(a, a, out=norm[:s])
-            norm[:s] += b * b
-            np.divide(a, norm[:s], out=g_uu.real[:s, 0])
-            np.divide(b, norm[:s], out=g_uu.imag[:s, 0])
+        shared = np.broadcast_to(coupling, (s, 1, d_sites.size))
+        for t0, t1, w0, w1, sums in _pole_sums(shared, poles[c0:c0 + s], omegas, eta):
+            sigma[t0:t1, :, w0:w1] = sums[:, :, 0]
+        # G_uu = 1/(a - ib) = (a + ib)/(a^2 + b^2), where a - ib is
+        # z - h_uu - Sigma and b = Im Sigma - eta <= -eta, so it exists.
+        a, b = sigma[:s, 0], sigma[:s, 1]
+        np.subtract(shifted, a, out=a)
+        b -= eta
+        np.multiply(a, a, out=norm[:s])
+        norm[:s] += b * b
+        np.divide(a, norm[:s], out=g_uu.real[:s, 0])
+        np.divide(b, norm[:s], out=g_uu.imag[:s, 0])
         np.multiply(g[:s, :-1], lead[sites, None], out=phi[:s])
         np.multiply(phi[:s], g_uu[:s], out=psi[:s])
         np.take(phi[:s], at[:, 0], axis=1, out=left[:s], mode="clip")
@@ -251,14 +248,16 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
 
 def _realization_route(spec):
     """The chunk solver for this h0: Schur when its disordered block is
-    exactly diagonal and at most one site is undisordered, the batched
+    exactly diagonal and exactly one site is undisordered, the batched
     eigendecomposition otherwise.  With two or more undisordered sites each
     sample and frequency would need a |U| x |U| inverse, and those made a
-    Schur route up to 24 times slower than the eigendecomposition."""
+    Schur route up to 24 times slower than the eigendecomposition; with none,
+    every site is isolated and the eigendecomposition of a diagonal matrix
+    is cheaper still."""
     block = spec.h0[np.ix_(spec.disordered, spec.disordered)]
     hops = np.count_nonzero(block) > np.count_nonzero(np.diagonal(block))
-    few_u = np.count_nonzero(~spec.disordered) <= 1
-    return _schur_chunk if few_u and not hops else _eigh_chunk
+    one_u = np.count_nonzero(~spec.disordered) == 1
+    return _schur_chunk if one_u and not hops else _eigh_chunk
 
 
 def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
@@ -267,7 +266,7 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
 
     Each sample, H = h0 + diag(xi * mask), is resolved exactly, through a
     Schur complement on the undisordered site when no two disordered sites
-    hop to each other and at most one site is undisordered, and through its
+    hop to each other and exactly one site is undisordered, and through its
     eigenmode sum otherwise.  The solver hands over tiles of samples x
     frequencies; each tile is reduced to its mean and squared deviations
     while it is still in cache and merged pairwise into the running
@@ -314,8 +313,7 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
         count += c
 
     stderr = np.sqrt(m2 / max(1, count - 1) / count)
-    return EnsembleResult(grid.omegas, config.eta, elements,
-                          (mean[0] + 1j * mean[1]).T.copy(),
+    return EnsembleResult(elements, (mean[0] + 1j * mean[1]).T.copy(),
                           stderr[0].T.copy(), stderr[1].T.copy(), int(count))
 
 

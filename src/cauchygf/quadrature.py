@@ -1,4 +1,4 @@
-"""Shared numerics: trapezoidal sum rules, auto-widened windows, peak analysis.
+"""Shared numerics: trapezoidal sum rules and auto-widened windows.
 
 Spectra in this package are smooth mixtures of Lorentzians, so a composite
 trapezoid on a uniform grid is accurate and keeps CSV output directly
@@ -17,7 +17,6 @@ from .errors import LengthMismatch, NonMonotonicGrid
 
 DEFAULT_PAD_FACTOR = 40.0
 SUM_RULE_MIN_POINTS = 4001
-DEFAULT_PROMINENCE_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -76,54 +75,3 @@ def auto_window(spectrum, gamma: float, pad_factor: float = DEFAULT_PAD_FACTOR,
     pad = pad_factor * gamma
     return Window(float(centers.min() - pad), float(centers.max() + pad),
                   max(int(n_points), SUM_RULE_MIN_POINTS))
-
-
-def _parabolic_refine(x0, x1, x2, y0, y1, y2):
-    # Vertex of the quadratic through three points, in the middle interval.
-    # Falls back to the grid point when the fit is degenerate or not concave.
-    d21 = (y2 - y1) / (x2 - x1)
-    d10 = (y1 - y0) / (x1 - x0)
-    curv = (d21 - d10) / (x2 - x0)
-    if not np.isfinite(curv) or curv >= 0:
-        return x1, y1
-    xv = 0.5 * (x0 + x1 - d10 / curv)
-    xv = min(max(xv, x0), x2)
-    # Newton form of the interpolating quadratic anchored at (x0, y0).
-    yv = y0 + d10 * (xv - x0) + curv * (xv - x0) * (xv - x1)
-    return float(xv), float(yv)
-
-
-def find_peaks(xs, ys, min_prominence: float | None = None) -> list[tuple[float, float]]:
-    """Local maxima of a sampled curve as (position, height) pairs.
-
-    A peak is an interior sample strictly above both neighbours whose
-    prominence -- height above the higher of the two flanking minima, walking
-    outward until a taller sample or the edge is met -- reaches
-    ``min_prominence`` (default: 1% of the global maximum).  Positions and
-    heights are refined by a parabola through the peak sample and its
-    neighbours.  Peaks are returned in increasing position order; an empty
-    list is valid output.
-    """
-    xs, ys = _validated_curve(xs, ys)
-    if min_prominence is None:
-        min_prominence = DEFAULT_PROMINENCE_FRACTION * float(ys.max())
-    if min_prominence <= 0:
-        raise ValueError("min_prominence must be positive")
-
-    inner = np.nonzero((ys[1:-1] > ys[:-2]) & (ys[1:-1] > ys[2:]))[0] + 1
-    peaks = []
-    for i in inner:
-        # Walk left/right to the nearest strictly taller sample (or the edge);
-        # the prominence reference is the higher of the two valley minima.
-        left = ys[:i][::-1]
-        taller = np.nonzero(left > ys[i])[0]
-        lo_l = left[: taller[0]].min() if taller.size else left.min()
-        right = ys[i + 1:]
-        taller = np.nonzero(right > ys[i])[0]
-        lo_r = right[: taller[0]].min() if taller.size else right.min()
-        prominence = ys[i] - max(lo_l, lo_r)
-        if prominence >= min_prominence:
-            pos, height = _parabolic_refine(xs[i - 1], xs[i], xs[i + 1],
-                                            ys[i - 1], ys[i], ys[i + 1])
-            peaks.append((pos, height))
-    return peaks

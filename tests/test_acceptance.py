@@ -18,8 +18,8 @@ from cauchygf.lattice import (DisorderSpec, HamiltonianSpec, assemble_cavity,
                               assemble_huckel, build_topology)
 from cauchygf.montecarlo import (EnsembleConfig, ensemble_average,
                                  estimate_peak_width)
-from cauchygf.quadrature import auto_window, find_peaks, integrate_trapezoid
-from oracles import solve_greens
+from cauchygf.quadrature import auto_window, integrate_trapezoid
+from oracles import find_peaks, solve_greens
 
 SEED = 20240817
 

@@ -11,8 +11,8 @@ from cauchygf.cavity import (CavityParams, absorption, band_weight,
 from cauchygf.engine import SpectralGrid
 from cauchygf.errors import MissingDipole
 from cauchygf.lattice import assemble_cavity
-from cauchygf.quadrature import auto_window, find_peaks, integrate_trapezoid
-from oracles import solve_greens
+from cauchygf.quadrature import auto_window, integrate_trapezoid
+from oracles import find_peaks, solve_greens
 
 # Bulk-route constants used throughout: N*V^2 = density * v_tilde^2 ~ 0.0191 eV^2.
 DENSITY = 1.16e25
@@ -31,13 +31,14 @@ def uncoupled(gamma=0.02, **extra):
 
 # --------------------------------------------------------------- parameters
 
-@pytest.mark.parametrize("field", ["epsilon_c", "epsilon_a", "gamma", "mu_debye"])
+@pytest.mark.parametrize("field", ["epsilon_c", "epsilon_a", "gamma", "mu_debye",
+                                   "v_tilde", "number_density", "coupling", "volume"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_params_reject_non_finite_field_by_name(field, value):
-    values = dict(epsilon_c=2.1, epsilon_a=2.1, gamma=0.02, mu_debye=10.0)
+    values = dict(epsilon_c=2.1, epsilon_a=2.1, gamma=0.02, mu_debye=10.0, coupling=0.05)
     values[field] = value
     with pytest.raises(ValueError, match=field):
-        CavityParams(n_molecules=6, coupling=0.05, **values)
+        CavityParams(n_molecules=6, **values)
 
 
 # -------------------------------------------------------------- self-energy

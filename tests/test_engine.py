@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -34,6 +37,8 @@ def test_grid_rejects_non_increasing():
         SpectralGrid(np.array([0.0, 0.0, 1.0]))
     with pytest.raises(NonMonotonicGrid):
         SpectralGrid(np.array([1.0, 0.0]))
+    with pytest.raises(NonMonotonicGrid, match="finite"):
+        SpectralGrid(np.array([0.0, np.nan, 1.0]))
 
 
 def test_grid_single_frequency_and_eta_validation():
@@ -215,8 +220,8 @@ def test_trace_sum_rule_star7():
 # --------------------------------------------------------------- public API
 
 def test_public_api_has_no_test_only_names():
-    # The direct solve the tests compare against lives in tests/oracles.py,
-    # not in the package.
+    # The direct solve the tests compare against and the peak finder they
+    # read spectra with live in tests/oracles.py, not in the package.
     assert sorted(cauchygf.__all__) == sorted([
         "CavityParams", "PolaritonPoles", "absorption", "delta_rho_m",
         "delta_rho_t", "g_cc", "g_mol_mol", "polariton_poles", "rho_c",
@@ -226,10 +231,39 @@ def test_public_api_has_no_test_only_names():
         "adjacency", "assemble_cavity", "assemble_huckel", "build_topology",
         "EnsembleConfig", "EnsembleResult", "ensemble_average",
         "estimate_peak_width", "make_rng",
-        "Window", "auto_window", "find_peaks", "integrate_trapezoid",
+        "Window", "auto_window", "integrate_trapezoid",
         "__version__"])
     for name in cauchygf.__all__:
         assert hasattr(cauchygf, name)
     assert not hasattr(output, "format_float")
     assert not hasattr(output, "csv_text")
     assert not hasattr(cauchygf.engine, "solve_greens")
+    assert not hasattr(cauchygf.quadrature, "find_peaks")
+
+
+def test_every_module_level_name_is_used_in_the_package():
+    # A module-level function, class or assignment that no code in the
+    # package names -- not even the re-exports of __init__ -- is dead.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(cauchygf.__file__).parent.glob("*.py"))}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, name.id) for target in targets
+                            for name in ast.walk(target) if isinstance(name, ast.Name)]
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    dead = [f"{module}:{name}" for module, name in defined
+            if name not in named and not (name.startswith("__") and name.endswith("__"))]
+    assert dead == []

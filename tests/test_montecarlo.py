@@ -231,16 +231,19 @@ def star_with_hub(disordered_hub, disordered_leaves=4):
 
 def test_route_follows_hopping_between_disordered_sites():
     # Schur when the disordered sites couple only through one undisordered
-    # site; the eigendecomposition as soon as two disordered sites hop, or
-    # when two sites are undisordered.
+    # site; the eigendecomposition as soon as two disordered sites hop, when
+    # two sites are undisordered, or when none is (isolated sites).
     cavity = assemble_cavity(CavityParams(2.1, 2.1, 0.02, 6, coupling=0.1))
     chain = assemble_huckel(build_topology("chain", 5), 0.0, 1.0, 0.1)
     chain_end = HamiltonianSpec(chain.h0, 0.1, [False] + [True] * 4)
+    isolated = HamiltonianSpec(np.diag([0.0, 0.5, -0.3]), 0.1)
     assert mc._realization_route(star_with_hub(False)) is mc._schur_chunk
     assert mc._realization_route(cavity) is mc._schur_chunk
     assert mc._realization_route(chain_end) is mc._eigh_chunk
     assert mc._realization_route(star_with_hub(True)) is mc._eigh_chunk
     assert mc._realization_route(star_with_hub(False, 3)) is mc._eigh_chunk
+    assert mc._realization_route(single_site()) is mc._eigh_chunk
+    assert mc._realization_route(isolated) is mc._eigh_chunk
 
 
 @pytest.mark.parametrize("disordered_hub", [False, True], ids=["schur", "eigh"])

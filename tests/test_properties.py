@@ -128,7 +128,7 @@ def realizations(draw):
 def test_schur_realizations_match_eigh_and_direct_solve(case):
     # Every pair, so u x u, u x D and D x D elements, on and off the diagonal.
     # The eigendecomposition serves every mask, the Schur route only masks
-    # with at most one undisordered site u: the only ones routed to it.
+    # with exactly one undisordered site u: the only ones routed to it.
     spec, xi, grid = case
     n, z = spec.n_sites, grid.omegas + 1j * grid.eta
     pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -147,7 +147,7 @@ def test_schur_realizations_match_eigh_and_direct_solve(case):
     direct = direct.reshape(len(xi), z.size, n * n).transpose(0, 2, 1)
     scale = np.abs(direct).max(axis=(1, 2))[:, None, None]           # per realization
     assert np.all(np.abs(eigh - direct) <= 1e-10 * scale)
-    if np.count_nonzero(~spec.disordered) <= 1:
+    if np.count_nonzero(~spec.disordered) == 1:
         schur = collected(mc._schur_chunk)
         assert np.all(np.abs(schur - eigh) <= 1e-10 * scale)
         assert np.all(np.abs(schur - direct) <= 1e-10 * scale)
