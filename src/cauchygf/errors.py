@@ -26,7 +26,7 @@ class LengthMismatch(ValueError):
 
 
 class NonMonotonicGrid(ValueError):
-    """A frequency grid is not strictly increasing."""
+    """A frequency grid is not finite or not strictly increasing."""
 
 
 class PeakNotFound(RuntimeError):

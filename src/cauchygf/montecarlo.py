@@ -3,16 +3,17 @@
 Draw explicit noise realizations, resolve each one exactly, and accumulate the
 ensemble mean and standard error of the requested Green's-function elements.
 Each realization is resolved by one of two routes, chosen from the structure of
-h0 alone:
+h0 and the elements asked for:
 
 * Schur complement, when h0 has no hopping between disordered sites (its
-  disordered block D is exactly diagonal) and exactly one site is
-  undisordered: the cavity, whose molecules couple only through the mode u.
-  Then G_uu = 1/(z - h_uu - Sigma) with the self-energy
-  Sigma = sum_i h_ui^2 / (z - h_ii - xi_i), and every other element follows
-  from G_uu, with no eigensolver.
+  disordered block D is exactly diagonal), exactly one site u is
+  undisordered and every element asked for is diagonal: the cavity's
+  spectra, whose molecules couple only through the mode u.  Then
+  G_uu = 1/(z - h_uu - Sigma) with the self-energy
+  Sigma = sum_i h_ui^2 / (z - h_ii - xi_i), and each G_ii follows from
+  G_uu, with no eigensolver.
 * Batched symmetric eigendecomposition of h0 + diag(xi) otherwise (the
-  graphs, and isolated sites with no u to couple through),
+  graphs, isolated sites, off-diagonal elements),
   G_ij = sum_m V_im V_jm / (z - lambda_m).  It is also the oracle the Schur
   route is tested against.
 
@@ -59,6 +60,9 @@ class EnsembleConfig:
     eta: float
 
     def __post_init__(self):
+        for name, value in (("n_samples", self.n_samples), ("seed", self.seed)):
+            if not hasattr(type(value), "__index__"):  # as operator.index checks
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_samples < 1:
             raise ValueError(f"need at least one sample, got {self.n_samples}")
         if not (math.isfinite(self.eta) and self.eta > 0):
@@ -170,58 +174,34 @@ def _eigh_chunk(spec, xi, pairs, omegas, eta):
 
 
 def _schur_chunk(spec, xi, pairs, omegas, eta):
-    """The same tiles when no two disordered sites hop to each other and
-    exactly one site u is undisordered; each tile holds every frequency.
-
-    Each disordered site i then couples only to u, so eliminating it gives
+    """The same tiles, each holding every frequency, for the diagonal
+    requests that _realization_route sends here.  Each disordered site i
+    couples only to the one undisordered site u, so eliminating it gives
     G_uu = 1/(z - h_uu - sum_i h_ui^2 g_i) with g_i = 1/(z - a_i),
-    a_i = h_ii + xi_i, and every element is G_ij = phi_i phi_j G_uu plus g_i
-    when i = j is disordered, where phi_u = 1 and phi_i = h_iu g_i.  The g_i
-    come from real arithmetic, (d*r, -eta*r) with d = w - a_i and
-    r = 1/(d^2 + eta^2).
+    a_i = h_ii + xi_i, and G_ii = g_i (1 + h_ui^2 g_i G_uu).  The g_i come
+    from real arithmetic, (d*r, -eta*r) with d = w - a_i, r = 1/(d^2 + eta^2).
     """
-    disordered = spec.disordered
-    d_sites = np.flatnonzero(disordered)
+    d_sites = np.flatnonzero(spec.disordered)
+    u = np.flatnonzero(~spec.disordered)[0]
     c, n_omega = xi.shape[0], omegas.size
     poles = np.diagonal(spec.h0)[d_sites] + xi[:, d_sites]          # (c, |D|)
-    ends = np.array(pairs, dtype=int).reshape(-1, 2)
-    # g_s once for each site named in a pair, the disordered ones first.
-    sites = np.unique(ends)
-    sites = np.concatenate([sites[disordered[sites]], sites[~disordered[sites]]])
-    n_g = np.count_nonzero(disordered[sites])
-    column = np.searchsorted(d_sites, sites[:n_g])
-    at = np.zeros(spec.n_sites, dtype=int)
-    at[sites] = np.arange(sites.size)
-    at = at[ends]
-    # G_ij gains g_i on the diagonal of the disordered block; every other
-    # element takes the zero in g's last column instead.
-    on_site = np.where((ends[:, 0] == ends[:, 1]) & disordered[ends[:, 0]],
-                       at[:, 0], sites.size)
-    u = np.flatnonzero(~disordered)[0]
-    lead = spec.h0[:, u].copy()                                     # h_su, 1 at u
-    lead[u] = 1.0
-    coupling = lead[d_sites] ** 2
+    coupling = spec.h0[d_sites, u] ** 2
+    sites = np.array(pairs, dtype=int).reshape(-1, 2)[:, 0]
+    u_rows, d_rows = np.flatnonzero(sites == u), np.flatnonzero(sites != u)
+    column = np.searchsorted(d_sites, sites[d_rows])               # i's place in D
+    weight = coupling[column, None]
     shifted = omegas - spec.h0[u, u]
 
-    step = min(c, max(1, _TILE_BUDGET // max(1, (len(ends) + sites.size) * n_omega)))
+    step = min(c, max(1, _TILE_BUDGET // max(1, 2 * sites.size * n_omega)))
     # Buffers reused by every tile, for the same reason as in _pole_sums.
-    d, r = np.empty((2, step, n_g, n_omega))
-    g = np.ones((step, sites.size + 1, n_omega), dtype=complex)   # g_u stays 1
-    g[:, -1] = 0.0
-    phi, psi = np.empty((2, step, sites.size, n_omega), dtype=complex)
-    left, values = np.empty((2, step, len(ends), n_omega), dtype=complex)
-    g_uu = np.empty((step, 1, n_omega), dtype=complex)
     sigma = np.empty((step, 2, n_omega))
     norm = np.empty((step, n_omega))
-    tile = np.empty((step, 2, len(ends), n_omega))
+    g_uu = np.empty((step, 1, n_omega), dtype=complex)
+    d, r = np.empty((2, step, d_rows.size, n_omega))
+    g, values = np.empty((2, step, d_rows.size, n_omega), dtype=complex)
+    tile = np.empty((step, 2, sites.size, n_omega))
     for c0 in range(0, c, step):
         s = min(step, c - c0)
-        np.subtract(omegas, poles[c0:c0 + s, column, None], out=d[:s])
-        np.multiply(d[:s], d[:s], out=r[:s])
-        r[:s] += eta * eta
-        np.reciprocal(r[:s], out=r[:s])
-        np.multiply(d[:s], r[:s], out=g.real[:s, :n_g])
-        np.multiply(r[:s], -eta, out=g.imag[:s, :n_g])
         shared = np.broadcast_to(coupling, (s, 1, d_sites.size))
         for t0, t1, w0, w1, sums in _pole_sums(shared, poles[c0:c0 + s], omegas, eta):
             sigma[t0:t1, :, w0:w1] = sums[:, :, 0]
@@ -234,30 +214,34 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
         norm[:s] += b * b
         np.divide(a, norm[:s], out=g_uu.real[:s, 0])
         np.divide(b, norm[:s], out=g_uu.imag[:s, 0])
-        np.multiply(g[:s, :-1], lead[sites, None], out=phi[:s])
-        np.multiply(phi[:s], g_uu[:s], out=psi[:s])
-        np.take(phi[:s], at[:, 0], axis=1, out=left[:s], mode="clip")
-        np.take(psi[:s], at[:, 1], axis=1, out=values[:s], mode="clip")
-        values[:s] *= left[:s]
-        np.take(g[:s], on_site, axis=1, out=left[:s], mode="clip")
-        values[:s] += left[:s]
-        np.copyto(tile[:s, 0], values.real[:s])
-        np.copyto(tile[:s, 1], values.imag[:s])
+        tile[:s, 0, u_rows] = g_uu.real[:s]
+        tile[:s, 1, u_rows] = g_uu.imag[:s]
+        np.subtract(omegas, poles[c0:c0 + s, column, None], out=d[:s])
+        np.multiply(d[:s], d[:s], out=r[:s])
+        r[:s] += eta * eta
+        np.reciprocal(r[:s], out=r[:s])
+        np.multiply(d[:s], r[:s], out=g.real[:s])
+        np.multiply(r[:s], -eta, out=g.imag[:s])
+        np.multiply(g[:s], g_uu[:s], out=values[:s])
+        values[:s] *= weight
+        values[:s] += 1.0
+        values[:s] *= g[:s]
+        tile[:s, 0, d_rows] = values.real[:s]
+        tile[:s, 1, d_rows] = values.imag[:s]
         yield c0, c0 + s, 0, n_omega, tile[:s]
 
 
-def _realization_route(spec):
-    """The chunk solver for this h0: Schur when its disordered block is
-    exactly diagonal and exactly one site is undisordered, the batched
-    eigendecomposition otherwise.  With two or more undisordered sites each
-    sample and frequency would need a |U| x |U| inverse, and those made a
-    Schur route up to 24 times slower than the eigendecomposition; with none,
-    every site is isolated and the eigendecomposition of a diagonal matrix
-    is cheaper still."""
+def _realization_route(spec, elements):
+    """Schur when h0's disordered block is exactly diagonal, exactly one site
+    is undisordered and every element is diagonal, else the batched
+    eigendecomposition.  Two or more undisordered sites would need a
+    |U| x |U| inverse per sample and frequency, up to 24 times slower than
+    the eigendecomposition; with none, every site is isolated."""
     block = spec.h0[np.ix_(spec.disordered, spec.disordered)]
     hops = np.count_nonzero(block) > np.count_nonzero(np.diagonal(block))
     one_u = np.count_nonzero(~spec.disordered) == 1
-    return _schur_chunk if one_u and not hops else _eigh_chunk
+    diagonal = all(i == j for i, j in elements)
+    return _schur_chunk if one_u and not hops and diagonal else _eigh_chunk
 
 
 def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
@@ -265,8 +249,8 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
     """Monte-Carlo mean of G_ij(w + i*eta) over explicit disorder realizations.
 
     Each sample, H = h0 + diag(xi * mask), is resolved exactly, through a
-    Schur complement on the undisordered site when no two disordered sites
-    hop to each other and exactly one site is undisordered, and through its
+    Schur complement on the one undisordered site when no two disordered
+    sites hop to each other and every element is diagonal, and through its
     eigenmode sum otherwise.  The solver hands over tiles of samples x
     frequencies; each tile is reduced to its mean and squared deviations
     while it is still in cache and merged pairwise into the running
@@ -284,7 +268,7 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
         elements = _normalized_elements(elements, n)
     k = len(elements)
     nw = grid.omegas.size
-    solve = _realization_route(spec)
+    solve = _realization_route(spec, elements)
 
     # Samples per draw: the eigh batch (c, n, n) and its eigenvector
     # products (c, k, n) stay within _EIGH_BUDGET cells.

@@ -9,6 +9,7 @@ for the default pad of 40 is below 1.6%.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ class Window:
     n_points: int = SUM_RULE_MIN_POINTS
 
     def __post_init__(self):
+        for name, value in (("lo", self.lo), ("hi", self.hi)):
+            if not math.isfinite(value):
+                raise ValueError(f"window {name} must be finite, got {value}")
         if not self.lo < self.hi:
             raise ValueError(f"window needs lo < hi, got [{self.lo}, {self.hi}]")
         if self.n_points < 2:
@@ -44,8 +48,12 @@ def _validated_curve(xs, ys):
         raise LengthMismatch(f"expected equal-length 1d arrays, got {xs.shape} and {ys.shape}")
     if xs.size < 2:
         raise LengthMismatch("need at least two samples")
+    if not np.all(np.isfinite(xs)):
+        raise NonMonotonicGrid("sample positions must be finite")
     if not np.all(np.diff(xs) > 0):
         raise NonMonotonicGrid("sample positions must be strictly increasing")
+    if not np.all(np.isfinite(ys)):
+        raise ValueError("sample values must be finite")
     return xs, ys
 
 

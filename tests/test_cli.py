@@ -305,6 +305,13 @@ def test_undisordered_resonance_at_zero_eta_is_numerical_error(tmp_path, capsys)
         assert "numerical error" in err and "omega = 2.1" in err
 
 
+def test_non_finite_grid_bound_is_config_error(tmp_path, capsys, recwarn):
+    # The window rejects it by name before numpy builds a grid from it.
+    assert run(tmp_path, STAR_INI + "[grid]\nlo = -inf\nhi = 4\n", "dos") == 3
+    assert "window lo must be finite" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_bad_grid_flag_is_config_error(tmp_path):
     assert run(tmp_path, STAR_INI, "dos", "--grid", "0:1") == 3
     assert run(tmp_path, STAR_INI, "dos", "--grid", "0:one:5") == 3

@@ -112,9 +112,13 @@ ORACLE_SHAPES = {
     # every site disordered, hopping between them: batched eigh route
     "star-eigh": (assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1),
                   [(i, i) for i in range(7)] + [(0, 3), (4, 2)]),
-    # molecules coupled only through the undisordered mode: Schur route
+    # molecules coupled only through the undisordered mode, diagonal
+    # elements out of site order: Schur route
     "cavity-schur": (assemble_cavity(CavityParams(0.0, 0.0, 0.1, 6, coupling=0.4)),
-                     [(0, 0), (1, 1), (0, 3), (2, 5), (4, 4), (6, 0)]),
+                     [(4, 4), (0, 0), (1, 1), (6, 6), (3, 3)]),
+    # the same cavity with off-diagonal elements: batched eigh route
+    "cavity-eigh": (assemble_cavity(CavityParams(0.0, 0.0, 0.1, 6, coupling=0.4)),
+                    [(0, 0), (1, 1), (0, 3), (2, 5), (4, 4), (6, 0)]),
 }
 
 
@@ -122,7 +126,7 @@ def boundary_sample_counts(spec, elements, grid):
     """1, 2, one tile plus one and one chunk plus one sample."""
     n, k = spec.n_sites, len(elements)
     chunk = max(32, min(8192, mc._EIGH_BUDGET // (n * max(n, k))))  # as ensemble_average
-    route = mc._realization_route(spec)
+    route = mc._realization_route(spec, elements)
     _, tile, *_ = next(route(spec, np.zeros((chunk, n)), elements, grid.omegas, grid.eta))
     return [1, 2, tile + 1, chunk + 1]
 
@@ -131,8 +135,8 @@ def boundary_sample_counts(spec, elements, grid):
 def test_fused_statistics_match_two_pass_oracle(shape):
     spec, elements = ORACLE_SHAPES[shape]
     grid = SpectralGrid(np.linspace(-2.5, 2.5, 9), eta=0.05)
-    route = mc._realization_route(spec)
-    assert route is (mc._eigh_chunk if shape == "star-eigh" else mc._schur_chunk)
+    route = mc._realization_route(spec, elements)
+    assert route is (mc._eigh_chunk if shape.endswith("eigh") else mc._schur_chunk)
     counts = boundary_sample_counts(spec, elements, grid)
     assert 2 < counts[2] < counts[3]
     for m in counts:
@@ -231,19 +235,27 @@ def star_with_hub(disordered_hub, disordered_leaves=4):
 
 def test_route_follows_hopping_between_disordered_sites():
     # Schur when the disordered sites couple only through one undisordered
-    # site; the eigendecomposition as soon as two disordered sites hop, when
-    # two sites are undisordered, or when none is (isolated sites).
+    # site and every element is diagonal; the eigendecomposition as soon as
+    # two disordered sites hop, when two sites are undisordered, when none
+    # is (isolated sites), or when an element is off the diagonal.
+    def route(spec, elements=None):
+        if elements is None:
+            elements = [(i, i) for i in range(spec.n_sites)]
+        return mc._realization_route(spec, elements)
+
     cavity = assemble_cavity(CavityParams(2.1, 2.1, 0.02, 6, coupling=0.1))
     chain = assemble_huckel(build_topology("chain", 5), 0.0, 1.0, 0.1)
     chain_end = HamiltonianSpec(chain.h0, 0.1, [False] + [True] * 4)
     isolated = HamiltonianSpec(np.diag([0.0, 0.5, -0.3]), 0.1)
-    assert mc._realization_route(star_with_hub(False)) is mc._schur_chunk
-    assert mc._realization_route(cavity) is mc._schur_chunk
-    assert mc._realization_route(chain_end) is mc._eigh_chunk
-    assert mc._realization_route(star_with_hub(True)) is mc._eigh_chunk
-    assert mc._realization_route(star_with_hub(False, 3)) is mc._eigh_chunk
-    assert mc._realization_route(single_site()) is mc._eigh_chunk
-    assert mc._realization_route(isolated) is mc._eigh_chunk
+    assert route(star_with_hub(False)) is mc._schur_chunk
+    assert route(cavity) is mc._schur_chunk
+    assert route(cavity, [(0, 0)]) is mc._schur_chunk
+    assert route(cavity, [(0, 0), (0, 1)]) is mc._eigh_chunk
+    assert route(chain_end) is mc._eigh_chunk
+    assert route(star_with_hub(True)) is mc._eigh_chunk
+    assert route(star_with_hub(False, 3)) is mc._eigh_chunk
+    assert route(single_site()) is mc._eigh_chunk
+    assert route(isolated) is mc._eigh_chunk
 
 
 @pytest.mark.parametrize("disordered_hub", [False, True], ids=["schur", "eigh"])
@@ -275,6 +287,11 @@ def test_config_validation():
         EnsembleConfig(10, -1, CAUCHY, 0.05)
     with pytest.raises(ValueError):
         EnsembleConfig(10, 2 ** 64, CAUCHY, 0.05)
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        EnsembleConfig(10.5, 1, CAUCHY, 0.05)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        EnsembleConfig(10, 1.7, CAUCHY, 0.05)
+    assert EnsembleConfig(np.int64(10), np.uint64(2 ** 64 - 1), CAUCHY, 0.05).n_samples == 10
 
 
 @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
@@ -303,3 +320,7 @@ def test_peak_width_failure_modes():
     dos = (0.1 / np.pi) / (omegas ** 2 + 0.01)
     with pytest.raises(UnresolvedWidth):
         estimate_peak_width(omegas, dos, (-0.05, 0.05))
+    # One NaN sample is a bad input, not a width the window clips.
+    dos[120] = np.nan
+    with pytest.raises(ValueError, match="values must be finite"):
+        estimate_peak_width(omegas, dos, (-1.0, 1.0))

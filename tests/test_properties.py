@@ -126,28 +126,31 @@ def realizations(draw):
 
 @given(realizations())
 def test_schur_realizations_match_eigh_and_direct_solve(case):
-    # Every pair, so u x u, u x D and D x D elements, on and off the diagonal.
-    # The eigendecomposition serves every mask, the Schur route only masks
-    # with exactly one undisordered site u: the only ones routed to it.
+    # The eigendecomposition serves every mask and every pair, so it is
+    # checked on u x u, u x D and D x D elements, on and off the diagonal.
+    # The Schur route serves masks with exactly one undisordered site u and
+    # diagonal elements only, the only requests routed to it.
     spec, xi, grid = case
     n, z = spec.n_sites, grid.omegas + 1j * grid.eta
     pairs = [(i, j) for i in range(n) for j in range(n)]
+    diagonal = [(i, i) for i in range(n)]
 
-    def collected(solver):
+    def collected(solver, elements):
         # The solvers hand over (re, im) tiles of samples x frequencies;
         # gather them back into one (c, k, n_omega) complex array.
-        out = np.full((len(xi), len(pairs), z.size), np.nan, dtype=complex)
-        for c0, c1, w0, w1, tile in solver(spec, xi, pairs, grid.omegas, grid.eta):
+        out = np.full((len(xi), len(elements), z.size), np.nan, dtype=complex)
+        for c0, c1, w0, w1, tile in solver(spec, xi, elements, grid.omegas, grid.eta):
             out[c0:c1, :, w0:w1] = tile[:, 0] + 1j * tile[:, 1]
         return out
 
-    eigh = collected(mc._eigh_chunk)
+    eigh = collected(mc._eigh_chunk, pairs)
     h = spec.h0 + xi[:, :, None] * np.eye(n)                        # (c, n, n)
     direct = np.linalg.solve(z[:, None, None] * np.eye(n) - h[:, None], np.eye(n))
     direct = direct.reshape(len(xi), z.size, n * n).transpose(0, 2, 1)
     scale = np.abs(direct).max(axis=(1, 2))[:, None, None]           # per realization
     assert np.all(np.abs(eigh - direct) <= 1e-10 * scale)
     if np.count_nonzero(~spec.disordered) == 1:
-        schur = collected(mc._schur_chunk)
-        assert np.all(np.abs(schur - eigh) <= 1e-10 * scale)
-        assert np.all(np.abs(schur - direct) <= 1e-10 * scale)
+        schur = collected(mc._schur_chunk, diagonal)
+        on_diagonal = [i * n + i for i in range(n)]
+        assert np.all(np.abs(schur - eigh[:, on_diagonal]) <= 1e-10 * scale)
+        assert np.all(np.abs(schur - direct[:, on_diagonal]) <= 1e-10 * scale)

@@ -45,10 +45,19 @@ def test_trapezoid_linear_in_integrand():
     ([0.0], [1.0], LengthMismatch),
     ([0.0, 1.0, 0.5], [1.0, 1.0, 1.0], NonMonotonicGrid),
     ([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], NonMonotonicGrid),
+    ([0.0, np.nan, 1.0], [1.0, 1.0, 1.0], NonMonotonicGrid),
+    ([0.0, 1.0, np.inf], [1.0, 1.0, 1.0], NonMonotonicGrid),
+    ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0], ValueError),
+    ([0.0, 1.0, 2.0], [0.0, -np.inf, 1.0], ValueError),
 ])
 def test_trapezoid_rejects_bad_grids(xs, ys, err):
-    with pytest.raises(err):
+    with pytest.raises(err) as info:
         integrate_trapezoid(xs, ys)
+    # A non-finite position is a bad grid, a non-finite value is not, and
+    # either is reported as non-finite rather than as disorder or a result.
+    assert type(info.value) is err
+    if not np.all(np.isfinite(np.concatenate([xs, ys]))):
+        assert "must be finite" in str(info.value)
 
 
 def test_window_validation():
@@ -56,6 +65,11 @@ def test_window_validation():
         Window(1.0, 1.0)
     with pytest.raises(ValueError):
         Window(0.0, 1.0, n_points=1)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="window lo must be finite"):
+            Window(bad, 1.0)
+        with pytest.raises(ValueError, match="window hi must be finite"):
+            Window(0.0, bad)
     w = Window(-1.0, 1.0, 5)
     assert_allclose(w.omegas(), [-1.0, -0.5, 0.0, 0.5, 1.0])
 
