@@ -66,8 +66,8 @@ class CavityParams:
                 raise error(f"{name} must be finite, got {value}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.n_molecules < 1:
-            raise ValueError(f"need at least one molecule, got {self.n_molecules}")
+        if not hasattr(type(self.n_molecules), "__index__") or self.n_molecules < 1:
+            raise ValueError(f"n_molecules must be an integer >= 1, got {self.n_molecules!r}")
         if self.mu_debye is not None and self.mu_debye < 0:
             raise ValueError("transition dipole must be non-negative")
         if self.volume is not None and self.volume <= 0:

@@ -9,10 +9,12 @@ complex matrix, evaluated by one route for every disorder mask:
 G0(z) = V diag(1/(z + i*gamma - eps_m)) V^T, the answer when every site is
 disordered (z = w + i*eta).  The few undisordered sites U (the cavity state;
 none on the graphs) are put back by the rank-|U| Woodbury identity
-G = G0 - G0[:, U] (i/gamma I + G0[U, U])^-1 G0[U, :].
-
-It returns one complex array of shape (n_omega, n_elements); densities of
-states are the usual -Im/pi of its diagonal-element columns.
+G = G0 - G0[:, U] (i/gamma I + G0[U, U])^-1 G0[U, :].  Each entry of G0 is a
+sum of weights over real poles, evaluated by ``_pole_sums``, the package's one
+cache-tiled kernel (the Monte-Carlo realizations run it too), at two real
+matrix products (Re and Im) per frequency tile.  It returns one complex array
+of shape (n_omega, n_elements); densities of states are the usual -Im/pi of
+its diagonal-element columns.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .lattice import HamiltonianSpec
 
 PARTIAL_MASK_ETA_FACTOR = 1e-3
 
-# Frequencies are evaluated in blocks that keep the widest temporary at about
-# this many complex cells, so memory stays flat however long the grid is.
-_BLOCK_BUDGET = 2 ** 14
+# Pole sums run over tiles of samples x frequencies whose real temporaries
+# hold about this many cells each, so they stay in cache.
+_TILE_BUDGET = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,51 @@ def _element_pairs(elements, n):
     return _normalized_elements(elements, n)
 
 
+def _pole_sums(weights, poles, omegas, eta):
+    """Yield tiles (c0, c1, w0, w1, tile) of the pole sums
+    S[c, p, w] = sum_m weights[c, p, m] / (omegas[w] + i*eta - poles[c, m]),
+    with tile[:, 0] = Re S and tile[:, 1] = Im S over samples c0:c1 and
+    frequencies w0:w1.
+
+    ``weights`` is (c, p, m); weights that every sample shares can come as
+    an ``np.broadcast_to`` view.  With d = w - pole and r = 1/(d^2 + eta^2)
+    the real part is weights @ (d*r) and the imaginary part
+    (-eta*weights) @ r: two real matrix products per tile, whose width in
+    frequencies is sized by max(m, p) so that each temporary and the tile
+    hold about _TILE_BUDGET cells.  Sample blocks come in order, each with
+    all its frequency blocks, and every tile is a view of one buffer that
+    the next tile overwrites.
+    """
+    n_samples, m = poles.shape
+    p, n_omega = weights.shape[1], omegas.size
+    w_tile = min(n_omega, max(1, _TILE_BUDGET // max(1, m, p)))
+    c_tile = min(n_samples, max(1, _TILE_BUDGET // (max(1, m, p) * w_tile)))
+    # Reused buffers: with fresh temporaries per tile the allocator handed
+    # their pages back to the system and faulted them in again, which
+    # doubled the time at some tile widths.
+    d_cells, r_cells = np.empty((2, c_tile * m * w_tile))
+    tile_cells = np.empty(c_tile * p * 2 * w_tile)
+    damped_weights = -eta * weights
+    for c0 in range(0, n_samples, c_tile):
+        c1 = min(c0 + c_tile, n_samples)
+        mix, damped = weights[c0:c1], damped_weights[c0:c1]
+        for w0 in range(0, n_omega, w_tile):
+            w1 = min(w0 + w_tile, n_omega)
+            shape = (c1 - c0, m, w1 - w0)
+            d = d_cells[:math.prod(shape)].reshape(shape)
+            r = r_cells[:d.size].reshape(shape)
+            np.subtract(omegas[w0:w1], poles[c0:c1, :, None], out=d)
+            np.multiply(d, d, out=r)
+            r += eta * eta
+            np.reciprocal(r, out=r)
+            d *= r
+            tile = tile_cells[:(c1 - c0) * 2 * p * (w1 - w0)].reshape(
+                c1 - c0, 2, p, w1 - w0)
+            np.matmul(mix, d, out=tile[:, 0])
+            np.matmul(damped, r, out=tile[:, 1])
+            yield c0, c1, w0, w1, tile
+
+
 def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
                     elements=None) -> np.ndarray:
     """Averaged G_ij(w + i*eta) for every frequency and requested element.
@@ -99,9 +146,9 @@ def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
     that is needed -- the requested ones plus, for the Woodbury correction,
     the rows and columns of the undisordered sites -- is a fixed real mix of
     the eigenmode factors, sum_m V_am V_bm / (z + i*gamma - eps_m), so each
-    frequency block costs one real matrix product and one batched |U| x |U|
-    solve.  Raises SingularMatrix where that small matrix is exactly
-    singular, i.e. an undisordered resonance probed at eta = 0.
+    frequency tile costs two real matrix products (Re and Im) and one
+    batched |U| x |U| inverse.  Raises SingularMatrix where that small matrix
+    is exactly singular, i.e. an undisordered resonance probed at eta = 0.
     """
     n = spec.n_sites
     pairs = _element_pairs(elements, n)
@@ -116,32 +163,29 @@ def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
 
     k, n_u, n_omega = len(pairs), len(undisordered), grid.omegas.size
     target = [column(i, j) for i, j in pairs]
-    left = np.array([[column(i, u) for u in undisordered] for i, _ in pairs],
-                    dtype=int).reshape(k, n_u)
-    right = np.array([[column(u, j) for u in undisordered] for _, j in pairs],
-                     dtype=int).reshape(k, n_u)
+    left = [[column(u, i) for i, _ in pairs] for u in undisordered]
+    right = [[column(u, j) for _, j in pairs] for u in undisordered]
     square = [[column(u, v) for v in undisordered] for u in undisordered]
     keys = np.array(list(columns), dtype=int).reshape(-1, 2)
     weights = eigenvectors[keys[:, 0]] * eigenvectors[keys[:, 1]]  # (p, n)
 
-    block = max(1, _BLOCK_BUDGET // max(n, len(columns), k * max(n_u, 1)))
-    z = grid.omegas + 1j * (grid.eta + spec.gamma)
     out = np.empty((n_omega, k), dtype=complex)
-    for w0 in range(0, n_omega, block):
-        w1 = min(w0 + block, n_omega)
-        modes = 1.0 / (z[w0:w1] - eigenvalues[:, None])              # (n, b)
-        g0 = (weights @ modes.view(float)).view(complex).T            # (b, p)
-        out[w0:w1] = g0[:, target]
+    for _, _, w0, w1, tile in _pole_sums(weights[None], eigenvalues[None], grid.omegas,
+                                         grid.eta + spec.gamma):
+        re, im = tile[0]                                               # (p, b) each
+        out.real[w0:w1] = re[target].T
+        out.imag[w0:w1] = im[target].T
         if n_u:
-            kernel = g0[:, square] + (1j / spec.gamma) * np.eye(n_u)   # (b, u, u)
+            def g0(cols):  # complex G0 on the columns cols, frequency axis first
+                return np.moveaxis(re[cols] + 1j * im[cols], -1, 0)
+            kernel = g0(square) + (1j / spec.gamma) * np.eye(n_u)      # (b, u, u)
             try:
-                solved = np.linalg.solve(kernel, g0[:, right].swapaxes(1, 2))  # (b, u, k)
+                inverse = np.linalg.inv(kernel)
             except np.linalg.LinAlgError as exc:
                 # The LU factorization that failed has an exact zero pivot
                 # there, so its determinant is exactly zero.
                 first = w0 + int(np.argmax(np.linalg.det(kernel) == 0))
                 raise SingularMatrix(
                     f"shifted matrix singular at omega = {grid.omegas[first]}") from exc
-            out[w0:w1] -= np.einsum("bku,buk->bk", g0[:, left], solved)
+            out[w0:w1] -= np.einsum("buk,buv,bvk->bk", g0(left), inverse, g0(right))
     return out
-

@@ -78,8 +78,8 @@ def build_topology(kind, n_sites: int, edges=None) -> Topology:
     pairs with no self-loops and no duplicates in either orientation.
     """
     kind = Family(kind) if not isinstance(kind, Family) else kind
-    if n_sites < 1:
-        raise InvalidSize(f"n_sites must be >= 1, got {n_sites}")
+    if not hasattr(type(n_sites), "__index__") or n_sites < 1:
+        raise InvalidSize(f"n_sites must be an integer >= 1, got {n_sites!r}")
     if kind is Family.RING and n_sites < 3:
         raise InvalidSize(f"a ring needs at least 3 sites, got {n_sites}")
     if kind is Family.STAR and n_sites < 2:

@@ -17,13 +17,13 @@ h0 and the elements asked for:
   G_ij = sum_m V_im V_jm / (z - lambda_m).  It is also the oracle the Schur
   route is tested against.
 
-Both routes reduce to sums of weights over real poles, which one real-arithmetic
-kernel evaluates in cache-sized tiles of samples x frequencies.  Each finished
-tile of G is folded into the running mean and variance while it is still in
-cache, so no array spans a chunk's samples, elements and frequencies.  Heavy
-Cauchy tails are safe without truncation because every element is bounded by
-1/eta at frequency w + i*eta, so the estimator has finite variance even though
-the inputs do not.
+Both routes reduce to sums of weights over real poles, which the package's one
+real-arithmetic kernel, ``engine._pole_sums``, evaluates in cache-sized tiles
+of samples x frequencies.  Each finished tile of G is folded into the running
+mean and variance while it is still in cache, so no array spans a chunk's
+samples, elements and frequencies.  Heavy Cauchy tails are safe without
+truncation because every element is bounded by 1/eta at frequency w + i*eta,
+so the estimator has finite variance even though the inputs do not.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SpectralGrid, _normalized_elements
+from .engine import _TILE_BUDGET, SpectralGrid, _normalized_elements, _pole_sums
 from .errors import PeakNotFound, UnresolvedWidth
 from .lattice import DisorderSpec, Distribution, HamiltonianSpec
 from .quadrature import _validated_curve
@@ -41,9 +41,6 @@ from .quadrature import _validated_curve
 # Chunk sizing target, in array elements: keep the batched eigendecomposition
 # and its eigenvector products comfortably inside a few hundred MB.
 _EIGH_BUDGET = int(1e7)
-# Pole sums run over tiles of samples x frequencies whose real temporaries
-# hold about this many cells each, so they stay in cache.
-_TILE_BUDGET = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -116,50 +113,6 @@ def _merge_streams(count, mean, m2, add_count, add_mean, add_m2):
     m2 += delta
 
 
-def _pole_sums(weights, poles, omegas, eta):
-    """Yield tiles (c0, c1, w0, w1, tile) of the pole sums
-    S[c, p, w] = sum_m weights[c, p, m] / (omegas[w] + i*eta - poles[c, m]),
-    with tile[:, 0] = Re S and tile[:, 1] = Im S over samples c0:c1 and
-    frequencies w0:w1.
-
-    ``weights`` is (c, p, m); weights that every sample shares can come as
-    an ``np.broadcast_to`` view.  With d = w - pole and r = 1/(d^2 + eta^2)
-    the real part is weights @ (d*r) and the imaginary part
-    (-eta*weights) @ r: two real matrix products per tile, each temporary
-    about _TILE_BUDGET cells.  Sample blocks come in order, each with all its
-    frequency blocks, and every tile is a view of one buffer that the next
-    tile overwrites.
-    """
-    n_samples, m = poles.shape
-    p, n_omega = weights.shape[1], omegas.size
-    w_tile = min(n_omega, max(1, _TILE_BUDGET // max(1, m)))
-    c_tile = min(n_samples, max(1, _TILE_BUDGET // max(1, m * w_tile)))
-    # Reused buffers: with fresh temporaries per tile the allocator handed
-    # their pages back to the system and faulted them in again, which
-    # doubled the time at some tile widths.
-    d_cells, r_cells = np.empty((2, c_tile * m * w_tile))
-    tile_cells = np.empty(c_tile * p * 2 * w_tile)
-    damped_weights = -eta * weights
-    for c0 in range(0, n_samples, c_tile):
-        c1 = min(c0 + c_tile, n_samples)
-        mix, damped = weights[c0:c1], damped_weights[c0:c1]
-        for w0 in range(0, n_omega, w_tile):
-            w1 = min(w0 + w_tile, n_omega)
-            shape = (c1 - c0, m, w1 - w0)
-            d = d_cells[:math.prod(shape)].reshape(shape)
-            r = r_cells[:d.size].reshape(shape)
-            np.subtract(omegas[w0:w1], poles[c0:c1, :, None], out=d)
-            np.multiply(d, d, out=r)
-            r += eta * eta
-            np.reciprocal(r, out=r)
-            d *= r
-            tile = tile_cells[:(c1 - c0) * 2 * p * (w1 - w0)].reshape(
-                c1 - c0, 2, p, w1 - w0)
-            np.matmul(mix, d, out=tile[:, 0])
-            np.matmul(damped, r, out=tile[:, 1])
-            yield c0, c1, w0, w1, tile
-
-
 def _eigh_chunk(spec, xi, pairs, omegas, eta):
     """Tiles of the elements ``pairs`` of each realization's resolvent, laid
     out as ``_pole_sums`` yields them, from a batched eigendecomposition of
@@ -192,8 +145,8 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
     weight = coupling[column, None]
     shifted = omegas - spec.h0[u, u]
 
-    step = min(c, max(1, _TILE_BUDGET // max(1, 2 * sites.size * n_omega)))
-    # Buffers reused by every tile, for the same reason as in _pole_sums.
+    step = min(c, max(1, _TILE_BUDGET // (2 * max(1, sites.size) * n_omega)))
+    # Buffers reused by every tile, for the same reason as in engine._pole_sums.
     sigma = np.empty((step, 2, n_omega))
     norm = np.empty((step, n_omega))
     g_uu = np.empty((step, 1, n_omega), dtype=complex)
@@ -266,8 +219,7 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
         elements = tuple((i, i) for i in range(n))
     else:
         elements = _normalized_elements(elements, n)
-    k = len(elements)
-    nw = grid.omegas.size
+    k, nw = len(elements), grid.omegas.size
     solve = _realization_route(spec, elements)
 
     # Samples per draw: the eigh batch (c, n, n) and its eigenvector

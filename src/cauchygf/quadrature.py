@@ -34,8 +34,8 @@ class Window:
                 raise ValueError(f"window {name} must be finite, got {value}")
         if not self.lo < self.hi:
             raise ValueError(f"window needs lo < hi, got [{self.lo}, {self.hi}]")
-        if self.n_points < 2:
-            raise ValueError("window needs at least 2 points")
+        if not hasattr(type(self.n_points), "__index__") or self.n_points < 2:
+            raise ValueError(f"window n_points must be an integer >= 2, got {self.n_points!r}")
 
     def omegas(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n_points)
@@ -78,8 +78,9 @@ def auto_window(spectrum, gamma: float, pad_factor: float = DEFAULT_PAD_FACTOR,
     centers = values.real.astype(float)
     if not np.all(np.isfinite(centers)):
         raise ValueError("spectrum contains non-finite entries")
-    if gamma <= 0 or pad_factor <= 0:
-        raise ValueError("gamma and pad_factor must be positive")
+    for name, value in (("gamma", gamma), ("pad_factor", pad_factor)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     pad = pad_factor * gamma
     return Window(float(centers.min() - pad), float(centers.max() + pad),
                   max(int(n_points), SUM_RULE_MIN_POINTS))

@@ -1,4 +1,6 @@
 import ast
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +10,8 @@ from numpy.testing import assert_allclose
 import cauchygf
 from cauchygf import output
 from cauchygf.cavity import CavityParams
-from cauchygf.engine import (SpectralGrid, averaged_greens, default_eta,
-                             diagonalize)
+from cauchygf.engine import (_TILE_BUDGET, SpectralGrid, averaged_greens,
+                             default_eta, diagonalize)
 from cauchygf.errors import NonMonotonicGrid, SingularMatrix
 from cauchygf.lattice import (HamiltonianSpec, assemble_cavity,
                               assemble_huckel, build_topology)
@@ -101,10 +103,15 @@ def test_two_routes_agree_on_uniform_mask():
 
 
 def test_partial_mask_matches_direct_solve():
-    # The Woodbury correction restores the undisordered cavity site.
-    cav = assemble_cavity(CavityParams(0.0, 0.0, 0.1, 2, coupling=1.0))
-    grid = SpectralGrid(np.linspace(-2, 2, 9), 0.01)
-    assert np.abs(averaged_greens(cav, grid) - solve_greens(cav, grid)).max() < 1e-12
+    # The Woodbury correction restores the undisordered cavity site.  At 39
+    # molecules the 820 distinct pairs of G0 outnumber the 40 poles, and the
+    # frequencies span three pole-sum tiles, the last one partial.
+    for n_molecules, edge, n_omega in ((2, 2.0, 9), (39, 7.0, 100)):
+        cav = assemble_cavity(CavityParams(0.0, 0.0, 0.1, n_molecules, coupling=1.0))
+        grid = SpectralGrid(np.linspace(-edge, edge, n_omega), 0.01)
+        assert np.abs(averaged_greens(cav, grid) - solve_greens(cav, grid)).max() < 1e-12
+    tile = _TILE_BUDGET // (40 * 41 // 2)
+    assert 2 * tile < n_omega < 3 * tile
 
 
 def test_tiny_gamma_standin_matches_clean_resolvent():
@@ -130,6 +137,23 @@ def test_subset_elements_match_full_matrix():
         assert_allclose(subset[:, col], full[:, i, j], rtol=0, atol=1e-14)
     with pytest.raises(IndexError):
         averaged_greens(spec, grid, elements=[(0, 7)])
+
+
+def test_cavity_dos_columns_hold_little_memory():
+    # cavity(N=24), the full diagonal plus (0, 1) on the 4001-point auto
+    # window, as `dos` asks for them: the result itself takes 1.7 MB and the
+    # whole call about 3.5 MB; sizing the pole-sum tiles by the 25 poles
+    # alone, not by the 49 columns of G0 they feed, takes it to 5.06 MB.
+    cav = assemble_cavity(CavityParams(2.1, 2.1, 0.02, 24, coupling=0.1 / math.sqrt(8)))
+    grid = SpectralGrid.from_window(auto_window(diagonalize(cav)[0], cav.gamma),
+                                    default_eta(cav))
+    tracemalloc.start()
+    try:
+        averaged_greens(cav, grid, diagonal(25) + [(0, 1)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_hub_dos_is_tail_of_edge_levels():

@@ -25,6 +25,7 @@ def test_star_seven_sites():
 
 def test_ring_six_sites():
     topo = build_topology("ring", 6)
+    assert build_topology("ring", np.int64(6)) == topo
     assert set(topo.edges) == {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)}
 
 
@@ -37,7 +38,7 @@ def test_single_site_chain_is_valid():
     assert build_topology("chain", 1).edges == ()
 
 
-@pytest.mark.parametrize("kind, n", [("ring", 2), ("star", 1), ("chain", 0)])
+@pytest.mark.parametrize("kind, n", [("ring", 2), ("star", 1), ("chain", 0), ("chain", 2.5)])
 def test_bad_sizes(kind, n):
     with pytest.raises(InvalidSize):
         build_topology(kind, n)
@@ -234,6 +235,9 @@ def test_params_validation():
         CavityParams(2.1, 2.1, 0.02, 6, coupling=0.1, mu_debye=-1.0)
     with pytest.raises(InvalidCoupling):
         CavityParams(2.1, 2.1, 0.02, 6, coupling=float("inf"))
+    with pytest.raises(ValueError, match="n_molecules must be an integer"):
+        CavityParams(2.1, 2.1, 0.02, 2.5, coupling=0.1)
+    assert CavityParams(2.1, 2.1, 0.02, np.int64(6), coupling=0.1).n_molecules == 6
 
 
 def test_zero_coupling_is_a_valid_decoupled_cavity():

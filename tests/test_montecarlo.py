@@ -165,6 +165,23 @@ def test_statistics_hold_no_per_sample_array():
     assert peak < 16e6
 
 
+def test_empty_schur_request_holds_no_chunk_sized_tile():
+    # cavity(N=8), 8192 samples, 601 omega, no elements: a tile spanning the
+    # whole draw chunk takes 238 MB, one sized by a single element 3 MB.
+    spec = assemble_cavity(CavityParams(2.1, 2.1, 0.02, 8, coupling=0.1 / np.sqrt(8)))
+    grid = SpectralGrid(np.linspace(2.0, 2.2, 601), eta=0.002)
+    config = EnsembleConfig(8192, 3, DisorderSpec("cauchy", 0.02), 0.002)
+    assert mc._realization_route(spec, []) is mc._schur_chunk
+    tracemalloc.start()
+    try:
+        result = ensemble_average(spec, config, grid, elements=[])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.mean_greens.shape == (601, 0)
+    assert peak < 16e6
+
+
 # --------------------------------------------------- convergence to theorem
 
 def test_single_site_mean_hits_cauchy_average_theorem():

@@ -65,6 +65,9 @@ def test_window_validation():
         Window(1.0, 1.0)
     with pytest.raises(ValueError):
         Window(0.0, 1.0, n_points=1)
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        Window(0.0, 1.0, 2.5)
+    assert Window(0.0, 1.0, np.int64(3)).omegas().size == 3
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="window lo must be finite"):
             Window(bad, 1.0)
@@ -100,6 +103,10 @@ def test_auto_window_rejects_bad_input():
         auto_window([], 0.1)
     with pytest.raises(ValueError):
         auto_window([0.0], -0.1)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        auto_window([0.0], np.nan)
+    with pytest.raises(ValueError, match="pad_factor must be finite"):
+        auto_window([0.0], 0.1, pad_factor=np.inf)
 
 
 def test_find_peaks_single_lorentzian():
