@@ -10,9 +10,8 @@ from .engine import SpectralGrid, averaged_greens, default_eta, diagonalize
 from .lattice import (DisorderSpec, Distribution, Family, HamiltonianSpec,
                       Topology, adjacency, assemble_cavity, assemble_huckel,
                       build_topology)
-from .montecarlo import (EnsembleConfig, EnsembleResult, ensemble_average,
-                         estimate_peak_width, make_rng)
-from .quadrature import Window, auto_window, integrate_trapezoid
+from .montecarlo import EnsembleConfig, EnsembleResult, ensemble_average, make_rng
+from .quadrature import auto_window, estimate_peak_width, integrate_trapezoid
 
 __version__ = "0.1.0"
 
@@ -23,8 +22,7 @@ __all__ = [
     "SpectralGrid", "averaged_greens", "default_eta", "diagonalize",
     "DisorderSpec", "Distribution", "Family", "HamiltonianSpec", "Topology",
     "adjacency", "assemble_cavity", "assemble_huckel", "build_topology",
-    "EnsembleConfig", "EnsembleResult", "ensemble_average",
-    "estimate_peak_width", "make_rng",
-    "Window", "auto_window", "integrate_trapezoid",
+    "EnsembleConfig", "EnsembleResult", "ensemble_average", "make_rng",
+    "auto_window", "estimate_peak_width", "integrate_trapezoid",
     "__version__",
 ]

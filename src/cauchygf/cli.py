@@ -29,7 +29,7 @@ from .lattice import (DisorderSpec, Family, assemble_cavity, assemble_huckel,
                       build_topology)
 from .montecarlo import EnsembleConfig, ensemble_average
 from .output import write_csv, write_json
-from .quadrature import Window, auto_window, integrate_trapezoid
+from .quadrature import auto_window, integrate_trapezoid
 
 # Defaults, all overridable per run (see README for the full table).
 DEFAULT_SEED = 1
@@ -132,35 +132,34 @@ def _resolve_model(cfg):
     return spec, topology, echo
 
 
-def _parse_grid_flag(raw: str) -> Window:
+def _parse_grid_flag(raw: str) -> SpectralGrid:
     pieces = raw.split(":")
     if len(pieces) != 3:
         raise ConfigParseError(f"--grid expects lo:hi:n, got {raw!r}")
     try:
-        return Window(float(pieces[0]), float(pieces[1]), int(pieces[2]))
+        return SpectralGrid.uniform(float(pieces[0]), float(pieces[1]), int(pieces[2]))
     except ValueError as exc:
         raise ConfigParseError(f"--grid {raw!r}: {exc}") from exc
 
 
-def _resolve_grid(cfg, args, fallback: Window, eta_default: float):
+def _resolve_grid(cfg, args, fallback: SpectralGrid, eta_default: float):
     """Priority: --grid / --eta flags, then [grid] keys, then the fallback."""
-    window = None
     if getattr(args, "grid", None):
         window = _parse_grid_flag(args.grid)
     elif cfg.has_option("grid", "lo") or cfg.has_option("grid", "hi"):
-        window = Window(_get(cfg, "grid", "lo", float),
-                        _get(cfg, "grid", "hi", float),
-                        _get(cfg, "grid", "n", int, 2001))
-    if window is None:
+        window = SpectralGrid.uniform(_get(cfg, "grid", "lo", float),
+                                      _get(cfg, "grid", "hi", float),
+                                      _get(cfg, "grid", "n", int, 2001))
+    else:
         window = fallback
     eta = args.eta if getattr(args, "eta", None) is not None else \
         _get(cfg, "grid", "eta", float, eta_default)
-    grid = SpectralGrid.from_window(window, eta)
-    echo = {"lo": window.lo, "hi": window.hi, "n": window.n_points, "eta": eta}
+    grid = SpectralGrid(window.omegas, eta)
+    echo = {"lo": grid.omegas[0], "hi": grid.omegas[-1], "n": grid.omegas.size, "eta": eta}
     return grid, echo
 
 
-def _polariton_window(params, poles) -> Window:
+def _polariton_window(params, poles) -> SpectralGrid:
     """Auto window over both polaritons and the bare cavity and molecule lines."""
     return auto_window([poles.eps_plus, poles.eps_minus, params.epsilon_a,
                         params.epsilon_c], params.gamma)
@@ -179,8 +178,8 @@ def _out_paths(args, default_base):
     }
 
 
-_SITE_COLUMN = re.compile(r"^rho_site_(\d+)$")
-_G_COLUMN = re.compile(r"^(re|im)_G_(\d+)_(\d+)$")
+_SITE_COLUMN = re.compile(r"^rho_site_(0|[1-9][0-9]*)$")
+_G_COLUMN = re.compile(r"^(re|im)_G_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)$")
 
 
 def _dos_columns(cfg, n_sites):
@@ -305,10 +304,8 @@ def _resolve_ensemble(cfg, args, spec):
 def _cmd_mc_compare(cfg, args):
     spec, _, model_echo = _resolve_model(cfg)
     ensemble, ensemble_echo = _resolve_ensemble(cfg, args, spec)
-    spectrum = np.linalg.eigvalsh(spec.h0)
-    fallback = Window(float(spectrum.min() - DEFAULT_MC_PAD_FACTOR * spec.gamma),
-                      float(spectrum.max() + DEFAULT_MC_PAD_FACTOR * spec.gamma),
-                      DEFAULT_MC_POINTS)
+    fallback = auto_window(np.linalg.eigvalsh(spec.h0), spec.gamma,
+                           DEFAULT_MC_PAD_FACTOR, DEFAULT_MC_POINTS)
     grid, grid_echo = _resolve_grid(cfg, args, fallback, ensemble.eta)
     if grid.eta != ensemble.eta:
         raise ConfigParseError(f"mc-compare probes at the [ensemble] eta = "
@@ -359,12 +356,11 @@ def _cmd_sum_rules(cfg, args):
         checks.append(_check("rho_c_norm",
                              integrate_trapezoid(w, cavity_mod.rho_c(params, w, grid.eta)),
                              target=1.0, tolerance=0.02))
-        band = Window(params.epsilon_a - 5 * params.gamma,
-                      params.epsilon_a + 5 * params.gamma, 4001)
-        w_band = band.omegas()
+        lo, hi = params.epsilon_a - 5 * params.gamma, params.epsilon_a + 5 * params.gamma
+        w_band = SpectralGrid.uniform(lo, hi, 4001).omegas
         checks.append(_check("delta_rho_m_band",
                              integrate_trapezoid(w_band, cavity_mod.delta_rho_m(params, w_band, grid.eta)),
-                             target=cavity_mod.band_weight(params, band.lo, band.hi, grid.eta),
+                             target=cavity_mod.band_weight(params, lo, hi, grid.eta),
                              tolerance=0.05))
         line_eta = grid.eta if grid.eta > 0 else DELTA_RHO_T_LINE_FACTOR * params.gamma
         checks.append(_check("delta_rho_t_wide",

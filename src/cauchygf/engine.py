@@ -56,8 +56,17 @@ class SpectralGrid:
         object.__setattr__(self, "omegas", omegas)
 
     @classmethod
-    def from_window(cls, window, eta: float = 0.0) -> "SpectralGrid":
-        return cls(window.omegas(), eta)
+    def uniform(cls, lo: float, hi: float, n_points: int) -> "SpectralGrid":
+        """n_points evenly spaced frequencies from lo to hi, both included,
+        with eta = 0."""
+        for name, value in (("lo", lo), ("hi", hi)):
+            if not math.isfinite(value):
+                raise ValueError(f"window {name} must be finite, got {value}")
+        if not lo < hi:
+            raise ValueError(f"window needs lo < hi, got [{lo}, {hi}]")
+        if not hasattr(type(n_points), "__index__") or n_points < 2:
+            raise ValueError(f"window n_points must be an integer >= 2, got {n_points!r}")
+        return cls(np.linspace(lo, hi, n_points))
 
 
 def diagonalize(spec: HamiltonianSpec):
@@ -77,6 +86,8 @@ def default_eta(spec: HamiltonianSpec) -> float:
 def _normalized_elements(elements, n):
     pairs = []
     for i, j in elements:
+        if not (hasattr(type(i), "__index__") and hasattr(type(j), "__index__")):
+            raise ValueError(f"element ({i!r}, {j!r}) indices must be integers")
         i, j = int(i), int(j)
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"element ({i}, {j}) outside 0..{n - 1}")
@@ -101,7 +112,7 @@ def _pole_sums(weights, poles, omegas, eta):
     ``weights`` is (c, p, m); weights that every sample shares can come as
     an ``np.broadcast_to`` view.  With d = w - pole and r = 1/(d^2 + eta^2)
     the real part is weights @ (d*r) and the imaginary part
-    (-eta*weights) @ r: two real matrix products per tile, whose width in
+    -eta * (weights @ r): two real matrix products per tile, whose width in
     frequencies is sized by max(m, p) so that each temporary and the tile
     hold about _TILE_BUDGET cells.  Sample blocks come in order, each with
     all its frequency blocks, and every tile is a view of one buffer that
@@ -116,10 +127,9 @@ def _pole_sums(weights, poles, omegas, eta):
     # doubled the time at some tile widths.
     d_cells, r_cells = np.empty((2, c_tile * m * w_tile))
     tile_cells = np.empty(c_tile * p * 2 * w_tile)
-    damped_weights = -eta * weights
     for c0 in range(0, n_samples, c_tile):
         c1 = min(c0 + c_tile, n_samples)
-        mix, damped = weights[c0:c1], damped_weights[c0:c1]
+        mix = weights[c0:c1]
         for w0 in range(0, n_omega, w_tile):
             w1 = min(w0 + w_tile, n_omega)
             shape = (c1 - c0, m, w1 - w0)
@@ -133,7 +143,8 @@ def _pole_sums(weights, poles, omegas, eta):
             tile = tile_cells[:(c1 - c0) * 2 * p * (w1 - w0)].reshape(
                 c1 - c0, 2, p, w1 - w0)
             np.matmul(mix, d, out=tile[:, 0])
-            np.matmul(damped, r, out=tile[:, 1])
+            np.matmul(mix, r, out=tile[:, 1])
+            tile[:, 1] *= -eta
             yield c0, c1, w0, w1, tile
 
 

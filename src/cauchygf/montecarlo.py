@@ -34,9 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _TILE_BUDGET, SpectralGrid, _normalized_elements, _pole_sums
-from .errors import PeakNotFound, UnresolvedWidth
 from .lattice import DisorderSpec, Distribution, HamiltonianSpec
-from .quadrature import _validated_curve
 
 # Chunk sizing target, in array elements: keep the batched eigendecomposition
 # and its eigenvector products comfortably inside a few hundred MB.
@@ -251,40 +249,3 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
     stderr = np.sqrt(m2 / max(1, count - 1) / count)
     return EnsembleResult(elements, (mean[0] + 1j * mean[1]).T.copy(),
                           stderr[0].T.copy(), stderr[1].T.copy(), int(count))
-
-
-def estimate_peak_width(omegas, dos, window) -> float:
-    """FWHM of the tallest peak inside window = (lo, hi), by linear
-    interpolation of the two half-height crossings around the maximum.
-
-    The curve should sample the peak with at least ~20 points for the
-    interpolation to be meaningful.  Raises PeakNotFound when the maximum
-    sits on the window edge (no interior maximum), UnresolvedWidth when a
-    half-height crossing is not bracketed inside the window.
-    """
-    xs, ys = _validated_curve(omegas, dos)
-    lo, hi = float(window[0]), float(window[1])
-    selected = np.nonzero((xs >= lo) & (xs <= hi))[0]
-    if selected.size < 3:
-        raise PeakNotFound(f"window [{lo}, {hi}] holds fewer than 3 samples")
-    first, last = selected[0], selected[-1]
-    peak = first + int(np.argmax(ys[first:last + 1]))
-    if peak in (first, last):
-        raise PeakNotFound("maximum sits on the window edge, not at an interior peak")
-    half = 0.5 * ys[peak]
-
-    left = None
-    for i in range(peak - 1, first - 1, -1):
-        if ys[i] <= half:
-            frac = (half - ys[i]) / (ys[i + 1] - ys[i])
-            left = xs[i] + frac * (xs[i + 1] - xs[i])
-            break
-    right = None
-    for i in range(peak + 1, last + 1):
-        if ys[i] <= half:
-            frac = (half - ys[i - 1]) / (ys[i] - ys[i - 1])
-            right = xs[i - 1] + frac * (xs[i] - xs[i - 1])
-            break
-    if left is None or right is None:
-        raise UnresolvedWidth("half-height crossing falls outside the window")
-    return float(right - left)

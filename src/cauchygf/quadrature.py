@@ -1,4 +1,4 @@
-"""Shared numerics: trapezoidal sum rules and auto-widened windows.
+"""Shared numerics: trapezoidal sum rules, peak widths and auto-widened grids.
 
 Spectra in this package are smooth mixtures of Lorentzians, so a composite
 trapezoid on a uniform grid is accurate and keeps CSV output directly
@@ -10,35 +10,14 @@ for the default pad of 40 is below 1.6%.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NonMonotonicGrid
+from .engine import SpectralGrid
+from .errors import LengthMismatch, NonMonotonicGrid, PeakNotFound, UnresolvedWidth
 
 DEFAULT_PAD_FACTOR = 40.0
-SUM_RULE_MIN_POINTS = 4001
-
-
-@dataclass(frozen=True)
-class Window:
-    """Closed frequency interval [lo, hi] sampled at n_points uniform points."""
-
-    lo: float
-    hi: float
-    n_points: int = SUM_RULE_MIN_POINTS
-
-    def __post_init__(self):
-        for name, value in (("lo", self.lo), ("hi", self.hi)):
-            if not math.isfinite(value):
-                raise ValueError(f"window {name} must be finite, got {value}")
-        if not self.lo < self.hi:
-            raise ValueError(f"window needs lo < hi, got [{self.lo}, {self.hi}]")
-        if not hasattr(type(self.n_points), "__index__") or self.n_points < 2:
-            raise ValueError(f"window n_points must be an integer >= 2, got {self.n_points!r}")
-
-    def omegas(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n_points)
+SUM_RULE_POINTS = 4001
 
 
 def _validated_curve(xs, ys):
@@ -63,14 +42,51 @@ def integrate_trapezoid(xs, ys) -> float:
     return float(np.trapezoid(ys, xs))
 
 
+def estimate_peak_width(omegas, dos, window) -> float:
+    """FWHM of the tallest peak inside window = (lo, hi), by linear
+    interpolation of the two half-height crossings around the maximum.
+
+    The curve should sample the peak with at least ~20 points for the
+    interpolation to be meaningful.  Raises PeakNotFound when the maximum
+    sits on the window edge (no interior maximum), UnresolvedWidth when a
+    half-height crossing is not bracketed inside the window.
+    """
+    xs, ys = _validated_curve(omegas, dos)
+    lo, hi = float(window[0]), float(window[1])
+    selected = np.nonzero((xs >= lo) & (xs <= hi))[0]
+    if selected.size < 3:
+        raise PeakNotFound(f"window [{lo}, {hi}] holds fewer than 3 samples")
+    first, last = selected[0], selected[-1]
+    peak = first + int(np.argmax(ys[first:last + 1]))
+    if peak in (first, last):
+        raise PeakNotFound("maximum sits on the window edge, not at an interior peak")
+    half = 0.5 * ys[peak]
+
+    left = None
+    for i in range(peak - 1, first - 1, -1):
+        if ys[i] <= half:
+            frac = (half - ys[i]) / (ys[i + 1] - ys[i])
+            left = xs[i] + frac * (xs[i + 1] - xs[i])
+            break
+    right = None
+    for i in range(peak + 1, last + 1):
+        if ys[i] <= half:
+            frac = (half - ys[i - 1]) / (ys[i] - ys[i - 1])
+            right = xs[i - 1] + frac * (xs[i] - xs[i - 1])
+            break
+    if left is None or right is None:
+        raise UnresolvedWidth("half-height crossing falls outside the window")
+    return float(right - left)
+
+
 def auto_window(spectrum, gamma: float, pad_factor: float = DEFAULT_PAD_FACTOR,
-                n_points: int = SUM_RULE_MIN_POINTS) -> Window:
-    """Sum-rule window: the spectral range padded by pad_factor*gamma each side.
+                n_points: int = SUM_RULE_POINTS) -> SpectralGrid:
+    """Uniform grid of n_points over the spectral range padded by
+    pad_factor*gamma each side, with eta = 0.
 
     ``spectrum`` is any collection of eigenvalues or pole locations; complex
-    entries contribute their real parts.  The returned window always carries
-    at least SUM_RULE_MIN_POINTS samples so trapezoid sum rules stay inside
-    their quoted tolerances.
+    entries contribute their real parts.  The default SUM_RULE_POINTS samples
+    keep trapezoid sum rules inside their quoted tolerances.
     """
     values = np.atleast_1d(np.asarray(spectrum))
     if values.size == 0:
@@ -82,5 +98,5 @@ def auto_window(spectrum, gamma: float, pad_factor: float = DEFAULT_PAD_FACTOR,
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
     pad = pad_factor * gamma
-    return Window(float(centers.min() - pad), float(centers.max() + pad),
-                  max(int(n_points), SUM_RULE_MIN_POINTS))
+    return SpectralGrid.uniform(float(centers.min() - pad), float(centers.max() + pad),
+                                n_points)

@@ -16,9 +16,9 @@ from cauchygf.cli import main
 from cauchygf.engine import SpectralGrid, averaged_greens, diagonalize
 from cauchygf.lattice import (DisorderSpec, HamiltonianSpec, assemble_cavity,
                               assemble_huckel, build_topology)
-from cauchygf.montecarlo import (EnsembleConfig, ensemble_average,
-                                 estimate_peak_width)
-from cauchygf.quadrature import auto_window, integrate_trapezoid
+from cauchygf.montecarlo import EnsembleConfig, ensemble_average
+from cauchygf.quadrature import (auto_window, estimate_peak_width,
+                                 integrate_trapezoid)
 from oracles import find_peaks, solve_greens
 
 SEED = 20240817
@@ -100,7 +100,7 @@ def test_criterion_3_sum_rules(verdict):
     params = CavityParams(**BULK)
     poles = polariton_poles(params)
     wide = auto_window([poles.eps_plus, poles.eps_minus], params.gamma,
-                       n_points=40001).omegas()
+                       n_points=40001).omegas
 
     area_c = integrate_trapezoid(wide, rho_c(params, wide))
     a_ok = abs(area_c - 1.0) <= 0.02
@@ -141,8 +141,7 @@ def test_criterion_3_sum_rules(verdict):
 
 def _total_dos_peaks(kind, n_sites, gamma=0.1):
     spec = assemble_huckel(build_topology(kind, n_sites), 0.0, 1.0, gamma)
-    grid = SpectralGrid.from_window(
-        auto_window(diagonalize(spec)[0], gamma))
+    grid = auto_window(diagonalize(spec)[0], gamma)
     diagonal = averaged_greens(spec, grid, [(i, i) for i in range(n_sites)])
     rho = -diagonal.imag.sum(axis=1) / np.pi
     return grid, find_peaks(grid.omegas, rho)
@@ -237,9 +236,9 @@ def test_criterion_6_oracle_equivalence(verdict):
     for n in (1, 6, 50):
         params = CavityParams(2.0, 2.3, 0.05, n, coupling=0.3 / math.sqrt(n))
         poles = polariton_poles(params)
-        grid = SpectralGrid.from_window(
-            auto_window([poles.eps_plus, poles.eps_minus], params.gamma,
-                        n_points=101), eta=0.01)
+        window = auto_window([poles.eps_plus, poles.eps_minus], params.gamma,
+                             n_points=4001)
+        grid = SpectralGrid(window.omegas, eta=0.01)
         closed = g_cc(params, grid.omegas, eta=0.01)
         engine = averaged_greens(assemble_cavity(params), grid, [(0, 0)])[:, 0]
         worst_gcc = max(worst_gcc, np.abs(closed - engine).max())

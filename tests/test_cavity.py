@@ -314,8 +314,7 @@ def test_absorption_peaks_sit_on_the_polariton_poles():
     # below one grid step.
     p = resonant(mu_debye=10.0)
     poles = polariton_poles(p)
-    window = auto_window([poles.eps_plus, poles.eps_minus], p.gamma)
-    w = window.omegas()
+    w = auto_window([poles.eps_plus, poles.eps_minus], p.gamma).omegas
     peaks = find_peaks(w, absorption(p, w))
     assert len(peaks) == 2
     step = w[1] - w[0]

@@ -103,8 +103,10 @@ def test_dos_cavity_matches_direct_solve(tmp_path):
 
 
 def test_dos_rejects_unknown_column(tmp_path):
-    ini = STAR_INI + "[output]\ncolumns = rho_site_9\n"
-    assert run(tmp_path, ini, "dos") == 3
+    # Leading zeros and non-ASCII digits name no column the run writes.
+    for name in ("rho_site_9", "rho_site_01", "re_G_0_01", "rho_site_\u0663"):
+        ini = STAR_INI + f"[output]\ncolumns = rho_total, {name}\n"
+        assert run(tmp_path, ini, "dos") == 3
 
 
 # -------------------------------------------------------------------- cavity

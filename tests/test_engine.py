@@ -137,6 +137,12 @@ def test_subset_elements_match_full_matrix():
         assert_allclose(subset[:, col], full[:, i, j], rtol=0, atol=1e-14)
     with pytest.raises(IndexError):
         averaged_greens(spec, grid, elements=[(0, 7)])
+    # A fractional index is rejected by name, not truncated to a valid one.
+    for bad in ([(0.7, 0)], [(0, 2.0)]):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            averaged_greens(spec, grid, elements=bad)
+    assert_allclose(averaged_greens(spec, grid, [(np.int64(2), np.uint8(5))])[:, 0],
+                    full[:, 2, 5], rtol=0, atol=1e-14)
 
 
 def test_cavity_dos_columns_hold_little_memory():
@@ -145,8 +151,8 @@ def test_cavity_dos_columns_hold_little_memory():
     # whole call about 3.5 MB; sizing the pole-sum tiles by the 25 poles
     # alone, not by the 49 columns of G0 they feed, takes it to 5.06 MB.
     cav = assemble_cavity(CavityParams(2.1, 2.1, 0.02, 24, coupling=0.1 / math.sqrt(8)))
-    grid = SpectralGrid.from_window(auto_window(diagonalize(cav)[0], cav.gamma),
-                                    default_eta(cav))
+    grid = SpectralGrid(auto_window(diagonalize(cav)[0], cav.gamma).omegas,
+                        default_eta(cav))
     tracemalloc.start()
     try:
         averaged_greens(cav, grid, diagonal(25) + [(0, 1)])
@@ -235,8 +241,7 @@ def test_dos_positive_and_symmetric_for_bipartite_like_graphs(kind, n):
 
 def test_trace_sum_rule_star7():
     spec = huckel("star", 7)
-    window = auto_window(diagonalize(spec)[0], spec.gamma)
-    grid = SpectralGrid.from_window(window)
+    grid = auto_window(diagonalize(spec)[0], spec.gamma)
     total = -averaged_greens(spec, grid, diagonal(7)).imag.sum(axis=1) / np.pi
     assert integrate_trapezoid(grid.omegas, total) == pytest.approx(7.0, rel=0.02)
 
@@ -253,9 +258,8 @@ def test_public_api_has_no_test_only_names():
         "SpectralGrid", "averaged_greens", "default_eta", "diagonalize",
         "DisorderSpec", "Distribution", "Family", "HamiltonianSpec", "Topology",
         "adjacency", "assemble_cavity", "assemble_huckel", "build_topology",
-        "EnsembleConfig", "EnsembleResult", "ensemble_average",
-        "estimate_peak_width", "make_rng",
-        "Window", "auto_window", "integrate_trapezoid",
+        "EnsembleConfig", "EnsembleResult", "ensemble_average", "make_rng",
+        "auto_window", "estimate_peak_width", "integrate_trapezoid",
         "__version__"])
     for name in cauchygf.__all__:
         assert hasattr(cauchygf, name)

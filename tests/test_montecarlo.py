@@ -9,8 +9,8 @@ from cauchygf.errors import PeakNotFound, UnresolvedWidth
 from cauchygf.cavity import CavityParams
 from cauchygf.lattice import (DisorderSpec, HamiltonianSpec, assemble_cavity,
                               assemble_huckel, build_topology)
-from cauchygf.montecarlo import (EnsembleConfig, ensemble_average,
-                                 estimate_peak_width, make_rng)
+from cauchygf.montecarlo import EnsembleConfig, ensemble_average, make_rng
+from cauchygf.quadrature import estimate_peak_width
 
 CAUCHY = DisorderSpec("cauchy", 0.1)
 
@@ -242,6 +242,12 @@ def test_elements_default_to_diagonal_and_accept_offdiagonal():
     assert off.mean_greens.shape == (1, 2)
     # same seed: the shared element must agree exactly across the two runs
     assert off.mean_greens[0, 1] == out.mean_greens[0, 3]
+    # A fractional index is rejected by name, not truncated to (0, 2).
+    with pytest.raises(ValueError, match="indices must be integers"):
+        ensemble_average(spec, conf, grid, elements=[(0.7, 2)])
+    numpy_ints = ensemble_average(spec, conf, grid, elements=[(np.int64(0), np.int32(2))])
+    assert numpy_ints.elements == ((0, 2),)
+    assert numpy_ints.mean_greens[0, 0] == off.mean_greens[0, 0]
 
 
 def star_with_hub(disordered_hub, disordered_leaves=4):

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from cauchygf.errors import LengthMismatch, NonMonotonicGrid
-from cauchygf.quadrature import Window, auto_window, integrate_trapezoid
+from cauchygf.engine import SpectralGrid
+from cauchygf.quadrature import auto_window, integrate_trapezoid
 from oracles import find_peaks
 
 
@@ -62,40 +63,46 @@ def test_trapezoid_rejects_bad_grids(xs, ys, err):
 
 def test_window_validation():
     with pytest.raises(ValueError):
-        Window(1.0, 1.0)
+        SpectralGrid.uniform(1.0, 1.0, 2)
     with pytest.raises(ValueError):
-        Window(0.0, 1.0, n_points=1)
+        SpectralGrid.uniform(0.0, 1.0, n_points=1)
     with pytest.raises(ValueError, match="n_points must be an integer"):
-        Window(0.0, 1.0, 2.5)
-    assert Window(0.0, 1.0, np.int64(3)).omegas().size == 3
+        SpectralGrid.uniform(0.0, 1.0, 2.5)
+    assert SpectralGrid.uniform(0.0, 1.0, np.int64(3)).omegas.size == 3
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="window lo must be finite"):
-            Window(bad, 1.0)
+            SpectralGrid.uniform(bad, 1.0, 2)
         with pytest.raises(ValueError, match="window hi must be finite"):
-            Window(0.0, bad)
-    w = Window(-1.0, 1.0, 5)
-    assert_allclose(w.omegas(), [-1.0, -0.5, 0.0, 0.5, 1.0])
+            SpectralGrid.uniform(0.0, bad, 2)
+    grid = SpectralGrid.uniform(-1.0, 1.0, 5)
+    assert_allclose(grid.omegas, [-1.0, -0.5, 0.0, 0.5, 1.0])
+    assert grid.eta == 0.0
 
 
 def test_auto_window_arithmetic():
-    w = auto_window([-1.0, 1.0], gamma=0.1, pad_factor=40)
-    assert_allclose([w.lo, w.hi], [-5.0, 5.0])
-    assert w.n_points >= 4001
+    w = auto_window([-1.0, 1.0], gamma=0.1, pad_factor=40).omegas
+    assert_allclose([w[0], w[-1]], [-5.0, 5.0])
+    assert w.size == 4001
 
     root6 = np.sqrt(6.0)
-    w = auto_window([-root6, 0.0, root6], gamma=0.1)
-    assert_allclose([w.lo, w.hi], [-root6 - 4, root6 + 4])
+    w = auto_window([-root6, 0.0, root6], gamma=0.1).omegas
+    assert_allclose([w[0], w[-1]], [-root6 - 4, root6 + 4])
 
 
 def test_auto_window_accepts_complex_poles():
     poles = [2.237916554 - 0.01j, 1.962083446 - 0.01j]
-    w = auto_window(poles, gamma=0.02)
-    assert_allclose([w.lo, w.hi], [1.962083446 - 0.8, 2.237916554 + 0.8])
-    assert abs(w.lo - 1.16) < 0.01 and abs(w.hi - 3.04) < 0.01
+    w = auto_window(poles, gamma=0.02).omegas
+    assert_allclose([w[0], w[-1]], [1.962083446 - 0.8, 2.237916554 + 0.8])
+    assert abs(w[0] - 1.16) < 0.01 and abs(w[-1] - 3.04) < 0.01
 
 
-def test_auto_window_enforces_minimum_points():
-    assert auto_window([0.0], 0.1, n_points=11).n_points == 4001
+def test_auto_window_gives_exactly_n_points():
+    for n in (2, 11, 201, np.int64(5000)):
+        grid = auto_window([0.0], 0.1, 4.0, n)
+        assert grid.omegas.size == n and grid.eta == 0.0
+        assert_allclose([grid.omegas[0], grid.omegas[-1]], [-0.4, 0.4])
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        auto_window([0.0], 0.1, n_points=5000.7)
 
 
 def test_auto_window_rejects_bad_input():
