@@ -150,6 +150,8 @@ def _resolve_grid(cfg, args, fallback: SpectralGrid, eta_default: float):
         window = SpectralGrid.uniform(_get(cfg, "grid", "lo", float),
                                       _get(cfg, "grid", "hi", float),
                                       _get(cfg, "grid", "n", int, 2001))
+    elif cfg.has_option("grid", "n"):
+        raise ConfigParseError("[grid] n needs [grid] lo and hi")
     else:
         window = fallback
     eta = args.eta if getattr(args, "eta", None) is not None else \

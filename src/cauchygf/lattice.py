@@ -160,6 +160,9 @@ def assemble_huckel(topology: Topology, alpha: float, beta: float,
     Every site is disordered.  The dimensionless convention of the worked
     examples is just alpha=0, beta=1 in eV.
     """
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     h0 = beta * adjacency(topology)
     np.fill_diagonal(h0, alpha)
     return HamiltonianSpec(h0, gamma, np.ones(topology.n_sites, dtype=bool))

@@ -1,30 +1,108 @@
 """Deterministic CSV/JSON artifact writing.
 
-Floats are printed with 13 significant digits in scientific notation, line
-endings are LF, and JSON keys are sorted, so identical inputs always produce
-byte-identical files.
+Floats are printed as ``"%.12e" % value`` would print them (13 significant
+digits in scientific notation), line endings are LF, and JSON keys are
+sorted, so identical inputs always produce byte-identical files.
+
+The CSV writer formats each block of rows with numpy rather than one Python
+``%`` per cell.  A cell's mantissa m = |x| * 10**(12 - e) is computed with a
+single rounding by an exact power of ten (|12 - e| <= 22), so it lies within
+2**-10 of the true value, and floor(m + 1/2) is the correctly rounded
+13-digit mantissa unless m is within 2**-9 of a half-integer.  Every cell
+that test cannot settle is printed by ``%`` itself: zeros, NaN and infinities,
+magnitudes outside [1e-10, 1e35), and near-ties.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-
-_FLOAT_FORMAT = "%.12e"
 
 # Rows formatted and written per block: the text of a wide table never has to
 # exist in memory all at once.
 _CSV_BLOCK_ROWS = 512
 
+# Byte slots of one float cell, "[-]d.dddddddddddde+[h]tu", NUL where unused;
+# the widest "%.12e" text is "-1.000000000000e-308".  One more slot holds the
+# separator.
+_SLOTS = 20
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # exact in binary64
+# Rounding is monotone and half-integers below 1e13 are doubles, so only an m
+# that lands exactly on one is ambiguous; the 2**-9 band is margin beyond that.
+_GUARD = 0.5 - 2.0 ** -9
+
+
+def _scaled(a, e):
+    """|x| * 10**(12 - e), rounded once: multiply or divide by an exact power."""
+    k = 12 - e
+    p = _POW10[np.minimum(np.abs(k), 22)]
+    m = a * p
+    np.divide(a, p, out=m, where=k < 0)
+    return m
+
+
+def _float_cells(x):
+    """The "%.12e" text of every float in ``x`` as a (x.size, _SLOTS + 1)
+    array of bytes, NUL-padded, with a comma in the separator slot."""
+    x = x.ravel()
+    a = np.abs(x)
+    ok = (a >= 1e-11) & (a < 1e36)  # False for zeros, NaN and infinities
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int32)
+    m = _scaled(a, e)
+    fix = np.flatnonzero((m < 1e12) | (m >= 1e13))  # log10 missed by one
+    if fix.size:
+        e[fix] += np.where(m[fix] >= 1e13, 1, -1)
+        m[fix] = _scaled(a[fix], e[fix])
+    d = np.floor(m + 0.5)
+    ok &= (e >= -10) & (e <= 34) & (np.abs(d - m) < _GUARD)
+    carry = d == 1e13
+    d[carry] = 1e12
+    e += carry
+
+    # d = hi * 10**7 + lo: six digits to slots 1 and 3-7, seven to 8-14.
+    out = np.empty((x.size, _SLOTS + 1), dtype=np.uint8)
+    hi = np.floor(d / 1e7)
+    lo = (d - hi * 1e7).astype(np.int32)
+    hi = hi.astype(np.int32)
+    for part, slots in ((hi, (7, 6, 5, 4, 3, 1)), (lo, range(14, 7, -1))):
+        for slot in slots:
+            q = part // 10
+            out[:, slot] = part - q * 10 + 48
+            part = q
+    out[:, 0] = np.where(x < 0, ord("-"), 0)
+    out[:, 2] = ord(".")
+    out[:, 15] = ord("e")
+    out[:, 16] = np.where(e < 0, ord("-"), ord("+"))
+    out[:, 17] = 0  # |e| <= 35 here; three-digit exponents fall back
+    ae = np.abs(e)
+    out[:, 18] = ae // 10 + 48
+    out[:, 19] = ae % 10 + 48
+    out[:, _SLOTS] = ord(",")
+
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        text = np.array([b"%.12e" % v for v in x[rest].tolist()], dtype=f"S{_SLOTS}")
+        out[rest, :_SLOTS] = text.view(np.uint8).reshape(rest.size, _SLOTS)
+    return out
+
+
+def _text_cells(column):
+    """A string column's cells as NUL-padded UTF-8 bytes, comma appended."""
+    text = np.array([str(v).encode() for v in column.tolist()], dtype=bytes)
+    cells = text.view(np.uint8).reshape(column.size, text.itemsize)
+    return np.concatenate([cells, np.full((column.size, 1), ord(","), np.uint8)], axis=1)
+
 
 def _csv_blocks(header, columns):
-    """Yield the CSV text in blocks of rows: the header line first.
+    """Yield the CSV bytes in blocks of rows (uint8 arrays after the header line).
 
     ``header`` is a list of column names; ``columns`` the matching list of
     equal-length sequences.  A column of strings passes through untouched;
-    every other column is read as floats and printed with _FLOAT_FORMAT.
+    every other column is read as floats and printed as "%.12e" prints them.
     """
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} names for {len(columns)} columns")
@@ -33,22 +111,34 @@ def _csv_blocks(header, columns):
         raise ValueError(f"column lengths differ: {sorted(lengths)}")
     arrays = [np.asarray(c) for c in columns]
     arrays = [a if a.dtype.kind in "US" else np.asarray(a, dtype=float) for a in arrays]
-    row_format = ",".join("%s" if a.dtype.kind in "US" else _FLOAT_FORMAT for a in arrays) + "\n"
-    yield ",".join(header) + "\n"
+    is_text = [a.dtype.kind in "US" for a in arrays]
+    yield (",".join(header) + "\n").encode()
     n_rows = lengths.pop() if lengths else 0
     for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-        cells = [a[start:start + _CSV_BLOCK_ROWS].tolist() for a in arrays]
-        yield "".join(row_format % row for row in zip(*cells))
+        block = [a[start:start + _CSV_BLOCK_ROWS] for a in arrays]
+        rows = block[0].size
+        floats = [b for b, text in zip(block, is_text) if not text]
+        buf = _float_cells(np.stack(floats, axis=1)) if floats else None
+        if any(is_text):
+            cells = iter(buf.reshape(rows, len(floats), -1).swapaxes(0, 1)) if floats else None
+            buf = np.concatenate([_text_cells(b) if text else next(cells)
+                                  for b, text in zip(block, is_text)], axis=1)
+        buf = buf.reshape(rows, -1)
+        buf[:, -1] = ord("\n")
+        yield buf[buf != 0]
 
 
 def write_csv(path, header, columns) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "wb") as fh:
         for block in _csv_blocks(header, columns):
             fh.write(block)
 
 
 def _plain(value):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
+    """Recursively convert numpy scalars/arrays so json can serialize them.
+
+    Non-finite floats become None (JSON null): JSON has no NaN or infinity.
+    """
     if isinstance(value, dict):
         return {key: _plain(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -56,14 +146,16 @@ def _plain(value):
     if isinstance(value, np.ndarray):
         return [_plain(v) for v in value.tolist()]
     if isinstance(value, (complex, np.complexfloating)):
-        return {"im": value.imag, "re": value.real}
+        return {"im": _plain(value.imag), "re": _plain(value.real)}
     if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
 def json_text(payload) -> str:
-    return json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path, payload) -> None:

@@ -37,6 +37,20 @@ def solve_greens(spec: HamiltonianSpec, grid: SpectralGrid,
     return out
 
 
+def reference_csv(header, columns) -> bytes:
+    """The CSV bytes ``output.write_csv`` must write, one Python ``%`` per row.
+
+    The header line, then one line per row with string columns as they are
+    and every other column as ``"%.12e"``.
+    """
+    arrays = [np.asarray(c) for c in columns]
+    arrays = [a if a.dtype.kind in "US" else np.asarray(a, dtype=float) for a in arrays]
+    row_format = ",".join("%s" if a.dtype.kind in "US" else "%.12e" for a in arrays) + "\n"
+    rows = zip(*[a.tolist() for a in arrays])
+    text = ",".join(header) + "\n" + "".join(row_format % row for row in rows)
+    return text.encode()
+
+
 def _parabolic_refine(x0, x1, x2, y0, y1, y2):
     # Vertex of the quadratic through three points, in the middle interval.
     # Falls back to the grid point when the fit is degenerate or not concave.

@@ -205,6 +205,22 @@ def test_mc_compare_cavity_z_scores_match_direct_solve(tmp_path):
         np.mean((units_re <= 3.0) & (units_im <= 3.0)), rel=1e-9)
 
 
+def test_mc_compare_single_sample_summary_is_strict_json(tmp_path):
+    # One sample has no standard error, so the worst deviation is undefined:
+    # null in the summary, never the NaN token that JSON does not have.
+    ini = STAR_INI + "[ensemble]\nsamples = 1\nseed = 3\n"
+    assert run(tmp_path, ini, "mc-compare", "--out", str(tmp_path / "mc"),
+               "--grid=-1:1:5") == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    text = (tmp_path / "mc.summary.json").read_text()
+    summary = json.loads(text, parse_constant=reject)
+    assert summary["n_samples"] == 1
+    assert summary["max_deviation_stderr_units"] is None
+
+
 @pytest.mark.parametrize("grid_section, flags", [("", ["--eta", "0.3"]),
                                                  ("[grid]\neta = 0.3\n", [])],
                          ids=["flag", "config"])
@@ -312,6 +328,20 @@ def test_non_finite_grid_bound_is_config_error(tmp_path, capsys, recwarn):
     assert run(tmp_path, STAR_INI + "[grid]\nlo = -inf\nhi = 4\n", "dos") == 3
     assert "window lo must be finite" in capsys.readouterr().err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_grid_n_without_bounds_is_config_error(tmp_path, capsys):
+    assert run(tmp_path, STAR_INI + "[grid]\nn = 77\n", "dos",
+               "--out", str(tmp_path / "d")) == 3
+    assert "[grid] n" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+def test_non_finite_alpha_beta_is_config_error(tmp_path, key, capsys, recwarn):
+    assert run(tmp_path, STAR_INI + f"{key} = inf\n", "dos") == 3
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not recwarn.list
 
 
 def test_bad_grid_flag_is_config_error(tmp_path):

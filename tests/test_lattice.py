@@ -133,6 +133,16 @@ def test_spec_rejects_non_finite_gamma(gamma):
         HamiltonianSpec(np.zeros((2, 2)), gamma)
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_huckel_rejects_non_finite_alpha_beta_by_name(name, value, recwarn):
+    # Named before h0 is built: no numpy warning from inf * 0 on the way.
+    params = {"alpha": 0.0, "beta": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        assemble_huckel(build_topology("chain", 3), params["alpha"], params["beta"], 0.1)
+    assert not recwarn.list
+
+
 def test_spec_rejects_non_finite_matrix():
     with pytest.raises(ValueError, match="finite"):
         HamiltonianSpec(np.array([[0.0, np.nan], [np.nan, 0.0]]), 0.1)

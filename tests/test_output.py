@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cauchygf.output import json_text, write_csv, write_json
+from oracles import reference_csv
 
 
 def render(tmp_path, header, columns):
@@ -61,6 +63,14 @@ def test_json_nested_structures():
     assert parsed == {"a": [{"b": [0.5, None]}]}
 
 
+def test_json_non_finite_floats_become_null():
+    text = json_text({"a": float("nan"), "b": np.float64(-np.inf),
+                      "c": complex(np.inf, 1.0), "d": np.array([1.0, np.nan])})
+    assert json.loads(text) == {"a": None, "b": None, "c": {"re": None, "im": 1.0},
+                                "d": [1.0, None]}
+    assert "NaN" not in text and "Infinity" not in text
+
+
 def test_writers_round_trip(tmp_path):
     csv_path = tmp_path / "t.csv"
     write_csv(csv_path, ["x"], [[1.25]])
@@ -68,3 +78,67 @@ def test_writers_round_trip(tmp_path):
     json_path = tmp_path / "t.json"
     write_json(json_path, {"n": 2})
     assert json_path.read_bytes() == b'{\n  "n": 2\n}\n'
+
+
+# ------------------------------------------- block formatter vs the % oracle
+
+def csv_bytes(tmp_path, header, columns):
+    path = tmp_path / "t.csv"
+    write_csv(path, header, columns)
+    return path.read_bytes()
+
+
+finite_or_not = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@given(st.lists(finite_or_not, max_size=1100), st.integers(1, 3))
+def test_csv_bytes_match_percent_oracle(tmp_path_factory, values, n_columns):
+    # Any float64, NaN, infinities, signed zeros and subnormals included; the
+    # fixed tables below also cross the 512-row block boundaries.
+    tmp_path = tmp_path_factory.mktemp("csv")
+    columns = [np.array(values)[::-1] if c % 2 else values for c in range(n_columns)]
+    header = [f"c{c}" for c in range(n_columns)]
+    assert csv_bytes(tmp_path, header, columns) == reference_csv(header, columns)
+
+
+EDGE_VALUES = [
+    9.9999999999995, 9.99999999999949, 99999999999999.5, 5e-324, 1e308, -1e-310,
+    1e100, -1e-100, 2.5e-150, 1.7976931348623157e308, 2.2250738585072014e-308,
+    1e-10, 1e-11, 9.99999999999e-11, 1e35, 9.99999999999e34, 0.0, -0.0,
+    float("nan"), float("inf"), -float("inf"),
+] + [10.0 ** k for k in range(-25, 40)] \
+  + [np.nextafter(10.0 ** k, 0.0) for k in range(-25, 40)] \
+  + [np.nextafter(10.0 ** k, np.inf) for k in range(-25, 40)]
+
+
+def test_csv_edge_values_match_percent_oracle(tmp_path):
+    values = np.array(EDGE_VALUES)
+    columns = [values, -values]
+    assert csv_bytes(tmp_path, ["x", "y"], columns) == reference_csv(["x", "y"], columns)
+
+
+def test_csv_near_ties_match_percent_oracle(tmp_path):
+    # 14-digit decimals ending in 5 sit within an ulp of a rounding tie of
+    # the 13-digit mantissa: the cells the guarded floor must hand to %.
+    rng = np.random.default_rng(7)
+    digits = rng.integers(10 ** 12, 10 ** 13, 4000) * 10 + 5
+    values = digits / 10.0 ** rng.integers(0, 30, 4000)
+    values = np.concatenate([[1.2345678901235, 0.12345678901235], values, -values])
+    text = csv_bytes(tmp_path, ["x"], [values])
+    assert text == reference_csv(["x"], [values])
+    assert text.split(b"\n")[1:3] == [b"1.234567890123e+00", b"1.234567890123e-01"]
+
+
+def test_csv_mixed_string_and_float_table_matches_oracle(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 1300
+    labels = np.repeat(["G_0_0", "G_12_3", "", "é✓"], n // 4 + 1)[:n]
+    columns = [rng.standard_normal(n), labels, rng.standard_normal(n) * 1e-30, labels]
+    header = ["omega", "element", "re", "again"]
+    assert csv_bytes(tmp_path, header, columns) == reference_csv(header, columns)
+
+
+@pytest.mark.parametrize("header, columns", [(["a", "b"], [[], []]), ([], [])],
+                         ids=["zero-rows", "zero-columns"])
+def test_csv_empty_tables_match_oracle(tmp_path, header, columns):
+    assert csv_bytes(tmp_path, header, columns) == reference_csv(header, columns)
