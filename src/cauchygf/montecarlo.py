@@ -19,24 +19,33 @@ h0 and the elements asked for:
 
 Both routes reduce to sums of weights over real poles, which the package's one
 real-arithmetic kernel, ``engine._pole_sums``, evaluates in cache-sized tiles
-of samples x frequencies.  Each finished tile of G is folded into the running
-mean and variance while it is still in cache, so no array spans a chunk's
+of samples x frequencies.  Each finished tile of G is folded into its block's
+mean and variance while it is still in cache, so no array spans a block's
 samples, elements and frequencies.  Heavy Cauchy tails are safe without
 truncation because every element is bounded by 1/eta at frequency w + i*eta,
 so the estimator has finite variance even though the inputs do not.
+
+The samples are split into blocks whose size depends only on the shape of
+the request.  Block b holds the b-th segment of the seed's Philox stream and
+is folded from zero on its own; the blocks run on one thread per CPU the
+process may use and are merged into the total in block order.  So the means
+and standard errors are the same bits whatever the core count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import _TILE_BUDGET, SpectralGrid, _normalized_elements, _pole_sums
+from .errors import ConvergenceFailure
 from .lattice import DisorderSpec, Distribution, HamiltonianSpec
 
-# Chunk sizing target, in array elements: keep the batched eigendecomposition
+# Block sizing target, in array elements: keep the batched eigendecomposition
 # and its eigenvector products comfortably inside a few hundred MB.
 _EIGH_BUDGET = int(1e7)
 
@@ -80,7 +89,7 @@ class EnsembleResult:
 
 def make_rng(seed: int) -> np.random.Generator:
     """Philox counter-based generator: sample i is reproducible by seed alone,
-    independent of threading or chunk boundaries."""
+    independent of threading or block boundaries."""
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
@@ -94,9 +103,16 @@ def _draw(dist: DisorderSpec, shape, rng) -> np.ndarray:
             if not bad.any():
                 break
             u[bad] = rng.random(int(bad.sum()))
-        return dist.scale * np.tan(np.pi * (u - 0.5))
+        # In place, the same roundings as scale * tan(pi * (u - 0.5)).
+        u -= 0.5
+        u *= np.pi
+        np.tan(u, out=u)
+        u *= dist.scale
+        return u
     if dist.distribution is Distribution.GAUSSIAN:
-        return dist.scale * rng.standard_normal(shape)
+        xi = rng.standard_normal(shape)
+        xi *= dist.scale
+        return xi
     return rng.uniform(-dist.scale, dist.scale, shape)
 
 
@@ -119,7 +135,10 @@ def _eigh_chunk(spec, xi, pairs, omegas, eta):
     c, n = xi.shape
     h = np.broadcast_to(spec.h0, (c, n, n)).copy()
     h[:, np.arange(n), np.arange(n)] += xi
-    evals, evecs = np.linalg.eigh(h)
+    try:
+        evals, evecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"batched symmetric eigensolver failed: {exc}") from exc
     rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
     yield from _pole_sums(evecs[:, rows, :] * evecs[:, cols, :], evals, omegas, eta)
 
@@ -143,7 +162,12 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
     weight = coupling[column, None]
     shifted = omegas - spec.h0[u, u]
 
-    step = min(c, max(1, _TILE_BUDGET // (2 * max(1, sites.size) * n_omega)))
+    # A step fills sigma and the tile, 2 * (k + 1) * n_omega cells per
+    # sample, with twice _TILE_BUDGET cells, as one of the kernel's tiles
+    # holds.  With half that, a step at k = 7 held about ten samples, and its
+    # numpy calls, which hold the interpreter lock that the block threads
+    # share, cost more than its arithmetic.
+    step = min(c, max(1, _TILE_BUDGET // ((sites.size + 1) * n_omega)))
     # Buffers reused by every tile, for the same reason as in engine._pole_sums.
     sigma = np.empty((step, 2, n_omega))
     norm = np.empty((step, n_omega))
@@ -195,6 +219,49 @@ def _realization_route(spec, elements):
     return _schur_chunk if one_u and not hops and diagonal else _eigh_chunk
 
 
+def _block_size(n, k):
+    """Samples per block, from the shape alone: the eigh batch (c, n, n) and
+    its eigenvector products (c, k, n) stay within _EIGH_BUDGET cells, and a
+    few thousand samples already make more than one block to share out."""
+    return max(32, min(2048, _EIGH_BUDGET // (n * max(n, k))))
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _fold_block(solve, spec, xi, elements, omegas, eta):
+    """(mean, m2) of one block of realizations, starting from zero: each
+    tile's mean and the squared deviations from it, merged into the cells
+    it covers (which have seen c0 of the block's samples) while it is still
+    in cache."""
+    k, nw = len(elements), omegas.size
+    mean = np.zeros((2, k, nw))
+    m2 = np.zeros((2, k, nw))
+    for c0, c1, w0, w1, tile in solve(spec, xi, elements, omegas, eta):
+        flat = tile.reshape(c1 - c0, -1)
+        tile_mean = flat.mean(axis=0)
+        flat -= tile_mean
+        cells = np.s_[:, :, w0:w1]
+        _merge_streams(c0, mean[cells], m2[cells], c1 - c0,
+                       tile_mean.reshape(2, k, w1 - w0),
+                       np.einsum("cx,cx->x", flat, flat).reshape(2, k, w1 - w0))
+    return mean, m2
+
+
+def _fold_block_into(folded, b, args):
+    """Worker thread body: block b's (mean, m2), or the exception it raised,
+    into folded[b] for the calling thread to merge or re-raise."""
+    try:
+        folded[b] = _fold_block(*args)
+    except BaseException as exc:  # re-raised by the calling thread
+        folded[b] = exc
+
+
 def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
                      grid: SpectralGrid, elements=None) -> EnsembleResult:
     """Monte-Carlo mean of G_ij(w + i*eta) over explicit disorder realizations.
@@ -204,11 +271,13 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
     sites hop to each other and every element is diagonal, and through its
     eigenmode sum otherwise.  The solver hands over tiles of samples x
     frequencies; each tile is reduced to its mean and squared deviations
-    while it is still in cache and merged pairwise into the running
-    statistics (Chan, Golub & LeVeque), so no array holds a chunk's samples,
-    elements and frequencies at once.  ``elements`` defaults to the full
-    diagonal.  The probe eta comes from ``config``; a nonzero grid.eta must
-    agree with it.
+    while it is still in cache and merged pairwise into its block's
+    statistics (Chan, Golub & LeVeque), so no array holds a block's samples,
+    elements and frequencies at once.  Blocks are folded on worker threads,
+    one per usable CPU, and merged in block order, so the result does not
+    depend on the core count.  ``elements`` defaults to the full diagonal.
+    The probe eta comes from ``config``; a nonzero grid.eta must agree with
+    it.  Raises ConvergenceFailure if a batched eigendecomposition fails.
     """
     if grid.eta not in (0.0, config.eta):
         raise ValueError(f"grid.eta = {grid.eta} conflicts with ensemble eta = {config.eta}")
@@ -220,31 +289,41 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
     k, nw = len(elements), grid.omegas.size
     solve = _realization_route(spec, elements)
 
-    # Samples per draw: the eigh batch (c, n, n) and its eigenvector
-    # products (c, k, n) stay within _EIGH_BUDGET cells.
-    chunk = max(32, min(8192, _EIGH_BUDGET // (n * max(n, k))))
-
     rng = make_rng(config.seed)
+    mask = spec.disordered.astype(float)
+    block = _block_size(n, k)
+    sizes = [min(block, config.n_samples - b0) for b0 in range(0, config.n_samples, block)]
+    workers = min(_usable_cpus(), len(sizes))
+
     count = 0
     mean = np.zeros((2, k, nw))   # running (re, im) mean and squared deviations
     m2 = np.zeros((2, k, nw))
-    mask = spec.disordered.astype(float)
-
-    while count < config.n_samples:
-        c = min(chunk, config.n_samples - count)
-        xi = _draw(config.distribution, (c, n), rng) * mask
-        for c0, c1, w0, w1, tile in solve(spec, xi, elements, grid.omegas, config.eta):
-            # Fold the tile while it is in cache: its mean and the squared
-            # deviations from it, merged into the cells it covers, which have
-            # seen count + c0 samples so far.
-            flat = tile.reshape(c1 - c0, -1)
-            tile_mean = flat.mean(axis=0)
-            flat -= tile_mean
-            cells = np.s_[:, :, w0:w1]
-            _merge_streams(count + c0, mean[cells], m2[cells], c1 - c0,
-                           tile_mean.reshape(2, k, w1 - w0),
-                           np.einsum("cx,cx->x", flat, flat).reshape(2, k, w1 - w0))
-        count += c
+    for g0 in range(0, len(sizes), workers):
+        # Each group holds one block per worker, drawn here in stream order.
+        # The calling thread folds the first block and a new thread each of
+        # the others; the results merge in block order once all have ended.
+        counts = sizes[g0:g0 + workers]
+        group = []
+        for c in counts:
+            xi = _draw(config.distribution, (c, n), rng)
+            xi *= mask
+            group.append((solve, spec, xi, elements, grid.omegas, config.eta))
+        folded = [None] * len(group)
+        threads = []
+        try:
+            for b in range(1, len(group)):
+                thread = threading.Thread(target=_fold_block_into, args=(folded, b, group[b]))
+                thread.start()
+                threads.append(thread)
+            folded[0] = _fold_block(*group[0])
+        finally:
+            for thread in threads:
+                thread.join()
+        for c, stats in zip(counts, folded):
+            if isinstance(stats, BaseException):
+                raise stats
+            _merge_streams(count, mean, m2, c, *stats)
+            count += c
 
     stderr = np.sqrt(m2 / max(1, count - 1) / count)
     return EnsembleResult(elements, (mean[0] + 1j * mean[1]).T.copy(),

@@ -1,11 +1,14 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import cauchygf.montecarlo as mc
+from cauchygf.cli import main
 from cauchygf.engine import SpectralGrid
-from cauchygf.errors import PeakNotFound, UnresolvedWidth
+from cauchygf.errors import ConvergenceFailure, PeakNotFound, UnresolvedWidth
 from cauchygf.cavity import CavityParams
 from cauchygf.lattice import (DisorderSpec, HamiltonianSpec, assemble_cavity,
                               assemble_huckel, build_topology)
@@ -40,6 +43,20 @@ def test_gaussian_and_uniform_draws():
     assert u.min() >= -0.2 and u.max() <= 0.2
     assert np.mean(u) == pytest.approx(0.0, abs=0.002)
     assert np.std(u) == pytest.approx(0.2 / np.sqrt(3), rel=0.01)
+
+
+@pytest.mark.parametrize("law", ["cauchy", "gaussian", "uniform"])
+def test_draws_match_out_of_place_formula(law):
+    # The in-place transforms round exactly as the expressions they replace.
+    dist = DisorderSpec(law, 0.3)
+    rng = make_rng(8)
+    if law == "cauchy":
+        want = 0.3 * np.tan(np.pi * (rng.random((257, 5)) - 0.5))
+    elif law == "gaussian":
+        want = 0.3 * rng.standard_normal((257, 5))
+    else:
+        want = rng.uniform(-0.3, 0.3, (257, 5))
+    assert np.array_equal(mc._draw(dist, (257, 5), make_rng(8)), want)
 
 
 def test_same_seed_reproduces_bitwise():
@@ -123,12 +140,13 @@ ORACLE_SHAPES = {
 
 
 def boundary_sample_counts(spec, elements, grid):
-    """1, 2, one tile plus one and one chunk plus one sample."""
-    n, k = spec.n_sites, len(elements)
-    chunk = max(32, min(8192, mc._EIGH_BUDGET // (n * max(n, k))))  # as ensemble_average
+    """1, 2 and one tile plus one sample; one block minus one, one block,
+    one block plus one sample, and two blocks plus five."""
+    n = spec.n_sites
+    block = mc._block_size(n, len(elements))
     route = mc._realization_route(spec, elements)
-    _, tile, *_ = next(route(spec, np.zeros((chunk, n)), elements, grid.omegas, grid.eta))
-    return [1, 2, tile + 1, chunk + 1]
+    _, tile, *_ = next(route(spec, np.zeros((block, n)), elements, grid.omegas, grid.eta))
+    return [1, 2, tile + 1, block - 1, block, block + 1, 2 * block + 5]
 
 
 @pytest.mark.parametrize("shape", ORACLE_SHAPES)
@@ -138,7 +156,7 @@ def test_fused_statistics_match_two_pass_oracle(shape):
     route = mc._realization_route(spec, elements)
     assert route is (mc._eigh_chunk if shape.endswith("eigh") else mc._schur_chunk)
     counts = boundary_sample_counts(spec, elements, grid)
-    assert 2 < counts[2] < counts[3]
+    assert all(a < b for a, b in zip(counts, counts[1:]))
     for m in counts:
         config = EnsembleConfig(m, 31 + m, CAUCHY, 0.05)
         out = ensemble_average(spec, config, grid, elements)
@@ -146,6 +164,62 @@ def test_fused_statistics_match_two_pass_oracle(shape):
         assert out.n_samples == m
         for got, ref in zip((out.mean_greens, out.stderr_re, out.stderr_im), want):
             assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300), m
+
+
+@pytest.mark.parametrize("shape", ["star-eigh", "cavity-schur"])
+def test_results_do_not_depend_on_worker_count(shape, monkeypatch):
+    # Three blocks, folded by one, two or three threads (more threads than
+    # this host may have cores), with the interpreter switching threads as
+    # often as it can: the blocks are fixed by the shape and merged in block
+    # order, so every run gives the same bits.
+    spec, elements = ORACLE_SHAPES[shape]
+    grid = SpectralGrid(np.linspace(-2.5, 2.5, 9), eta=0.05)
+    config = EnsembleConfig(2 * mc._block_size(spec.n_sites, len(elements)) + 5,
+                            61, CAUCHY, 0.05)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = []
+        for workers in (1, 2, 3, 3):
+            monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
+            runs.append(ensemble_average(spec, config, grid, elements))
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs[1:]:
+        for name in ("mean_greens", "stderr_re", "stderr_im"):
+            assert np.array_equal(getattr(run, name), getattr(runs[0], name)), name
+
+
+def test_eigh_failure_on_a_worker_is_convergence_failure(monkeypatch, tmp_path):
+    # The batched eigensolver fails in block 1, which a worker thread folds:
+    # the caller gets ConvergenceFailure (mc-compare exits 5, not the 3 of a
+    # ValueError such as LinAlgError), and no thread outlives the call.
+    eigh = np.linalg.eigh
+    block = mc._block_size(7, 7)
+    calls = set()
+
+    def failing(h):
+        calls.add((len(h), threading.current_thread() is threading.main_thread()))
+        if len(h) == 5:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    spec = assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1)
+    grid = SpectralGrid(np.linspace(-3, 3, 9), eta=0.05)
+    before = threading.active_count()
+    with pytest.raises(ConvergenceFailure, match="eigensolver failed"):
+        ensemble_average(spec, EnsembleConfig(block + 5, 1, CAUCHY, 0.05), grid)
+    assert threading.active_count() == before
+    assert calls == {(block, True), (5, False)}
+
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[model]\nkind = star\nn_sites = 7\ngamma = 0.1\n"
+                   f"[ensemble]\nsamples = {block + 5}\nseed = 1\neta = 0.05\n")
+    assert main(["mc-compare", "--config", str(cfg), "--quiet", "--grid=-3:3:9",
+                 "--out", str(tmp_path / "mc")]) == 5
+    assert threading.active_count() == before
 
 
 def test_statistics_hold_no_per_sample_array():

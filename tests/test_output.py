@@ -40,6 +40,15 @@ def test_csv_rejects_mismatched_shapes(tmp_path):
         write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0], [1.0, 2.0]])
 
 
+def test_rejected_columns_leave_an_existing_file_untouched(tmp_path):
+    path = tmp_path / "keep.csv"
+    path.write_text("a\n1\n")
+    for header, columns in ((["a", "b"], [[1.0]]), (["a", "b"], [[1.0], [1.0, 2.0]])):
+        with pytest.raises(ValueError):
+            write_csv(path, header, columns)
+        assert path.read_text() == "a\n1\n"
+
+
 def test_json_sorted_keys_and_numpy_coercion():
     text = json_text({"zeta": np.float64(1.5), "alpha": np.int32(3),
                       "ok": np.bool_(True),
