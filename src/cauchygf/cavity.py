@@ -95,12 +95,14 @@ class CavityParams:
                         f"v_tilde/sqrt(volume) = {derived_v}")
                 coupling = derived_v
 
+        # Squares by multiplication: a float's ** 2 raises OverflowError, x * x
+        # gives the inf that the finiteness check below reports by name.
         nv2_bulk = None
         if density is not None and self.v_tilde is not None:
-            nv2_bulk = density * self.v_tilde ** 2
+            nv2_bulk = density * (self.v_tilde * self.v_tilde)
         nv2_site = None
         if coupling is not None:
-            nv2_site = self.n_molecules * coupling ** 2
+            nv2_site = self.n_molecules * (coupling * coupling)
 
         if nv2_bulk is None and nv2_site is None:
             raise InvalidCoupling(

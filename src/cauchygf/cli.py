@@ -142,8 +142,9 @@ def _parse_grid_flag(raw: str) -> SpectralGrid:
         raise ConfigParseError(f"--grid {raw!r}: {exc}") from exc
 
 
-def _resolve_grid(cfg, args, fallback: SpectralGrid, eta_default: float):
-    """Priority: --grid / --eta flags, then [grid] keys, then the fallback."""
+def _resolve_grid(cfg, args, fallback, eta_default: float):
+    """Priority: --grid / --eta flags, then [grid] keys, then the grid that
+    ``fallback()`` builds, which is called only when neither is given."""
     if getattr(args, "grid", None):
         window = _parse_grid_flag(args.grid)
     elif cfg.has_option("grid", "lo") or cfg.has_option("grid", "hi"):
@@ -153,7 +154,7 @@ def _resolve_grid(cfg, args, fallback: SpectralGrid, eta_default: float):
     elif cfg.has_option("grid", "n"):
         raise ConfigParseError("[grid] n needs [grid] lo and hi")
     else:
-        window = fallback
+        window = fallback()
     eta = args.eta if getattr(args, "eta", None) is not None else \
         _get(cfg, "grid", "eta", float, eta_default)
     grid = SpectralGrid(window.omegas, eta)
@@ -207,7 +208,7 @@ def _dos_columns(cfg, n_sites):
 def _cmd_dos(cfg, args):
     spec, _, model_echo = _resolve_model(cfg)
     grid, grid_echo = _resolve_grid(
-        cfg, args, auto_window(np.linalg.eigvalsh(spec.h0), spec.gamma),
+        cfg, args, lambda: auto_window(np.linalg.eigvalsh(spec.h0), spec.gamma),
         default_eta(spec))
 
     columns = _dos_columns(cfg, spec.n_sites)
@@ -250,7 +251,7 @@ def _cmd_cavity(cfg, args):
     if not isinstance(params, CavityParams):
         raise ConfigParseError("the cavity command needs [model] kind = cavity")
     poles = polariton_poles(params)
-    grid, grid_echo = _resolve_grid(cfg, args, _polariton_window(params, poles), 0.0)
+    grid, grid_echo = _resolve_grid(cfg, args, lambda: _polariton_window(params, poles), 0.0)
 
     w = grid.omegas
     eta = grid.eta
@@ -306,9 +307,10 @@ def _resolve_ensemble(cfg, args, spec):
 def _cmd_mc_compare(cfg, args):
     spec, _, model_echo = _resolve_model(cfg)
     ensemble, ensemble_echo = _resolve_ensemble(cfg, args, spec)
-    fallback = auto_window(np.linalg.eigvalsh(spec.h0), spec.gamma,
-                           DEFAULT_MC_PAD_FACTOR, DEFAULT_MC_POINTS)
-    grid, grid_echo = _resolve_grid(cfg, args, fallback, ensemble.eta)
+    grid, grid_echo = _resolve_grid(
+        cfg, args, lambda: auto_window(np.linalg.eigvalsh(spec.h0), spec.gamma,
+                                       DEFAULT_MC_PAD_FACTOR, DEFAULT_MC_POINTS),
+        ensemble.eta)
     if grid.eta != ensemble.eta:
         raise ConfigParseError(f"mc-compare probes at the [ensemble] eta = "
                                f"{ensemble.eta}, but the grid eta is {grid.eta}")
@@ -353,7 +355,7 @@ def _cmd_sum_rules(cfg, args):
     if isinstance(extra, CavityParams):
         params = extra
         grid, grid_echo = _resolve_grid(
-            cfg, args, _polariton_window(params, polariton_poles(params)), 0.0)
+            cfg, args, lambda: _polariton_window(params, polariton_poles(params)), 0.0)
         w = grid.omegas
         checks.append(_check("rho_c_norm",
                              integrate_trapezoid(w, cavity_mod.rho_c(params, w, grid.eta)),
@@ -371,7 +373,7 @@ def _cmd_sum_rules(cfg, args):
         grid_echo["delta_rho_t_eta"] = line_eta
     else:
         grid, grid_echo = _resolve_grid(
-            cfg, args, auto_window(np.linalg.eigvalsh(spec.h0), spec.gamma), 0.0)
+            cfg, args, lambda: auto_window(np.linalg.eigvalsh(spec.h0), spec.gamma), 0.0)
         diagonal = averaged_greens(spec, grid, [(i, i) for i in range(spec.n_sites)])
         rho_total = -diagonal.imag.sum(axis=1) / np.pi
         checks.append(_check("total_dos_norm",

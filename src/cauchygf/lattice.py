@@ -43,8 +43,12 @@ class DisorderSpec:
     scale: float
 
     def __post_init__(self):
-        if isinstance(self.distribution, str):
+        try:
             object.__setattr__(self, "distribution", Distribution(self.distribution))
+        except ValueError:
+            raise ValueError(f"distribution must be one of "
+                             f"{', '.join(d.value for d in Distribution)}, "
+                             f"got {self.distribution!r}") from None
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"disorder scale must be finite and positive, got {self.scale}")
 

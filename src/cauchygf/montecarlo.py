@@ -27,16 +27,16 @@ so the estimator has finite variance even though the inputs do not.
 
 The samples are split into blocks whose size depends only on the shape of
 the request.  Block b holds the b-th segment of the seed's Philox stream and
-is folded from zero on its own; the blocks run on one thread per CPU the
-process may use and are merged into the total in block order.  So the means
-and standard errors are the same bits whatever the core count.
+is folded from zero on its own, one block per CPU the process may use at a
+time: the calling thread folds the first of each group and a thread pool the
+others.  They merge into the total in block order, so the means and standard
+errors are the same bits whatever the core count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,15 +253,6 @@ def _fold_block(solve, spec, xi, elements, omegas, eta):
     return mean, m2
 
 
-def _fold_block_into(folded, b, args):
-    """Worker thread body: block b's (mean, m2), or the exception it raised,
-    into folded[b] for the calling thread to merge or re-raise."""
-    try:
-        folded[b] = _fold_block(*args)
-    except BaseException as exc:  # re-raised by the calling thread
-        folded[b] = exc
-
-
 def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
                      grid: SpectralGrid, elements=None) -> EnsembleResult:
     """Monte-Carlo mean of G_ij(w + i*eta) over explicit disorder realizations.
@@ -273,9 +264,11 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
     frequencies; each tile is reduced to its mean and squared deviations
     while it is still in cache and merged pairwise into its block's
     statistics (Chan, Golub & LeVeque), so no array holds a block's samples,
-    elements and frequencies at once.  Blocks are folded on worker threads,
-    one per usable CPU, and merged in block order, so the result does not
-    depend on the core count.  ``elements`` defaults to the full diagonal.
+    elements and frequencies at once.  Blocks are folded one per usable CPU
+    at a time, the first of each group on the calling thread (rather than on
+    one more pool thread, which would only add memory) and the rest on a
+    thread pool, and merged in block order, so the result does not depend on
+    the core count.  ``elements`` defaults to the full diagonal.
     The probe eta comes from ``config``; a nonzero grid.eta must agree with
     it.  Raises ConvergenceFailure if a batched eigendecomposition fails.
     """
@@ -295,35 +288,26 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
     sizes = [min(block, config.n_samples - b0) for b0 in range(0, config.n_samples, block)]
     workers = min(_usable_cpus(), len(sizes))
 
+    # Imported here: it loads logging, 8 ms that commands without ensembles skip.
+    from concurrent.futures import ThreadPoolExecutor
+
     count = 0
     mean = np.zeros((2, k, nw))   # running (re, im) mean and squared deviations
     m2 = np.zeros((2, k, nw))
-    for g0 in range(0, len(sizes), workers):
-        # Each group holds one block per worker, drawn here in stream order.
-        # The calling thread folds the first block and a new thread each of
-        # the others; the results merge in block order once all have ended.
-        counts = sizes[g0:g0 + workers]
-        group = []
-        for c in counts:
-            xi = _draw(config.distribution, (c, n), rng)
-            xi *= mask
-            group.append((solve, spec, xi, elements, grid.omegas, config.eta))
-        folded = [None] * len(group)
-        threads = []
-        try:
-            for b in range(1, len(group)):
-                thread = threading.Thread(target=_fold_block_into, args=(folded, b, group[b]))
-                thread.start()
-                threads.append(thread)
-            folded[0] = _fold_block(*group[0])
-        finally:
-            for thread in threads:
-                thread.join()
-        for c, stats in zip(counts, folded):
-            if isinstance(stats, BaseException):
-                raise stats
-            _merge_streams(count, mean, m2, c, *stats)
-            count += c
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        for g0 in range(0, len(sizes), workers):
+            # One block per worker, drawn here in stream order.
+            counts = sizes[g0:g0 + workers]
+            group = []
+            for c in counts:
+                xi = _draw(config.distribution, (c, n), rng)
+                xi *= mask
+                group.append((solve, spec, xi, elements, grid.omegas, config.eta))
+            futures = [pool.submit(_fold_block, *args) for args in group[1:]]
+            folded = [_fold_block(*group[0])] + [future.result() for future in futures]
+            for c, stats in zip(counts, folded):
+                _merge_streams(count, mean, m2, c, *stats)
+                count += c
 
     stderr = np.sqrt(m2 / max(1, count - 1) / count)
     return EnsembleResult(elements, (mean[0] + 1j * mean[1]).T.copy(),

@@ -9,7 +9,7 @@ from cauchygf.cavity import (CavityParams, absorption, band_weight,
                              delta_rho_m, delta_rho_t, g_cc, g_mol_mol,
                              polariton_poles, rho_c, self_energy)
 from cauchygf.engine import SpectralGrid
-from cauchygf.errors import MissingDipole
+from cauchygf.errors import InvalidCoupling, MissingDipole
 from cauchygf.lattice import assemble_cavity
 from cauchygf.quadrature import auto_window, integrate_trapezoid
 from oracles import find_peaks, solve_greens
@@ -39,6 +39,16 @@ def test_params_reject_non_finite_field_by_name(field, value):
     values[field] = value
     with pytest.raises(ValueError, match=field):
         CavityParams(n_molecules=6, **values)
+
+
+@pytest.mark.parametrize("route", [dict(coupling=1e200),
+                                   dict(number_density=1e300, v_tilde=1e200),
+                                   dict(v_tilde=1e300, volume=1e-300)],
+                         ids=["coupling", "bulk", "volume"])
+def test_params_reject_overflowing_collective_coupling(route):
+    # Finite inputs whose N*V^2 overflows: InvalidCoupling, not OverflowError.
+    with pytest.raises(InvalidCoupling, match="collective coupling must be finite"):
+        CavityParams(2.1, 2.1, 0.02, 6, **route)
 
 
 # -------------------------------------------------------------- self-energy

@@ -310,6 +310,13 @@ def test_non_finite_gamma_is_config_error(tmp_path, ini, capsys):
     assert "gamma must be finite" in capsys.readouterr().err
 
 
+def test_overflowing_coupling_is_config_error(tmp_path, capsys):
+    ini = CAVITY_INI.replace("v_tilde = 4.06e-14\nnumber_density = 1.16e25\n",
+                             "coupling = 1e200\n")
+    assert run(tmp_path, ini, "cavity", "--out", str(tmp_path / "c")) == 3
+    assert "collective coupling must be finite" in capsys.readouterr().err
+
+
 def test_undisordered_resonance_at_zero_eta_is_numerical_error(tmp_path, capsys):
     # With no coupling the cavity state is an undisordered level at 2.1, and
     # eta = 0 probes it exactly on its pole: exit 5, not a traceback, and the
@@ -335,6 +342,21 @@ def test_grid_n_without_bounds_is_config_error(tmp_path, capsys):
                "--out", str(tmp_path / "d")) == 3
     assert "[grid] n" in capsys.readouterr().err
     assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["dos", "mc-compare"])
+@pytest.mark.parametrize("section, flags", [("", ["--grid=-1:1:5"]),
+                                            ("[grid]\nlo = -1\nhi = 1\nn = 5\n", [])],
+                         ids=["flag", "section"])
+def test_explicit_grid_never_builds_the_default_window(tmp_path, monkeypatch, command,
+                                                       section, flags):
+    # The default window diagonalizes h0; a grid given in full replaces it.
+    def unused(_):
+        raise np.linalg.LinAlgError("default window built")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", unused)
+    ini = STAR_INI + "[ensemble]\nsamples = 20\nseed = 1\n" + section
+    assert run(tmp_path, ini, command, "--out", str(tmp_path / "d"), *flags) == 0
 
 
 @pytest.mark.parametrize("key", ["alpha", "beta"])

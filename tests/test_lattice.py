@@ -194,6 +194,18 @@ def test_disorder_accepts_string_names():
     assert law.distribution is Distribution.GAUSSIAN
 
 
+@pytest.mark.parametrize("law", [3, None, "lorentz"])
+def test_disorder_rejects_unknown_laws_by_name(law):
+    # Not sampled as uniform, which _draw falls back to for any other law.
+    with pytest.raises(ValueError, match="distribution"):
+        DisorderSpec(law, 0.1)
+
+
+@pytest.mark.parametrize("law", list(Distribution))
+def test_disorder_keeps_distribution_members(law):
+    assert DisorderSpec(law, 0.1).distribution is law
+
+
 @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
 def test_disorder_scale_must_be_finite(scale):
     with pytest.raises(ValueError, match="scale"):

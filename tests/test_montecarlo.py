@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -220,6 +222,54 @@ def test_eigh_failure_on_a_worker_is_convergence_failure(monkeypatch, tmp_path):
     assert main(["mc-compare", "--config", str(cfg), "--quiet", "--grid=-3:3:9",
                  "--out", str(tmp_path / "mc")]) == 5
     assert threading.active_count() == before
+
+
+def test_failure_on_the_calling_thread_waits_for_the_pool(monkeypatch):
+    # The eigensolver fails in block 0, on the calling thread, while block 1
+    # is still being folded on a pool thread: ConvergenceFailure reaches the
+    # caller only after that thread has finished its block and ended.
+    eigh, fold = np.linalg.eigh, mc._fold_block
+    block = mc._block_size(7, 7)
+    in_flight, failed = threading.Event(), threading.Event()
+    calls = set()
+
+    def failing(h):
+        on_caller = threading.current_thread() is threading.main_thread()
+        calls.add((len(h), on_caller))
+        if on_caller:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(h)
+
+    def folding(*args):
+        if threading.current_thread() is threading.main_thread():
+            assert in_flight.wait(10)
+            try:
+                return fold(*args)
+            finally:
+                failed.set()
+        in_flight.set()
+        assert failed.wait(10)
+        return fold(*args)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    monkeypatch.setattr(mc, "_fold_block", folding)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    spec = assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1)
+    grid = SpectralGrid(np.linspace(-3, 3, 9), eta=0.05)
+    before = threading.active_count()
+    with pytest.raises(ConvergenceFailure, match="eigensolver failed"):
+        ensemble_average(spec, EnsembleConfig(block + 5, 1, CAUCHY, 0.05), grid)
+    assert threading.active_count() == before
+    assert calls == {(block, True), (5, False)}
+
+
+def test_importing_the_cli_does_not_load_the_thread_pool():
+    # concurrent.futures loads logging; only ensemble_average imports it.
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    probe = "import sys, cauchygf.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_statistics_hold_no_per_sample_array():
