@@ -116,6 +116,17 @@ class CavityParams:
         nv2 = nv2_site if nv2_site is not None else nv2_bulk
         if not math.isfinite(nv2):
             raise InvalidCoupling(f"collective coupling must be finite, got {nv2}")
+        # polariton_poles takes the root of NV2 + ((eps_c - eps_a + i*gamma)/2)^2.
+        half_detuning = 0.5 * (self.epsilon_c - self.epsilon_a)
+        if not math.isfinite(nv2 + half_detuning * half_detuning
+                             + 0.25 * self.gamma * self.gamma):
+            raise ValueError(
+                f"epsilon_c - epsilon_a = {self.epsilon_c - self.epsilon_a} with "
+                f"gamma = {self.gamma} overflows the polariton poles")
+        if self.mu_debye is not None and not math.isfinite(
+                _absorption_prefactor(self.n_molecules, self.mu_debye)):
+            raise ValueError(f"mu_debye = {self.mu_debye} overflows the absorption "
+                             "prefactor N*mu^2/(epsilon_0*c*hbar)")
         if coupling is None:
             coupling = math.sqrt(nv2 / self.n_molecules)
         object.__setattr__(self, "coupling", float(coupling))
@@ -166,7 +177,7 @@ def polariton_poles(params: CavityParams) -> PolaritonPoles:
     """
     center = 0.5 * (params.epsilon_a + params.epsilon_c - 1j * params.gamma)
     half_detuning = 0.5 * (params.epsilon_c - params.epsilon_a + 1j * params.gamma)
-    root = np.sqrt(complex(params.nv2 + half_detuning ** 2))
+    root = np.sqrt(complex(params.nv2 + half_detuning * half_detuning))
     plus, minus = center + root, center - root
     if plus.real < minus.real:
         plus, minus = minus, plus
@@ -267,7 +278,12 @@ def absorption(params: CavityParams, omegas, eta: float = 0.0):
     """
     if params.mu_debye is None:
         raise MissingDipole("absorption needs mu_debye on CavityParams")
-    mu = params.mu_debye * DEBYE_TO_C_M
-    prefactor = params.n_molecules * mu ** 2 / (EPSILON_0_F_PER_M * C_M_PER_S * HBAR_J_S)
+    prefactor = _absorption_prefactor(params.n_molecules, params.mu_debye)
     w = np.asarray(omegas, dtype=float)
     return prefactor * w * (-g_mol_mol(params, omegas, eta).imag)
+
+
+def _absorption_prefactor(n_molecules, mu_debye):
+    """N * mu^2 / (epsilon_0 c hbar) in SI units, for mu given in Debye."""
+    mu = mu_debye * DEBYE_TO_C_M
+    return n_molecules * (mu * mu) / (EPSILON_0_F_PER_M * C_M_PER_S * HBAR_J_S)

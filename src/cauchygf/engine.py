@@ -29,8 +29,9 @@ from .lattice import HamiltonianSpec
 
 PARTIAL_MASK_ETA_FACTOR = 1e-3
 
-# Pole sums run over tiles of samples x frequencies whose real temporaries
-# hold about this many cells each, so they stay in cache.
+# Pole sums run over tiles of samples x frequencies whose two real
+# temporaries and the tile hold at most four times this many cells
+# together, so they stay in cache.
 _TILE_BUDGET = 2 ** 15
 
 
@@ -112,16 +113,20 @@ def _pole_sums(weights, poles, omegas, eta):
     ``weights`` is (c, p, m); weights that every sample shares can come as
     an ``np.broadcast_to`` view.  With d = w - pole and r = 1/(d^2 + eta^2)
     the real part is weights @ (d*r) and the imaginary part
-    -eta * (weights @ r): two real matrix products per tile, whose width in
-    frequencies is sized by max(m, p) so that each temporary and the tile
-    hold about _TILE_BUDGET cells.  Sample blocks come in order, each with
-    all its frequency blocks, and every tile is a view of one buffer that
-    the next tile overwrites.
+    -eta * (weights @ r): two real matrix products per tile.  A tile counts
+    max(p, ceil((m + p)/2)) cells per (sample, frequency), so that d and r
+    (m cells each) and the tile (2p) together hold at most 4 * _TILE_BUDGET
+    cells and the tile alone 2 * _TILE_BUDGET: max(m, p) when p >= m, and
+    wider tiles when p < m, such as the Monte-Carlo self-energy (p = 1),
+    whose frequencies then take fewer numpy calls.  Sample blocks come in
+    order, each with all its frequency blocks, and every tile is a view of
+    one buffer that the next tile overwrites.
     """
     n_samples, m = poles.shape
     p, n_omega = weights.shape[1], omegas.size
-    w_tile = min(n_omega, max(1, _TILE_BUDGET // max(1, m, p)))
-    c_tile = min(n_samples, max(1, _TILE_BUDGET // (max(1, m, p) * w_tile)))
+    width = max(1, p, -(-(m + p) // 2))
+    w_tile = min(n_omega, max(1, _TILE_BUDGET // width))
+    c_tile = min(n_samples, max(1, _TILE_BUDGET // (width * w_tile)))
     # Reused buffers: with fresh temporaries per tile the allocator handed
     # their pages back to the system and faulted them in again, which
     # doubled the time at some tile widths.

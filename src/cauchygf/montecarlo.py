@@ -26,11 +26,12 @@ truncation because every element is bounded by 1/eta at frequency w + i*eta,
 so the estimator has finite variance even though the inputs do not.
 
 The samples are split into blocks whose size depends only on the shape of
-the request.  Block b holds the b-th segment of the seed's Philox stream and
-is folded from zero on its own, one block per CPU the process may use at a
-time: the calling thread folds the first of each group and a thread pool the
-others.  They merge into the total in block order, so the means and standard
-errors are the same bits whatever the core count.
+the request: its sites, elements and frequencies.  Block b holds the b-th
+segment of the seed's Philox stream and is folded from zero on its own, one
+block per CPU the process may use at a time: the calling thread folds the
+first of each group and a thread pool the others.  They merge into the total
+in block order, so the means and standard errors are the same bits whatever
+the core count.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ from .engine import _TILE_BUDGET, SpectralGrid, _normalized_elements, _pole_sums
 from .errors import ConvergenceFailure
 from .lattice import DisorderSpec, Distribution, HamiltonianSpec
 
-# Block sizing target, in array elements: keep the batched eigendecomposition
-# and its eigenvector products comfortably inside a few hundred MB.
-_EIGH_BUDGET = int(1e7)
+# Block sizing target, in array elements: keep a block's batched
+# eigendecomposition, its eigenvector products and its pole sums comfortably
+# inside a few hundred MB.
+_BLOCK_BUDGET = int(1e7)
 
 
 @dataclass(frozen=True)
@@ -148,13 +150,14 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
     requests that _realization_route sends here.  Each disordered site i
     couples only to the one undisordered site u, so eliminating it gives
     G_uu = 1/(z - h_uu - sum_i h_ui^2 g_i) with g_i = 1/(z - a_i),
-    a_i = h_ii + xi_i, and G_ii = g_i (1 + h_ui^2 g_i G_uu).  The g_i come
-    from real arithmetic, (d*r, -eta*r) with d = w - a_i, r = 1/(d^2 + eta^2).
+    a_i = h_ii + xi_i, and G_ii = g_i (1 + h_ui^2 g_i G_uu).  G_uu and the
+    g_i come from real arithmetic, G_uu = (a + ib)/(a^2 + b^2) and
+    g_i = (d*r, -eta*r) with d = w - a_i, r = 1/(d^2 + eta^2).
     """
     d_sites = np.flatnonzero(spec.disordered)
     u = np.flatnonzero(~spec.disordered)[0]
     c, n_omega = xi.shape[0], omegas.size
-    poles = np.diagonal(spec.h0)[d_sites] + xi[:, d_sites]          # (c, |D|)
+    levels = np.diagonal(spec.h0)[d_sites]
     coupling = spec.h0[d_sites, u] ** 2
     sites = np.array(pairs, dtype=int).reshape(-1, 2)[:, 0]
     u_rows, d_rows = np.flatnonzero(sites == u), np.flatnonzero(sites != u)
@@ -162,47 +165,51 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
     weight = coupling[column, None]
     shifted = omegas - spec.h0[u, u]
 
-    # A step fills sigma and the tile, 2 * (k + 1) * n_omega cells per
+    # A step fills G_uu and the tile, 2 * (k + 1) * n_omega cells per
     # sample, with twice _TILE_BUDGET cells, as one of the kernel's tiles
     # holds.  With half that, a step at k = 7 held about ten samples, and its
     # numpy calls, which hold the interpreter lock that the block threads
     # share, cost more than its arithmetic.
     step = min(c, max(1, _TILE_BUDGET // ((sites.size + 1) * n_omega)))
     # Buffers reused by every tile, for the same reason as in engine._pole_sums.
-    sigma = np.empty((step, 2, n_omega))
-    norm = np.empty((step, n_omega))
-    g_uu = np.empty((step, 1, n_omega), dtype=complex)
-    d, r = np.empty((2, step, d_rows.size, n_omega))
-    g, values = np.empty((2, step, d_rows.size, n_omega), dtype=complex)
+    # The self-energy sums land where G_uu is then built in place: the tile's
+    # first u row when u is asked for.
     tile = np.empty((step, 2, sites.size, n_omega))
+    planes = tile[:, :, u_rows[0]] if u_rows.size else np.empty((step, 2, n_omega))
+    norm = np.empty((step, n_omega))
+    if d_rows.size:  # G_ii takes G_uu as a complex factor
+        g_uu = np.empty((step, 1, n_omega), dtype=complex)
+        d, r = np.empty((2, step, d_rows.size, n_omega))
+        g, values = np.empty((2, step, d_rows.size, n_omega), dtype=complex)
     for c0 in range(0, c, step):
         s = min(step, c - c0)
+        poles = levels + xi[c0:c0 + s, d_sites]                       # (s, |D|)
         shared = np.broadcast_to(coupling, (s, 1, d_sites.size))
-        for t0, t1, w0, w1, sums in _pole_sums(shared, poles[c0:c0 + s], omegas, eta):
-            sigma[t0:t1, :, w0:w1] = sums[:, :, 0]
+        for t0, t1, w0, w1, sums in _pole_sums(shared, poles, omegas, eta):
+            planes[t0:t1, :, w0:w1] = sums[:, :, 0]
         # G_uu = 1/(a - ib) = (a + ib)/(a^2 + b^2), where a - ib is
         # z - h_uu - Sigma and b = Im Sigma - eta <= -eta, so it exists.
-        a, b = sigma[:s, 0], sigma[:s, 1]
+        a, b = planes[:s, 0], planes[:s, 1]
         np.subtract(shifted, a, out=a)
         b -= eta
-        np.multiply(a, a, out=norm[:s])
-        norm[:s] += b * b
-        np.divide(a, norm[:s], out=g_uu.real[:s, 0])
-        np.divide(b, norm[:s], out=g_uu.imag[:s, 0])
-        tile[:s, 0, u_rows] = g_uu.real[:s]
-        tile[:s, 1, u_rows] = g_uu.imag[:s]
-        np.subtract(omegas, poles[c0:c0 + s, column, None], out=d[:s])
-        np.multiply(d[:s], d[:s], out=r[:s])
-        r[:s] += eta * eta
-        np.reciprocal(r[:s], out=r[:s])
-        np.multiply(d[:s], r[:s], out=g.real[:s])
-        np.multiply(r[:s], -eta, out=g.imag[:s])
-        np.multiply(g[:s], g_uu[:s], out=values[:s])
-        values[:s] *= weight
-        values[:s] += 1.0
-        values[:s] *= g[:s]
-        tile[:s, 0, d_rows] = values.real[:s]
-        tile[:s, 1, d_rows] = values.imag[:s]
+        np.einsum("cjw,cjw->cw", planes[:s], planes[:s], out=norm[:s])  # a*a + b*b, no temporary
+        planes[:s] /= norm[:s, None]
+        if u_rows.size > 1:
+            tile[:s, :, u_rows[1:]] = planes[:s, :, None]
+        if d_rows.size:
+            g_uu.real[:s, 0], g_uu.imag[:s, 0] = a, b
+            np.subtract(omegas, poles[:, column, None], out=d[:s])
+            np.multiply(d[:s], d[:s], out=r[:s])
+            r[:s] += eta * eta
+            np.reciprocal(r[:s], out=r[:s])
+            np.multiply(d[:s], r[:s], out=g.real[:s])
+            np.multiply(r[:s], -eta, out=g.imag[:s])
+            np.multiply(g[:s], g_uu[:s], out=values[:s])
+            values[:s] *= weight
+            values[:s] += 1.0
+            values[:s] *= g[:s]
+            tile[:s, 0, d_rows] = values.real[:s]
+            tile[:s, 1, d_rows] = values.imag[:s]
         yield c0, c0 + s, 0, n_omega, tile[:s]
 
 
@@ -219,11 +226,15 @@ def _realization_route(spec, elements):
     return _schur_chunk if one_u and not hops and diagonal else _eigh_chunk
 
 
-def _block_size(n, k):
-    """Samples per block, from the shape alone: the eigh batch (c, n, n) and
-    its eigenvector products (c, k, n) stay within _EIGH_BUDGET cells, and a
-    few thousand samples already make more than one block to share out."""
-    return max(32, min(2048, _EIGH_BUDGET // (n * max(n, k))))
+def _block_size(n, k, n_omega):
+    """Samples per block, from the shape alone: the eigh batch (c, n, n), its
+    eigenvector products (c, k, n) and the pole sums over n poles at n_omega
+    frequencies (c, n, n_omega) stay within _BLOCK_BUDGET cells.  So a few
+    thousand samples already make more than one block to share out, and a
+    request with many frequencies, whose pole sums are most of its work,
+    makes smaller blocks: the cavity's N = 80 at 601 frequencies takes 205
+    samples a block."""
+    return max(32, min(2048, _BLOCK_BUDGET // (n * max(n, k, n_omega))))
 
 
 def _usable_cpus():
@@ -284,7 +295,7 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
 
     rng = make_rng(config.seed)
     mask = spec.disordered.astype(float)
-    block = _block_size(n, k)
+    block = _block_size(n, k, nw)
     sizes = [min(block, config.n_samples - b0) for b0 in range(0, config.n_samples, block)]
     workers = min(_usable_cpus(), len(sizes))
 

@@ -51,6 +51,17 @@ def test_params_reject_overflowing_collective_coupling(route):
         CavityParams(2.1, 2.1, 0.02, 6, **route)
 
 
+@pytest.mark.parametrize("field, value", [("epsilon_c", 1e200), ("epsilon_a", -1e200),
+                                          ("gamma", 1e200), ("mu_debye", 1e200)])
+def test_params_reject_overflowing_poles_and_dipole_by_name(field, value):
+    # Finite inputs whose squares in polariton_poles or absorption overflow:
+    # a ValueError naming the field, not an OverflowError from a later call.
+    values = dict(epsilon_c=2.1, epsilon_a=2.1, gamma=0.02, mu_debye=10.0, coupling=0.05)
+    values[field] = value
+    with pytest.raises(ValueError, match=field):
+        CavityParams(n_molecules=6, **values)
+
+
 # -------------------------------------------------------------- self-energy
 
 def test_self_energy_at_resonance_is_pure_damping():

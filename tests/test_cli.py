@@ -317,6 +317,16 @@ def test_overflowing_coupling_is_config_error(tmp_path, capsys):
     assert "collective coupling must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["mu_debye = 10.0", "epsilon_c = 2.1"])
+def test_overflowing_dipole_or_detuning_is_config_error(tmp_path, capsys, line):
+    # 1e200 overflows when absorption or polariton_poles squares it, so
+    # CavityParams rejects it by name before either runs.
+    field = line.split()[0]
+    ini = (CAVITY_INI + "mu_debye = 10.0\n").replace(line, f"{field} = 1e200")
+    assert run(tmp_path, ini, "cavity", "--out", str(tmp_path / "c")) == 3
+    assert f"config error: {field}" in capsys.readouterr().err
+
+
 def test_undisordered_resonance_at_zero_eta_is_numerical_error(tmp_path, capsys):
     # With no coupling the cavity state is an undisordered level at 2.1, and
     # eta = 0 probes it exactly on its pole: exit 5, not a traceback, and the

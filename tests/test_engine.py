@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import cauchygf
 from cauchygf import output
 from cauchygf.cavity import CavityParams
-from cauchygf.engine import (_TILE_BUDGET, SpectralGrid, averaged_greens,
+from cauchygf.engine import (_TILE_BUDGET, SpectralGrid, _pole_sums, averaged_greens,
                              default_eta, diagonalize)
 from cauchygf.errors import NonMonotonicGrid, SingularMatrix
 from cauchygf.lattice import (HamiltonianSpec, assemble_cavity,
@@ -112,6 +112,24 @@ def test_partial_mask_matches_direct_solve():
         assert np.abs(averaged_greens(cav, grid) - solve_greens(cav, grid)).max() < 1e-12
     tile = _TILE_BUDGET // (40 * 41 // 2)
     assert 2 * tile < n_omega < 3 * tile
+
+
+@pytest.mark.parametrize("m, p, n_omega, first", [
+    (25, 27, 4001, (1, 1213)),   # dos-cavity's distinct pairs of G0
+    (7, 7, 201, (23, 201)),      # mc-star's full diagonal
+    (64, 64, 4001, (1, 512)),    # dos-ring's full diagonal
+    (40, 820, 100, (1, 39)),     # every pair of cavity(N=39)
+    (80, 1, 601, (1, 601)),      # the Monte-Carlo self-energy of cavity(N=80)
+])
+def test_pole_sum_tiles_are_sized_by_their_working_set(m, p, n_omega, first):
+    # A tile spans max(p, ceil((m + p)/2)) cells per (sample, frequency):
+    # max(m, p) whenever p >= m, so the engine's requests and the
+    # full-diagonal ensembles keep these tiles and their bits, while the
+    # self-energy (p = 1) gets a sample's 601 frequencies in one tile.
+    poles = np.zeros((64, m))
+    weights = np.broadcast_to(np.ones(m), (64, p, m))
+    c0, c1, w0, w1, _ = next(_pole_sums(weights, poles, np.linspace(-1, 1, n_omega), 0.1))
+    assert (c1 - c0, w1 - w0) == first
 
 
 def test_tiny_gamma_standin_matches_clean_resolvent():

@@ -135,6 +135,11 @@ ORACLE_SHAPES = {
     # elements out of site order: Schur route
     "cavity-schur": (assemble_cavity(CavityParams(0.0, 0.0, 0.1, 6, coupling=0.4)),
                      [(4, 4), (0, 0), (1, 1), (6, 6), (3, 3)]),
+    # only the mode, twice (G_uu built in its first tile row), or only molecules
+    "mode-schur": (assemble_cavity(CavityParams(0.0, 0.0, 0.1, 6, coupling=0.4)),
+                   [(0, 0), (0, 0)]),
+    "molecules-schur": (assemble_cavity(CavityParams(0.0, 0.0, 0.1, 6, coupling=0.4)),
+                        [(5, 5), (2, 2)]),
     # the same cavity with off-diagonal elements: batched eigh route
     "cavity-eigh": (assemble_cavity(CavityParams(0.0, 0.0, 0.1, 6, coupling=0.4)),
                     [(0, 0), (1, 1), (0, 3), (2, 5), (4, 4), (6, 0)]),
@@ -145,7 +150,7 @@ def boundary_sample_counts(spec, elements, grid):
     """1, 2 and one tile plus one sample; one block minus one, one block,
     one block plus one sample, and two blocks plus five."""
     n = spec.n_sites
-    block = mc._block_size(n, len(elements))
+    block = mc._block_size(n, len(elements), grid.omegas.size)
     route = mc._realization_route(spec, elements)
     _, tile, *_ = next(route(spec, np.zeros((block, n)), elements, grid.omegas, grid.eta))
     return [1, 2, tile + 1, block - 1, block, block + 1, 2 * block + 5]
@@ -168,16 +173,29 @@ def test_fused_statistics_match_two_pass_oracle(shape):
             assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300), m
 
 
-@pytest.mark.parametrize("shape", ["star-eigh", "cavity-schur"])
+def mc_cavity_request():
+    """The mc-cavity benchmark's shape: cavity(N=80), G_00 at 601 frequencies
+    around the upper polariton, Cauchy disorder 0.02, eta 0.002."""
+    params = CavityParams(2.1, 2.1, 0.02, 80, coupling=0.1 / np.sqrt(8))
+    center = 2.1 + np.sqrt(params.nv2)
+    grid = SpectralGrid(np.linspace(center - 0.04, center + 0.04, 601), eta=0.002)
+    return assemble_cavity(params), [(0, 0)], grid, DisorderSpec("cauchy", 0.02)
+
+
+@pytest.mark.parametrize("shape", ["star-eigh", "cavity-schur", "mc-cavity"])
 def test_results_do_not_depend_on_worker_count(shape, monkeypatch):
     # Three blocks, folded by one, two or three threads (more threads than
     # this host may have cores), with the interpreter switching threads as
     # often as it can: the blocks are fixed by the shape and merged in block
-    # order, so every run gives the same bits.
-    spec, elements = ORACLE_SHAPES[shape]
-    grid = SpectralGrid(np.linspace(-2.5, 2.5, 9), eta=0.05)
-    config = EnsembleConfig(2 * mc._block_size(spec.n_sites, len(elements)) + 5,
-                            61, CAUCHY, 0.05)
+    # order, so every run gives the same bits.  mc-cavity's 601 frequencies
+    # make blocks of 205 samples and a tile per sample.
+    if shape == "mc-cavity":
+        spec, elements, grid, law = mc_cavity_request()
+    else:
+        (spec, elements), law = ORACLE_SHAPES[shape], CAUCHY
+        grid = SpectralGrid(np.linspace(-2.5, 2.5, 9), eta=0.05)
+    block = mc._block_size(spec.n_sites, len(elements), grid.omegas.size)
+    config = EnsembleConfig(2 * block + 5, 61, law, grid.eta)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -192,12 +210,31 @@ def test_results_do_not_depend_on_worker_count(shape, monkeypatch):
             assert np.array_equal(getattr(run, name), getattr(runs[0], name)), name
 
 
+def test_mc_cavity_request_is_shared_out_in_blocks(monkeypatch):
+    # Its pole sums, 80 poles at 601 frequencies, size the blocks: by the
+    # 81-site eigh batch alone all 1200 samples would make one block, which
+    # one core folds.
+    spec, elements, grid, law = mc_cavity_request()
+    fold, sizes = mc._fold_block, []
+
+    def counting(solve, spec, xi, *rest):
+        sizes.append(len(xi))
+        return fold(solve, spec, xi, *rest)
+
+    monkeypatch.setattr(mc, "_fold_block", counting)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    ensemble_average(spec, EnsembleConfig(1200, 5, law, grid.eta), grid, elements)
+    assert len(sizes) >= 2 and sum(sizes) == 1200
+
+
 def test_eigh_failure_on_a_worker_is_convergence_failure(monkeypatch, tmp_path):
     # The batched eigensolver fails in block 1, which a worker thread folds:
     # the caller gets ConvergenceFailure (mc-compare exits 5, not the 3 of a
     # ValueError such as LinAlgError), and no thread outlives the call.
+    spec = assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1)
+    grid = SpectralGrid(np.linspace(-3, 3, 9), eta=0.05)
     eigh = np.linalg.eigh
-    block = mc._block_size(7, 7)
+    block = mc._block_size(7, 7, grid.omegas.size)
     calls = set()
 
     def failing(h):
@@ -208,8 +245,6 @@ def test_eigh_failure_on_a_worker_is_convergence_failure(monkeypatch, tmp_path):
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
-    spec = assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1)
-    grid = SpectralGrid(np.linspace(-3, 3, 9), eta=0.05)
     before = threading.active_count()
     with pytest.raises(ConvergenceFailure, match="eigensolver failed"):
         ensemble_average(spec, EnsembleConfig(block + 5, 1, CAUCHY, 0.05), grid)
@@ -228,8 +263,10 @@ def test_failure_on_the_calling_thread_waits_for_the_pool(monkeypatch):
     # The eigensolver fails in block 0, on the calling thread, while block 1
     # is still being folded on a pool thread: ConvergenceFailure reaches the
     # caller only after that thread has finished its block and ended.
+    spec = assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1)
+    grid = SpectralGrid(np.linspace(-3, 3, 9), eta=0.05)
     eigh, fold = np.linalg.eigh, mc._fold_block
-    block = mc._block_size(7, 7)
+    block = mc._block_size(7, 7, grid.omegas.size)
     in_flight, failed = threading.Event(), threading.Event()
     calls = set()
 
@@ -254,8 +291,6 @@ def test_failure_on_the_calling_thread_waits_for_the_pool(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", failing)
     monkeypatch.setattr(mc, "_fold_block", folding)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
-    spec = assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1)
-    grid = SpectralGrid(np.linspace(-3, 3, 9), eta=0.05)
     before = threading.active_count()
     with pytest.raises(ConvergenceFailure, match="eigensolver failed"):
         ensemble_average(spec, EnsembleConfig(block + 5, 1, CAUCHY, 0.05), grid)
@@ -287,6 +322,23 @@ def test_statistics_hold_no_per_sample_array():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_two_worker_schur_ensemble_holds_no_more_than_one_block(monkeypatch):
+    # The mc-cavity request on two workers: two blocks of 205 samples in
+    # flight, each with the kernel's 601-wide d and r and its step's tile,
+    # hold less than one block of all 1200 samples would (3.19 MB traced).
+    spec, elements, grid, law = mc_cavity_request()
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    # A first call imports the thread pool's modules, which are not the ensemble's.
+    ensemble_average(spec, EnsembleConfig(1, 5, law, grid.eta), grid, elements)
+    tracemalloc.start()
+    try:
+        ensemble_average(spec, EnsembleConfig(1200, 5, law, grid.eta), grid, elements)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.15e6
 
 
 def test_empty_schur_request_holds_no_chunk_sized_tile():
