@@ -7,8 +7,9 @@ configuration, with every default resolved, is echoed into the JSON summary
 so a run is reproducible from its artifacts alone.
 
 Exit codes: 0 success, 2 usage (argparse), 3 config file problems,
-4 filesystem problems, 5 numerical failure (a singular shifted matrix or a
-non-converging eigensolver, e.g. an undisordered resonance probed at eta = 0).
+4 filesystem problems, 5 numerical failure (a singular shifted matrix, e.g. an
+undisordered resonance probed at eta = 0, a non-converging eigensolver, or a
+NaN or infinite value in a result table).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import cavity as cavity_mod
 from .cavity import CavityParams, polariton_poles
-from .engine import SpectralGrid, averaged_greens, default_eta
-from .errors import ConfigParseError
+from .engine import SpectralGrid, averaged_greens, default_eta, diagonalize
+from .errors import ConfigParseError, NonFiniteResult
 from .lattice import (DisorderSpec, Family, assemble_cavity, assemble_huckel,
                       build_topology)
 from .montecarlo import EnsembleConfig, ensemble_average
@@ -181,6 +182,23 @@ def _out_paths(args, default_base):
     }
 
 
+def _write_table(path, header, columns):
+    """``write_csv`` for a command's result table, which must be finite: a NaN
+    or infinite float cell is a numerical failure, named by column and first
+    bad row before the file is opened, so an existing file keeps its contents."""
+    bad = []
+    for position, (name, column) in enumerate(zip(header, columns)):
+        values = np.asarray(column)
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
+            row = int(np.argmin(np.isfinite(values)))
+            bad.append((row, position, name, values[row]))
+    if bad:
+        row, _, name, value = min(bad)
+        raise NonFiniteResult(f"column {name} is {value} in data row {row + 1} "
+                              f"of {len(columns[0])}; no table written")
+    write_csv(path, header, columns)
+
+
 _SITE_COLUMN = re.compile(r"^rho_site_(0|[1-9][0-9]*)$")
 _G_COLUMN = re.compile(r"^(re|im)_G_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)$")
 
@@ -208,7 +226,7 @@ def _dos_columns(cfg, n_sites):
 def _cmd_dos(cfg, args):
     spec, _, model_echo = _resolve_model(cfg)
     grid, grid_echo = _resolve_grid(
-        cfg, args, lambda: auto_window(np.linalg.eigvalsh(spec.h0), spec.gamma),
+        cfg, args, lambda: auto_window(diagonalize(spec)[0], spec.gamma),
         default_eta(spec))
 
     columns = _dos_columns(cfg, spec.n_sites)
@@ -234,7 +252,7 @@ def _cmd_dos(cfg, args):
 
     paths = _out_paths(args, "dos.csv")
     header = ["omega"] + columns
-    write_csv(paths["csv"], header, [series[name] for name in header])
+    _write_table(paths["csv"], header, [series[name] for name in header])
     summary = {
         "command": "dos",
         "model": model_echo,
@@ -255,22 +273,25 @@ def _cmd_cavity(cfg, args):
 
     w = grid.omegas
     eta = grid.eta
-    series = {
-        "omega": w,
-        "rho_c": cavity_mod.rho_c(params, w, eta),
-        "delta_rho_m": cavity_mod.delta_rho_m(params, w, eta),
-        "delta_rho_t": cavity_mod.delta_rho_t(params, w, eta),
-    }
-    header = ["omega", "rho_c", "delta_rho_m", "delta_rho_t"]
-    if params.mu_debye is not None:
-        alpha = cavity_mod.absorption(params, w, eta)
-        series["alpha_m2"] = alpha
-        top = float(alpha.max())
-        series["alpha_normalized"] = alpha / top if top > 0 else alpha
-        header += ["alpha_m2", "alpha_normalized"]
+    # An overflow leaves inf or nan in the table, which _write_table refuses
+    # by column and row, so numpy's warnings would only repeat it.
+    with np.errstate(all="ignore"):
+        series = {
+            "omega": w,
+            "rho_c": cavity_mod.rho_c(params, w, eta),
+            "delta_rho_m": cavity_mod.delta_rho_m(params, w, eta),
+            "delta_rho_t": cavity_mod.delta_rho_t(params, w, eta),
+        }
+        header = ["omega", "rho_c", "delta_rho_m", "delta_rho_t"]
+        if params.mu_debye is not None:
+            alpha = cavity_mod.absorption(params, w, eta)
+            series["alpha_m2"] = alpha
+            top = float(alpha.max())
+            series["alpha_normalized"] = alpha / top if top > 0 else alpha
+            header += ["alpha_m2", "alpha_normalized"]
 
     paths = _out_paths(args, "cavity.csv")
-    write_csv(paths["csv"], header, [series[name] for name in header])
+    _write_table(paths["csv"], header, [series[name] for name in header])
     payload = {
         "command": "cavity",
         "model": model_echo,
@@ -308,7 +329,7 @@ def _cmd_mc_compare(cfg, args):
     spec, _, model_echo = _resolve_model(cfg)
     ensemble, ensemble_echo = _resolve_ensemble(cfg, args, spec)
     grid, grid_echo = _resolve_grid(
-        cfg, args, lambda: auto_window(np.linalg.eigvalsh(spec.h0), spec.gamma,
+        cfg, args, lambda: auto_window(diagonalize(spec)[0], spec.gamma,
                                        DEFAULT_MC_PAD_FACTOR, DEFAULT_MC_POINTS),
         ensemble.eta)
     if grid.eta != ensemble.eta:
@@ -329,11 +350,11 @@ def _cmd_mc_compare(cfg, args):
     # One block of rows per element, every frequency in each.
     labels = np.repeat([f"G_{i}_{j}" for i, j in result.elements], grid.omegas.size)
     paths = _out_paths(args, "mc-compare.csv")
-    write_csv(paths["csv"],
-              ["omega", "element", "re_mean", "im_mean", "re_stderr", "im_stderr"],
-              [np.tile(grid.omegas, len(result.elements)), labels,
-               result.mean_greens.real.T.ravel(), result.mean_greens.imag.T.ravel(),
-               result.stderr_re.T.ravel(), result.stderr_im.T.ravel()])
+    _write_table(paths["csv"],
+                 ["omega", "element", "re_mean", "im_mean", "re_stderr", "im_stderr"],
+                 [np.tile(grid.omegas, len(result.elements)), labels,
+                  result.mean_greens.real.T.ravel(), result.mean_greens.imag.T.ravel(),
+                  result.stderr_re.T.ravel(), result.stderr_im.T.ravel()])
     summary = {
         "command": "mc-compare",
         "model": model_echo,
@@ -373,7 +394,7 @@ def _cmd_sum_rules(cfg, args):
         grid_echo["delta_rho_t_eta"] = line_eta
     else:
         grid, grid_echo = _resolve_grid(
-            cfg, args, lambda: auto_window(np.linalg.eigvalsh(spec.h0), spec.gamma), 0.0)
+            cfg, args, lambda: auto_window(diagonalize(spec)[0], spec.gamma), 0.0)
         diagonal = averaged_greens(spec, grid, [(i, i) for i in range(spec.n_sites)])
         rho_total = -diagonal.imag.sum(axis=1) / np.pi
         checks.append(_check("total_dos_norm",
@@ -449,7 +470,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ArithmeticError, RuntimeError) as exc:  # SingularMatrix, ConvergenceFailure
+    except (ArithmeticError, RuntimeError) as exc:  # the numerical errors of errors.py
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if not args.quiet:

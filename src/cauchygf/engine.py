@@ -9,10 +9,12 @@ complex matrix, evaluated by one route for every disorder mask:
 G0(z) = V diag(1/(z + i*gamma - eps_m)) V^T, the answer when every site is
 disordered (z = w + i*eta).  The few undisordered sites U (the cavity state;
 none on the graphs) are put back by the rank-|U| Woodbury identity
-G = G0 - G0[:, U] (i/gamma I + G0[U, U])^-1 G0[U, :].  Each entry of G0 is a
-sum of weights over real poles, evaluated by ``_pole_sums``, the package's one
-cache-tiled kernel (the Monte-Carlo realizations run it too), at two real
-matrix products (Re and Im) per frequency tile.  It returns one complex array
+G = G0 - G0[:, U] (i/gamma I + G0[U, U])^-1 G0[U, :], with the small matrix
+reduced by elimination without pivoting, vectorized over frequencies, so no
+LAPACK call runs per frequency.  Each entry of G0 is a sum of weights over
+real poles, evaluated by ``_pole_sums``, the package's one cache-tiled kernel
+(the Monte-Carlo realizations run it too), at two real matrix products (Re
+and Im) per frequency tile.  It returns one complex array
 of shape (n_omega, n_elements); densities of states are the usual -Im/pi of
 its diagonal-element columns.
 """
@@ -72,9 +74,11 @@ class SpectralGrid:
 
 def diagonalize(spec: HamiltonianSpec):
     """Full spectrum of the clean h0 via the dense symmetric eigensolver:
-    ascending eigenvalues and the orthogonal matrix of column eigenvectors."""
+    ascending eigenvalues and the orthogonal matrix of column eigenvectors,
+    both read-only.  Each spec is decomposed once; later calls return the
+    same arrays."""
     try:
-        return np.linalg.eigh(spec.h0)
+        return spec._eigensystem
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
 
@@ -140,8 +144,9 @@ def _pole_sums(weights, poles, omegas, eta):
             shape = (c1 - c0, m, w1 - w0)
             d = d_cells[:math.prod(shape)].reshape(shape)
             r = r_cells[:d.size].reshape(shape)
-            np.subtract(omegas[w0:w1], poles[c0:c1, :, None], out=d)
-            np.multiply(d, d, out=r)
+            np.copyto(d, omegas[w0:w1])  # faster than a broadcast subtract into d
+            d -= poles[c0:c1, :, None]
+            np.square(d, out=r)
             r += eta * eta
             np.reciprocal(r, out=r)
             d *= r
@@ -153,6 +158,39 @@ def _pole_sums(weights, poles, omegas, eta):
             yield c0, c1, w0, w1, tile
 
 
+def _woodbury_step(kernel, lhs, rhs, result, omegas):
+    """result -= lhs^T K^-1 rhs at every frequency, in place.
+
+    ``kernel`` holds K as (u, u, b), complex symmetric; ``lhs`` and ``rhs``
+    are (u, k, b) and ``result`` is (k, b), all frequency last.  Elimination
+    without pivoting, vectorized over frequencies, factors K = L D L^T; the
+    multipliers that reduce K reduce lhs and rhs too, so lhs^T K^-1 rhs =
+    sum_s (L^-1 lhs)_s (L^-1 rhs)_s / D_s, each pivot used through its
+    reciprocal.  All four arrays are overwritten.  Raises SingularMatrix,
+    naming the first of the b ``omegas`` at which a pivot is exactly zero.
+    """
+    n_u = kernel.shape[0]
+    singular = None
+    for s in range(n_u):
+        pivot = kernel[s, s]
+        if not pivot.all():  # exactly zero somewhere: mark it, go on with 1
+            zero = pivot == 0
+            singular = zero if singular is None else singular | zero
+            pivot[zero] = 1
+        inverse = 1 / pivot
+        for r in range(s + 1, n_u):
+            factor = kernel[r, s] * inverse
+            kernel[r, s + 1:] -= factor * kernel[s, s + 1:]
+            lhs[r] -= factor * lhs[s]
+            rhs[r] -= factor * rhs[s]
+        rhs[s] *= inverse
+        rhs[s] *= lhs[s]
+        result -= rhs[s]
+    if singular is not None:
+        raise SingularMatrix(
+            f"shifted matrix singular at omega = {omegas[int(np.argmax(singular))]}")
+
+
 def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
                     elements=None) -> np.ndarray:
     """Averaged G_ij(w + i*eta) for every frequency and requested element.
@@ -162,9 +200,13 @@ def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
     that is needed -- the requested ones plus, for the Woodbury correction,
     the rows and columns of the undisordered sites -- is a fixed real mix of
     the eigenmode factors, sum_m V_am V_bm / (z + i*gamma - eps_m), so each
-    frequency tile costs two real matrix products (Re and Im) and one
-    batched |U| x |U| inverse.  Raises SingularMatrix where that small matrix
-    is exactly singular, i.e. an undisordered resonance probed at eta = 0.
+    frequency tile costs two real matrix products (Re and Im).  The Woodbury
+    step then works on that tile's complex columns, frequency last: K =
+    G0[U, U] + (i/gamma) I is reduced without pivoting (``_woodbury_step``).
+    That is safe: -Im G0 <= I/(gamma + eta), so Im K >= eta/(gamma (gamma +
+    eta)) I and no pivot vanishes when eta > 0.  At eta = 0 a pivot that is
+    exactly zero makes K singular -- an undisordered resonance -- and
+    SingularMatrix names the first such frequency.
     """
     n = spec.n_sites
     pairs = _element_pairs(elements, n)
@@ -186,22 +228,33 @@ def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
     weights = eigenvectors[keys[:, 0]] * eigenvectors[keys[:, 1]]  # (p, n)
 
     out = np.empty((n_omega, k), dtype=complex)
+    # The Woodbury step runs on frequency blocks whose complex buffers (G0
+    # columns, lhs, rhs, result) hold at most _TILE_BUDGET cells, so that they
+    # stay in cache beside the kernel's tile: on dos-cavity's 49 columns the
+    # whole 668-wide tile took half as long again.
+    shapes = ((len(columns),), (n_u, k), (n_u, k), (k,))
+    step = min(n_omega, max(1, _TILE_BUDGET // sum(map(math.prod, shapes))))
+    buffers = [np.empty(math.prod(shape) * step, dtype=complex) for shape in shapes] \
+        if n_u else []
     for _, _, w0, w1, tile in _pole_sums(weights[None], eigenvalues[None], grid.omegas,
                                          grid.eta + spec.gamma):
         re, im = tile[0]                                               # (p, b) each
-        out.real[w0:w1] = re[target].T
-        out.imag[w0:w1] = im[target].T
-        if n_u:
-            def g0(cols):  # complex G0 on the columns cols, frequency axis first
-                return np.moveaxis(re[cols] + 1j * im[cols], -1, 0)
-            kernel = g0(square) + (1j / spec.gamma) * np.eye(n_u)      # (b, u, u)
-            try:
-                inverse = np.linalg.inv(kernel)
-            except np.linalg.LinAlgError as exc:
-                # The LU factorization that failed has an exact zero pivot
-                # there, so its determinant is exactly zero.
-                first = w0 + int(np.argmax(np.linalg.det(kernel) == 0))
-                raise SingularMatrix(
-                    f"shifted matrix singular at omega = {grid.omegas[first]}") from exc
-            out[w0:w1] -= np.einsum("buk,buv,bvk->bk", g0(left), inverse, g0(right))
+        if not n_u:
+            out.real[w0:w1] = re[target].T
+            out.imag[w0:w1] = im[target].T
+            continue
+        for s0 in range(w0, w1, step):
+            s1 = min(s0 + step, w1)
+            g0, lhs, rhs, result = (cells[:math.prod(shape) * (s1 - s0)].reshape(*shape, -1)
+                                    for cells, shape in zip(buffers, shapes))
+            g0.real, g0.imag = re[:, s0 - w0:s1 - w0], im[:, s0 - w0:s1 - w0]
+            # The indices are valid, and with mode="clip" take fills each buffer
+            # directly instead of through a temporary.
+            np.take(g0, left, axis=0, out=lhs, mode="clip")
+            np.take(g0, right, axis=0, out=rhs, mode="clip")
+            np.take(g0, target, axis=0, out=result, mode="clip")
+            kernel = g0[square]                                        # (u, u, b)
+            kernel.reshape(n_u * n_u, -1)[::n_u + 1] += 1j / spec.gamma  # its diagonal
+            _woodbury_step(kernel, lhs, rhs, result, grid.omegas[s0:s1])
+            out[s0:s1] = result.T
     return out

@@ -21,6 +21,10 @@ class SingularMatrix(ArithmeticError):
     """The shifted Hamiltonian is exactly singular (eta = 0 at a bare resonance)."""
 
 
+class NonFiniteResult(ArithmeticError):
+    """A computed result table holds NaN or an infinity."""
+
+
 class LengthMismatch(ValueError):
     """Paired arrays differ in length or are too short."""
 

@@ -8,6 +8,7 @@ state are always index 0 so downstream CSV columns are stable.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -155,6 +156,15 @@ class HamiltonianSpec:
     @property
     def n_sites(self) -> int:
         return self.h0.shape[0]
+
+    @functools.cached_property
+    def _eigensystem(self):
+        # h0 is read-only, so one decomposition serves every caller of
+        # engine.diagonalize: a command's default window and its engine call.
+        eigenvalues, eigenvectors = np.linalg.eigh(self.h0)
+        eigenvalues.setflags(write=False)
+        eigenvectors.setflags(write=False)
+        return eigenvalues, eigenvectors
 
 
 def assemble_huckel(topology: Topology, alpha: float, beta: float,

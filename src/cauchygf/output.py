@@ -125,7 +125,7 @@ def _text_cells(column):
 
 
 def _csv_blocks(header, columns):
-    """Yield the CSV bytes in blocks of rows (uint8 arrays after the header line).
+    """Yield the CSV bytes: the header line, then one bytes object per block of rows.
 
     ``header`` is a list of column names; ``columns`` the matching list of
     equal-length sequences.  A column of strings passes through untouched;
@@ -152,7 +152,7 @@ def _csv_blocks(header, columns):
                                   for b, text in zip(block, is_text)], axis=1)
         buf = buf.reshape(rows, -1)
         buf[:, -1] = ord("\n")
-        yield buf[buf != 0]
+        yield buf.tobytes().translate(None, b"\0")  # drop the NUL padding
 
 
 def write_csv(path, header, columns) -> None:

@@ -340,6 +340,45 @@ def test_undisordered_resonance_at_zero_eta_is_numerical_error(tmp_path, capsys)
         assert "numerical error" in err and "omega = 2.1" in err
 
 
+def test_non_finite_table_is_numerical_error_and_keeps_the_old_file(tmp_path, capsys,
+                                                                    recwarn):
+    # A dipole below CavityParams' overflow limit still overflows absorption
+    # near the polaritons: the first inf of the default window's alpha_m2 is
+    # in data row 1695.  The table is refused before either file is opened.
+    ini = CAVITY_INI + "mu_debye = 1e164\n"
+    (tmp_path / "c.csv").write_text("kept\n")
+    assert run(tmp_path, ini, "cavity", "--out", str(tmp_path / "c")) == 5
+    err = capsys.readouterr().err
+    assert "numerical error: column alpha_m2 is inf in data row 1695 of 4001" in err
+    assert (tmp_path / "c.csv").read_text() == "kept\n"
+    assert not (tmp_path / "c.poles.json").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert run(tmp_path, ini.replace("1e164", "1e163"), "cavity",
+               "--out", str(tmp_path / "c")) == 0
+
+
+@pytest.mark.parametrize("command, section", [("dos", ""), ("sum-rules", ""),
+                                              ("mc-compare", "[ensemble]\nsamples = 20\n"),
+                                              ("dos", "[grid]\nlo = -1\nhi = 1\nn = 5\n")],
+                         ids=["dos", "sum-rules", "mc-compare", "dos-explicit-grid"])
+def test_command_decomposes_h0_once(tmp_path, monkeypatch, command, section):
+    # The default window and the engine share one eigh of h0; the
+    # Monte-Carlo realizations' batched (3-d) eigh calls are not counted.
+    calls = []
+
+    def counted(solver):
+        def wrapper(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                calls.append(solver.__name__)
+            return solver(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    assert run(tmp_path, STAR_INI + section, command, "--out", str(tmp_path / "d")) == 0
+    assert calls == ["eigh"]
+
+
 def test_non_finite_grid_bound_is_config_error(tmp_path, capsys, recwarn):
     # The window rejects it by name before numpy builds a grid from it.
     assert run(tmp_path, STAR_INI + "[grid]\nlo = -inf\nhi = 4\n", "dos") == 3

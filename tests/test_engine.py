@@ -237,6 +237,41 @@ def test_exactly_singular_matrix_raises():
         averaged_greens(spec, SpectralGrid(np.array([0.3, 0.4, 0.5, 0.6])))
 
 
+def test_singular_second_pivot_names_the_first_frequency():
+    # Two uncoupled undisordered levels at 0.7 and 0.5: at eta = 0 the
+    # Woodbury kernel loses its first pivot at omega = 0.7 and its second at
+    # omega = 0.5, and the message names the earlier frequency.
+    spec = HamiltonianSpec(np.diag([0.7, 0.5, 0.0]), 0.1, disordered=[False, False, True])
+    with pytest.raises(SingularMatrix, match="omega = 0.5$"):
+        averaged_greens(spec, SpectralGrid(np.array([0.3, 0.5, 0.6, 0.7])))
+    with pytest.raises(SingularMatrix, match="omega = 0.7$"):
+        averaged_greens(spec, SpectralGrid(np.array([0.6, 0.7])))
+    finite = averaged_greens(spec, SpectralGrid(np.array([0.5, 0.7]), eta=1e-4))
+    assert np.all(np.isfinite(finite))
+
+
+def test_random_masks_match_direct_solve_at_undisordered_resonances():
+    # Frequencies at the eigenvalues of h0[U, U] with eta = 1e-3 gamma bring
+    # K = G0[U, U] + (i/gamma) I closest to singular, which is where
+    # elimination without pivoting would break first; |U| runs from 1 to n.
+    rng = np.random.default_rng(20261019)
+    sizes = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 13))
+        h = rng.standard_normal((n, n))
+        mask = rng.random(n) < rng.uniform(0.0, 1.0)
+        if mask.all():
+            mask[rng.integers(n)] = False
+        spec = HamiltonianSpec((h + h.T) / 2, float(rng.uniform(0.05, 0.5)), mask)
+        u = ~spec.disordered
+        sizes.add(int(u.sum()) == n)
+        grid = SpectralGrid(np.unique(np.linalg.eigvalsh(spec.h0[np.ix_(u, u)])),
+                            default_eta(spec))
+        want = solve_greens(spec, grid)
+        assert np.abs(averaged_greens(spec, grid) - want).max() <= 1e-9 * np.abs(want).max()
+    assert sizes == {False, True}
+
+
 # ------------------------------------------------------------------ the DOS
 
 def test_single_site_dos_is_lorentzian():
