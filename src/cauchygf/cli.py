@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import re
 import sys
@@ -230,25 +231,22 @@ def _cmd_dos(cfg, args):
         default_eta(spec))
 
     columns = _dos_columns(cfg, spec.n_sites)
-    # Result column of each element: the diagonal, then each G pair once.
-    position = {(i, i): i for i in range(spec.n_sites)}
-    for name in columns:
-        match = _G_COLUMN.match(name)
-        if match:
-            position.setdefault((int(match.group(2)), int(match.group(3))), len(position))
-    greens = averaged_greens(spec, grid, list(position))  # (n_omega, len(position))
+    # Only the elements the columns name, each once: the sites' diagonal,
+    # then the G pairs; rho_total is the exact trace, not a row sum.
+    sites = [int(m.group(1)) for m in map(_SITE_COLUMN.match, columns) if m]
+    pairs = [(int(m.group(2)), int(m.group(3))) for m in map(_G_COLUMN.match, columns) if m]
+    position = {element: c for c, element in
+                enumerate(dict.fromkeys([(i, i) for i in sites] + pairs))}
+    greens, trace = averaged_greens(spec, grid, list(position), trace=True)
 
-    rho_sites = -greens[:, :spec.n_sites].imag / np.pi
-    series = {"omega": grid.omegas, "rho_total": rho_sites.sum(axis=1)}
-    for i in range(spec.n_sites):
-        series[f"rho_site_{i}"] = rho_sites[:, i]
-    for name in columns:
-        match = _G_COLUMN.match(name)
-        if match:
-            i, j = int(match.group(2)), int(match.group(3))
-            values = greens[:, position[(i, j)]]
-            series[f"re_G_{i}_{j}"] = values.real
-            series[f"im_G_{i}_{j}"] = values.imag
+    series = {"omega": grid.omegas, "rho_total": -trace.imag / np.pi}
+    rho = -greens.imag / np.pi
+    for i in sites:
+        series[f"rho_site_{i}"] = rho[:, position[(i, i)]]
+    for i, j in pairs:
+        values = greens[:, position[(i, j)]]
+        series[f"re_G_{i}_{j}"] = values.real
+        series[f"im_G_{i}_{j}"] = values.imag
 
     paths = _out_paths(args, "dos.csv")
     header = ["omega"] + columns
@@ -395,8 +393,8 @@ def _cmd_sum_rules(cfg, args):
     else:
         grid, grid_echo = _resolve_grid(
             cfg, args, lambda: auto_window(diagonalize(spec)[0], spec.gamma), 0.0)
-        diagonal = averaged_greens(spec, grid, [(i, i) for i in range(spec.n_sites)])
-        rho_total = -diagonal.imag.sum(axis=1) / np.pi
+        _, trace = averaged_greens(spec, grid, [], trace=True)
+        rho_total = -trace.imag / np.pi
         checks.append(_check("total_dos_norm",
                              integrate_trapezoid(grid.omegas, rho_total),
                              target=float(spec.n_sites),
@@ -432,7 +430,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and every call of ``main`` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="cauchygf",
         description="Exact disorder-averaged spectra for tight-binding graphs "

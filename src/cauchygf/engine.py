@@ -16,7 +16,11 @@ real poles, evaluated by ``_pole_sums``, the package's one cache-tiled kernel
 (the Monte-Carlo realizations run it too), at two real matrix products (Re
 and Im) per frequency tile.  It returns one complex array
 of shape (n_omega, n_elements); densities of states are the usual -Im/pi of
-its diagonal-element columns.
+its diagonal-element columns.  On request it also returns the exact trace,
+Tr G = Tr G0 - Tr(K^-1 (G0^2)[U, U]), from one more weight row and |U|^2
+double-pole sums, so with k elements and few undisordered sites the total
+density of states costs O(n (k + |U|^2)) per frequency, not the O(n^2) of
+the whole diagonal.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ def _element_pairs(elements, n):
     return _normalized_elements(elements, n)
 
 
-def _pole_sums(weights, poles, omegas, eta):
+def _pole_sums(weights, poles, omegas, eta, double=None):
     """Yield tiles (c0, c1, w0, w1, tile) of the pole sums
     S[c, p, w] = sum_m weights[c, p, m] / (omegas[w] + i*eta - poles[c, m]),
     with tile[:, 0] = Re S and tile[:, 1] = Im S over samples c0:c1 and
@@ -117,28 +121,47 @@ def _pole_sums(weights, poles, omegas, eta):
     ``weights`` is (c, p, m); weights that every sample shares can come as
     an ``np.broadcast_to`` view.  With d = w - pole and r = 1/(d^2 + eta^2)
     the real part is weights @ (d*r) and the imaginary part
-    -eta * (weights @ r): two real matrix products per tile.  A tile counts
-    max(p, ceil((m + p)/2)) cells per (sample, frequency), so that d and r
-    (m cells each) and the tile (2p) together hold at most 4 * _TILE_BUDGET
-    cells and the tile alone 2 * _TILE_BUDGET: max(m, p) when p >= m, and
-    wider tiles when p < m, such as the Monte-Carlo self-energy (p = 1),
-    whose frequencies then take fewer numpy calls.  Sample blocks come in
-    order, each with all its frequency blocks, and every tile is a view of
-    one buffer that the next tile overwrites.
+    -eta * (weights @ r): two real matrix products per tile.  When every
+    sample shares the weights (a view whose sample stride is 0: the
+    engine's and the Schur route's), -eta is folded into one copy of them
+    once per call instead of scaling each tile.  Per-sample weights (the
+    eigh route) keep the scaling pass, so their results keep their bits.
+
+    ``double`` (q, m), weights every sample shares, adds q rows after the p:
+    the double-pole sums sum_m double[j, m] / (omegas[w] + i*eta - poles[c, m])^2,
+    whose real part is double @ r - 2 eta^2 double @ r^2 and imaginary part
+    -2 eta double @ (d*r*r), from the same d and r.
+
+    A tile counts max(P, ceil((2m + 2P + q)/4)) cells per (sample, frequency),
+    with P = p + q rows, so that d and r (m cells each), the tile (2P) and the
+    r^2 term (q) together hold at most 4 * _TILE_BUDGET cells and the tile
+    alone 2 * _TILE_BUDGET: max(m, p) when q = 0 and p >= m, and wider tiles
+    when P < m, such as the Monte-Carlo self-energy (p = 1), whose
+    frequencies then take fewer numpy calls.  Sample blocks come in order,
+    each with all its frequency blocks, and every tile is a view of one
+    buffer that the next tile overwrites.
     """
     n_samples, m = poles.shape
     p, n_omega = weights.shape[1], omegas.size
-    width = max(1, p, -(-(m + p) // 2))
+    q = 0 if double is None else double.shape[0]
+    width = max(1, p + q, -(-(2 * m + 2 * (p + q) + q) // 4))
     w_tile = min(n_omega, max(1, _TILE_BUDGET // width))
     c_tile = min(n_samples, max(1, _TILE_BUDGET // (width * w_tile)))
     # Reused buffers: with fresh temporaries per tile the allocator handed
     # their pages back to the system and faulted them in again, which
     # doubled the time at some tile widths.
     d_cells, r_cells = np.empty((2, c_tile * m * w_tile))
-    tile_cells = np.empty(c_tile * p * 2 * w_tile)
+    tile_cells = np.empty(c_tile * 2 * (p + q) * w_tile)
+    shared = weights.strides[0] == 0
+    if shared:
+        damped = np.broadcast_to(weights[0] * -eta, weights.shape)
+    if q:
+        square_cells = np.empty(c_tile * q * w_tile)
+        double_im, double_sq = double * (-2 * eta), double * (-2 * eta * eta)
     for c0 in range(0, n_samples, c_tile):
         c1 = min(c0 + c_tile, n_samples)
         mix = weights[c0:c1]
+        mix_im = damped[c0:c1] if shared else mix
         for w0 in range(0, n_omega, w_tile):
             w1 = min(w0 + w_tile, n_omega)
             shape = (c1 - c0, m, w1 - w0)
@@ -150,11 +173,21 @@ def _pole_sums(weights, poles, omegas, eta):
             r += eta * eta
             np.reciprocal(r, out=r)
             d *= r
-            tile = tile_cells[:(c1 - c0) * 2 * p * (w1 - w0)].reshape(
-                c1 - c0, 2, p, w1 - w0)
-            np.matmul(mix, d, out=tile[:, 0])
-            np.matmul(mix, r, out=tile[:, 1])
-            tile[:, 1] *= -eta
+            tile = tile_cells[:(c1 - c0) * 2 * (p + q) * (w1 - w0)].reshape(
+                c1 - c0, 2, p + q, w1 - w0)
+            np.matmul(mix, d, out=tile[:, 0, :p])
+            np.matmul(mix_im, r, out=tile[:, 1, :p])
+            if not shared:
+                tile[:, 1, :p] *= -eta
+            if q:
+                np.matmul(double, r, out=tile[:, 0, p:])
+                d *= r
+                np.matmul(double_im, d, out=tile[:, 1, p:])
+                r *= r
+                square = square_cells[:(c1 - c0) * q * (w1 - w0)].reshape(
+                    c1 - c0, q, w1 - w0)
+                np.matmul(double_sq, r, out=square)
+                tile[:, 0, p:] += square
             yield c0, c1, w0, w1, tile
 
 
@@ -192,17 +225,26 @@ def _woodbury_step(kernel, lhs, rhs, result, omegas):
 
 
 def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
-                    elements=None) -> np.ndarray:
+                    elements=None, *, trace=False):
     """Averaged G_ij(w + i*eta) for every frequency and requested element.
 
     Returns a complex array of shape (n_omega, n_elements), columns in the
-    order of ``elements`` (default: every pair, row-major).  Every entry of G0
-    that is needed -- the requested ones plus, for the Woodbury correction,
-    the rows and columns of the undisordered sites -- is a fixed real mix of
-    the eigenmode factors, sum_m V_am V_bm / (z + i*gamma - eps_m), so each
-    frequency tile costs two real matrix products (Re and Im).  The Woodbury
-    step then works on that tile's complex columns, frequency last: K =
-    G0[U, U] + (i/gamma) I is reduced without pivoting (``_woodbury_step``).
+    order of ``elements`` (default: every pair, row-major).  With
+    ``trace=True`` it returns (greens, trace), where trace is the exact
+    Tr G(w + i*eta) at each frequency, at a cost that does not grow with the
+    number of diagonal elements: Tr G = Tr G0 - Tr(K^-1 S), where S =
+    (G0^2)[U, U] holds the double-pole sums
+    sum_m V_um V_vm / (z + i*gamma - eps_m)^2.
+
+    Every entry of G0 that is needed -- the requested ones plus, for the
+    Woodbury correction, the rows and columns of the undisordered sites, and
+    for the trace Tr G0, whose weights are ones -- is a fixed real mix of the
+    eigenmode factors, sum_m V_am V_bm / (z + i*gamma - eps_m), so each
+    frequency tile costs two real matrix products (Re and Im), and S three
+    more (``_pole_sums``).  The Woodbury step then
+    works on that tile's complex columns, frequency last: K = G0[U, U] +
+    (i/gamma) I is reduced without pivoting (``_woodbury_step``), and the
+    trace rides along as |U| more columns, lhs = e_u and rhs = S[:, u].
     That is safe: -Im G0 <= I/(gamma + eta), so Im K >= eta/(gamma (gamma +
     eta)) I and no pivot vanishes when eta > 0.  At eta = 0 a pivot that is
     exactly zero makes K singular -- an undisordered resonance -- and
@@ -213,41 +255,67 @@ def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
     eigenvalues, eigenvectors = diagonalize(spec)
     undisordered = np.flatnonzero(~spec.disordered).tolist()
 
-    # One column of G0 values per distinct symmetric pair (G0 = G0^T).
-    columns = {}
+    # One row of G0 values per distinct symmetric pair (G0 = G0^T).
+    rows = {}
 
-    def column(a, b):
-        return columns.setdefault((a, b) if a <= b else (b, a), len(columns))
+    def row(a, b):
+        return rows.setdefault((a, b) if a <= b else (b, a), len(rows))
 
     k, n_u, n_omega = len(pairs), len(undisordered), grid.omegas.size
-    target = [column(i, j) for i, j in pairs]
-    left = [[column(u, i) for i, _ in pairs] for u in undisordered]
-    right = [[column(u, j) for _, j in pairs] for u in undisordered]
-    square = [[column(u, v) for v in undisordered] for u in undisordered]
-    keys = np.array(list(columns), dtype=int).reshape(-1, 2)
+    target = [row(i, j) for i, j in pairs]
+    left = [[row(u, i) for i, _ in pairs] for u in undisordered]
+    right = [[row(u, j) for _, j in pairs] for u in undisordered]
+    square = [[row(u, v) for v in undisordered] for u in undisordered]
+    keys = np.array(list(rows), dtype=int).reshape(-1, 2)
     weights = eigenvectors[keys[:, 0]] * eigenvectors[keys[:, 1]]  # (p, n)
+    double = None
+    if trace:
+        # Rows after the pairs: Tr G0, then S's upper triangle, then the
+        # constants 0 and 1 that the trace columns' lhs = e_u is made of.
+        total = len(rows)
+        weights = np.vstack([weights, np.ones(n)])
+        s_keys = [(u, v) for s, u in enumerate(undisordered) for v in undisordered[s:]]
+        s_row = {key: total + 1 + c for c, key in enumerate(s_keys)}
+        zero, one = total + 1 + len(s_keys), total + 2 + len(s_keys)
+        if s_keys:
+            a, b = np.array(s_keys, dtype=int).T
+            double = eigenvectors[a] * eigenvectors[b]                    # (q, n)
+        target += [total] + [zero] * (n_u - 1)
+        for s, u in enumerate(undisordered):
+            left[s] += [one if t == s else zero for t in range(n_u)]
+            right[s] += [s_row[min(u, v), max(u, v)] for v in undisordered]
+    n_rows = one + 1 if trace else len(rows)
+    target = np.array(target, dtype=np.intp)  # the elements, then the trace's columns
+    left, right = (np.array(index, dtype=np.intp).reshape(n_u, target.size)
+                   for index in (left, right))
+    square = np.array(square, dtype=np.intp).reshape(n_u, n_u)
 
     out = np.empty((n_omega, k), dtype=complex)
+    out_trace = np.empty(n_omega, dtype=complex) if trace else None
     # The Woodbury step runs on frequency blocks whose complex buffers (G0
-    # columns, lhs, rhs, result) hold at most _TILE_BUDGET cells, so that they
-    # stay in cache beside the kernel's tile: on dos-cavity's 49 columns the
-    # whole 668-wide tile took half as long again.
-    shapes = ((len(columns),), (n_u, k), (n_u, k), (k,))
+    # rows, lhs, rhs, result) hold at most _TILE_BUDGET cells, so that they
+    # stay in cache beside the kernel's tile: on 49 columns of cavity(N=24)
+    # the whole 668-wide tile took half as long again.
+    shapes = ((n_rows,), left.shape, right.shape, target.shape)
     step = min(n_omega, max(1, _TILE_BUDGET // sum(map(math.prod, shapes))))
     buffers = [np.empty(math.prod(shape) * step, dtype=complex) for shape in shapes] \
         if n_u else []
     for _, _, w0, w1, tile in _pole_sums(weights[None], eigenvalues[None], grid.omegas,
-                                         grid.eta + spec.gamma):
-        re, im = tile[0]                                               # (p, b) each
+                                         grid.eta + spec.gamma, double):
+        re, im = tile[0]                                               # (rows, b) each
         if not n_u:
-            out.real[w0:w1] = re[target].T
-            out.imag[w0:w1] = im[target].T
+            out.real[w0:w1] = re[target[:k]].T
+            out.imag[w0:w1] = im[target[:k]].T
+            if trace:
+                out_trace.real[w0:w1], out_trace.imag[w0:w1] = re[total], im[total]
             continue
         for s0 in range(w0, w1, step):
             s1 = min(s0 + step, w1)
             g0, lhs, rhs, result = (cells[:math.prod(shape) * (s1 - s0)].reshape(*shape, -1)
                                     for cells, shape in zip(buffers, shapes))
-            g0.real, g0.imag = re[:, s0 - w0:s1 - w0], im[:, s0 - w0:s1 - w0]
+            g0.real[:len(re)], g0.imag[:len(re)] = re[:, s0 - w0:s1 - w0], im[:, s0 - w0:s1 - w0]
+            if trace:
+                g0[zero], g0[one] = 0, 1
             # The indices are valid, and with mode="clip" take fills each buffer
             # directly instead of through a temporary.
             np.take(g0, left, axis=0, out=lhs, mode="clip")
@@ -256,5 +324,7 @@ def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
             kernel = g0[square]                                        # (u, u, b)
             kernel.reshape(n_u * n_u, -1)[::n_u + 1] += 1j / spec.gamma  # its diagonal
             _woodbury_step(kernel, lhs, rhs, result, grid.omegas[s0:s1])
-            out[s0:s1] = result.T
-    return out
+            out[s0:s1] = result[:k].T
+            if trace:
+                np.sum(result[k:], axis=0, out=out_trace[s0:s1])
+    return (out, out_trace) if trace else out

@@ -4,13 +4,14 @@ Floats are printed as ``"%.12e" % value`` would print them (13 significant
 digits in scientific notation), line endings are LF, and JSON keys are
 sorted, so identical inputs always produce byte-identical files.
 
-The CSV writer formats each block of rows with numpy rather than one Python
-``%`` per cell.  A cell's mantissa m = |x| * 10**(12 - e) is computed with a
-single rounding by an exact power of ten (|12 - e| <= 22), so it lies within
-2**-10 of the true value, and floor(m + 1/2) is the correctly rounded
-13-digit mantissa unless m is within 2**-9 of a half-integer.  Every cell
-that test cannot settle is printed by ``%`` itself: zeros, NaN and infinities,
-magnitudes outside [1e-10, 1e35), and near-ties.
+The CSV writer formats each block of rows, about 2**15 cells, with numpy
+rather than one Python ``%`` per cell.  A cell's mantissa
+m = |x| * 10**(12 - e) is computed with a single rounding by an exact power
+of ten (|12 - e| <= 22), so it lies within 2**-10 of the true value, and
+floor(m + 1/2) is the correctly rounded 13-digit mantissa unless m is within
+2**-9 of a half-integer.  Every cell that test cannot settle is printed by
+``%`` itself: zeros, NaN and infinities, magnitudes outside [1e-10, 1e35),
+and near-ties.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import math
 import numpy as np
 
 
-# Rows formatted and written per block: the text of a wide table never has to
-# exist in memory all at once.
-_CSV_BLOCK_ROWS = 512
+# Cells formatted and written per block, in whole rows (at least one): the
+# text of a large table never has to exist in memory all at once, and narrow
+# tables take as few numpy calls per cell as wide ones.
+_CSV_BLOCK_CELLS = 2 ** 15
 
 # Byte slots of one float cell, "[-]d.dddddddddddde+[h]tu", NUL where unused;
 # the widest "%.12e" text is "-1.000000000000e-308".  One more slot holds the
@@ -141,8 +143,9 @@ def _csv_blocks(header, columns):
     is_text = [a.dtype.kind in "US" for a in arrays]
     yield (",".join(header) + "\n").encode()
     n_rows = lengths.pop() if lengths else 0
-    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-        block = [a[start:start + _CSV_BLOCK_ROWS] for a in arrays]
+    block_rows = max(1, _CSV_BLOCK_CELLS // max(1, len(arrays)))
+    for start in range(0, n_rows, block_rows):
+        block = [a[start:start + block_rows] for a in arrays]
         rows = block[0].size
         floats = [b for b, text in zip(block, is_text) if not text]
         buf = _float_cells(np.stack(floats, axis=1)) if floats else None

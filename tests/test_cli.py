@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from cauchygf.cavity import CavityParams, polariton_poles
+import cauchygf.cli as cli
+from cauchygf.cavity import CavityParams, g_cc, polariton_poles
 from cauchygf.cli import main
 from cauchygf.engine import SpectralGrid
 from cauchygf.lattice import (DisorderSpec, assemble_cavity, assemble_huckel,
@@ -100,6 +104,55 @@ def test_dos_cavity_matches_direct_solve(tmp_path):
     np.testing.assert_allclose(got["rho_site_0"], -want[:, 0].imag / np.pi, rtol=1e-9)
     np.testing.assert_allclose(got["re_G_0_1"] + 1j * got["im_G_0_1"], want[:, 7],
                                rtol=1e-9)
+
+
+def bench_cavity_ini(n_molecules, columns):
+    """The benchmark's resonant cavity, V = 0.1/sqrt(8) per molecule."""
+    return (f"[model]\nkind = cavity\nepsilon_c = 2.1\nepsilon_a = 2.1\ngamma = 0.02\n"
+            f"n_molecules = {n_molecules}\ncoupling = {0.1 / math.sqrt(8)!r}\n"
+            f"[output]\ncolumns = {columns}\n")
+
+
+@pytest.mark.parametrize("n_molecules", [24, 2000])
+def test_dos_total_on_the_cavity_matches_the_closed_trace(tmp_path, n_molecules):
+    # Tr G = g_cc + N a + N V^2 a^2 g_cc with a = 1/(z + i*gamma - eps_a): the
+    # mode, the N bare molecules, and their share of the mode.  rho_total alone
+    # asks for no element, so N = 2000 costs O(N) per frequency after one eigh.
+    out = tmp_path / "trace.csv"
+    assert run(tmp_path, bench_cavity_ini(n_molecules, "rho_total"), "dos",
+               "--out", str(out)) == 0
+    table = read_columns(out)
+    assert list(table) == ["omega", "rho_total"]
+    eta = json.loads((tmp_path / "trace.summary.json").read_text())["grid"]["eta"]
+    params = CavityParams(2.1, 2.1, 0.02, n_molecules, coupling=0.1 / math.sqrt(8))
+    w = np.array([float(x) for x in table["omega"]])
+    a = 1 / (w + 1j * eta + 1j * params.gamma - params.epsilon_a)
+    mode = g_cc(params, w, eta)
+    trace = mode + n_molecules * a + params.nv2 * a * a * mode
+    got = np.array([float(x) for x in table["rho_total"]])
+    np.testing.assert_allclose(got, -trace.imag / np.pi, rtol=1e-9)
+
+
+@pytest.mark.parametrize("ini, n_sites", [(bench_cavity_ini(24, "rho_total"), 25),
+                                          (STAR_INI, 7)], ids=["cavity", "star"])
+def test_dos_column_subset_matches_the_full_column_set(tmp_path, monkeypatch, ini, n_sites):
+    # The cells of a column do not depend on which other columns the table
+    # holds: rho_total is the trace, not a sum over the rho_site columns.
+    tables = []
+    monkeypatch.setattr(cli, "write_csv",
+                        lambda path, header, columns: tables.append(dict(zip(header, columns))))
+    ini = ini.split("[output]")[0]
+    subset = "rho_total, rho_site_0, re_G_0_1, im_G_0_1"
+    full = ", ".join(["rho_total"] + [f"rho_site_{i}" for i in range(n_sites)]
+                     + ["re_G_0_1", "im_G_0_1", "re_G_2_1", "im_G_2_1"])
+    for columns in (subset, full):
+        assert run(tmp_path, ini + f"[output]\ncolumns = {columns}\n", "dos",
+                   "--out", str(tmp_path / "t"), "--grid", "1.5:2.7:801") == 0
+    small, large = tables
+    assert list(small) == ["omega"] + subset.split(", ")
+    for name, values in small.items():
+        scale = np.abs(large[name]).max()
+        assert np.abs(values - large[name]).max() <= 1e-13 * scale, name
 
 
 def test_dos_rejects_unknown_column(tmp_path):
@@ -424,6 +477,29 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def test_parser_is_built_once_and_keeps_no_option_between_runs(tmp_path):
+    # dos with --grid and --eta, mc-compare with --seed and --samples, then
+    # dos with neither, in one process: each run writes the bytes a fresh
+    # interpreter writes for the same arguments.
+    assert cli.build_parser() is cli.build_parser()
+    ini = tmp_path / "run.ini"
+    ini.write_text(STAR_INI + "[ensemble]\nsamples = 300\nseed = 4\neta = 0.05\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    fresh = "import sys; from cauchygf.cli import main; sys.exit(main(sys.argv[1:]))"
+    runs = [("dos", "--grid=-2:2:21", "--eta", "0.01"),
+            ("mc-compare", "--grid=-2:2:9", "--seed", "7", "--samples", "50"),
+            ("dos",)]
+    for command, *flags in runs:
+        base = tmp_path / command
+        argv = [command, "--config", str(ini), "--out", str(base), "--quiet", *flags]
+        artifacts = [tmp_path / f"{command}.csv", tmp_path / f"{command}.summary.json"]
+        assert main(argv) == 0
+        in_process = [path.read_bytes() for path in artifacts]
+        subprocess.run([sys.executable, "-c", fresh, *argv], check=True, timeout=120,
+                       env={**os.environ, "PYTHONPATH": src})
+        assert [path.read_bytes() for path in artifacts] == in_process
 
 
 def test_default_artifact_names_and_progress_lines(tmp_path, monkeypatch, capsys):

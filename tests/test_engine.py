@@ -115,9 +115,9 @@ def test_partial_mask_matches_direct_solve():
 
 
 @pytest.mark.parametrize("m, p, n_omega, first", [
-    (25, 27, 4001, (1, 1213)),   # dos-cavity's distinct pairs of G0
+    (25, 27, 4001, (1, 1213)),   # two more rows of G0 than poles
     (7, 7, 201, (23, 201)),      # mc-star's full diagonal
-    (64, 64, 4001, (1, 512)),    # dos-ring's full diagonal
+    (64, 64, 4001, (1, 512)),    # ring(64)'s full diagonal
     (40, 820, 100, (1, 39)),     # every pair of cavity(N=39)
     (80, 1, 601, (1, 601)),      # the Monte-Carlo self-energy of cavity(N=80)
 ])
@@ -130,6 +130,25 @@ def test_pole_sum_tiles_are_sized_by_their_working_set(m, p, n_omega, first):
     weights = np.broadcast_to(np.ones(m), (64, p, m))
     c0, c1, w0, w1, _ = next(_pole_sums(weights, poles, np.linspace(-1, 1, n_omega), 0.1))
     assert (c1 - c0, w1 - w0) == first
+
+
+def test_double_pole_rows_follow_the_single_pole_rows():
+    # tile[:, :, :p] are the sums of weights/(z - pole) and tile[:, :, p:] of
+    # double/(z - pole)^2, over tiles that span several frequency blocks.
+    rng = np.random.default_rng(17)
+    m, n_omega, eta = 300, 500, 0.07
+    poles = rng.uniform(-2, 2, (1, m))
+    weights, double = rng.standard_normal((1, 3, m)), rng.standard_normal((2, m))
+    omegas = np.linspace(-3, 3, n_omega)
+    g = 1 / (omegas[:, None] + 1j * eta - poles[0])                  # (w, m)
+    want = np.concatenate([weights[0] @ g.T, double @ (g * g).T])    # (p + q, w)
+    got = np.full((5, n_omega), np.nan, dtype=complex)
+    blocks = 0
+    for _, _, w0, w1, tile in _pole_sums(weights, poles, omegas, eta, double):
+        got[:, w0:w1] = tile[0, 0] + 1j * tile[0, 1]
+        blocks += 1
+    assert blocks > 1
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_tiny_gamma_standin_matches_clean_resolvent():
@@ -165,9 +184,10 @@ def test_subset_elements_match_full_matrix():
 
 def test_cavity_dos_columns_hold_little_memory():
     # cavity(N=24), the full diagonal plus (0, 1) on the 4001-point auto
-    # window, as `dos` asks for them: the result itself takes 1.7 MB and the
-    # whole call about 3.5 MB; sizing the pole-sum tiles by the 25 poles
-    # alone, not by the 49 columns of G0 they feed, takes it to 5.06 MB.
+    # window (the elements of dos's default columns and G_0_1): the result
+    # itself takes 1.7 MB and the whole call about 3.5 MB; sizing the
+    # pole-sum tiles by the 25 poles alone, not by the 49 columns of G0 they
+    # feed, takes it to 5.06 MB.
     cav = assemble_cavity(CavityParams(2.1, 2.1, 0.02, 24, coupling=0.1 / math.sqrt(8)))
     grid = SpectralGrid(auto_window(diagonalize(cav)[0], cav.gamma).omegas,
                         default_eta(cav))
@@ -235,6 +255,19 @@ def test_exactly_singular_matrix_raises():
         solve_greens(spec, SpectralGrid(np.array([0.5])))
     with pytest.raises(SingularMatrix, match="omega = 0.5"):
         averaged_greens(spec, SpectralGrid(np.array([0.3, 0.4, 0.5, 0.6])))
+
+
+def test_trace_at_an_undisordered_resonance_is_singular():
+    # The trace's Woodbury columns reduce the same K, so eta = 0 at the bare
+    # energy of an undisordered site still raises, with or without elements.
+    spec = HamiltonianSpec(np.diag([0.7, 0.5, 0.0]), 0.1, disordered=[False, False, True])
+    for elements in ([], [(0, 2)]):
+        with pytest.raises(SingularMatrix, match="omega = 0.5$"):
+            averaged_greens(spec, SpectralGrid(np.array([0.3, 0.5, 0.6, 0.7])), elements,
+                            trace=True)
+    single = HamiltonianSpec(np.array([[0.5]]), 0.1, disordered=[False])
+    with pytest.raises(SingularMatrix, match="omega = 0.5"):
+        averaged_greens(single, SpectralGrid(np.array([0.4, 0.5])), [], trace=True)
 
 
 def test_singular_second_pivot_names_the_first_frequency():

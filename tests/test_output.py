@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cauchygf import output
 from cauchygf.output import json_text, write_csv, write_json
 from oracles import reference_csv
 
@@ -103,7 +104,7 @@ finite_or_not = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=T
 @given(st.lists(finite_or_not, max_size=1100), st.integers(1, 3))
 def test_csv_bytes_match_percent_oracle(tmp_path_factory, values, n_columns):
     # Any float64, NaN, infinities, signed zeros and subnormals included; the
-    # fixed tables below also cross the 512-row block boundaries.
+    # fixed tables below also cross block boundaries.
     tmp_path = tmp_path_factory.mktemp("csv")
     columns = [np.array(values)[::-1] if c % 2 else values for c in range(n_columns)]
     header = [f"c{c}" for c in range(n_columns)]
@@ -144,6 +145,24 @@ def test_csv_mixed_string_and_float_table_matches_oracle(tmp_path):
     labels = np.repeat(["G_0_0", "G_12_3", "", "é✓"], n // 4 + 1)[:n]
     columns = [rng.standard_normal(n), labels, rng.standard_normal(n) * 1e-30, labels]
     header = ["omega", "element", "re", "again"]
+    assert csv_bytes(tmp_path, header, columns) == reference_csv(header, columns)
+
+
+@pytest.mark.parametrize("n_rows, n_columns", [(40_000, 2), (1_100, 66), (3, 40_000)],
+                         ids=["narrow", "dos-ring", "wider-than-a-block"])
+def test_csv_blocks_of_any_width_match_oracle(tmp_path, n_rows, n_columns):
+    # Blocks hold whole rows, about _CSV_BLOCK_CELLS cells: 16,384 rows of a
+    # narrow table, 496 of dos-ring's 66 columns, and one row of a table
+    # wider than a block.  Each table spans at least three blocks, with a
+    # text column among the floats.
+    rows = max(1, output._CSV_BLOCK_CELLS // n_columns)
+    assert n_rows > 2 * rows
+    rng = np.random.default_rng(n_columns)
+    values = rng.standard_normal((n_columns - 1, n_rows)) * 10.0 ** rng.integers(
+        -12, 12, (n_columns - 1, n_rows))
+    labels = np.array([f"G_{i}" for i in range(n_rows)])
+    columns = [values[0], labels, *values[1:]]
+    header = [f"c{c}" for c in range(n_columns)]
     assert csv_bytes(tmp_path, header, columns) == reference_csv(header, columns)
 
 

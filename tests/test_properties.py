@@ -61,6 +61,20 @@ def test_route_matches_direct_solve(problem):
 
 
 @given(problems())
+def test_trace_matches_diagonal_sum_and_direct_solve(problem):
+    # Tr G from G0's trace and the Woodbury step's double-pole columns, on
+    # every mask, |U| = n ("none" disordered) included.
+    spec, grid = problem
+    diagonal = [(i, i) for i in range(spec.n_sites)]
+    greens, trace = averaged_greens(spec, grid, diagonal, trace=True)
+    _, alone = averaged_greens(spec, grid, [], trace=True)
+    for want in (greens.sum(axis=1), solve_greens(spec, grid, diagonal).sum(axis=1)):
+        scale = np.abs(want).max()
+        assert np.abs(trace - want).max() <= 1e-12 * scale
+        assert np.abs(alone - want).max() <= 1e-12 * scale
+
+
+@given(problems())
 def test_greens_is_complex_symmetric(problem):
     spec, grid = problem
     g = full(averaged_greens(spec, grid), spec.n_sites)
