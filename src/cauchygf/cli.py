@@ -234,7 +234,8 @@ def _cmd_dos(cfg, args):
     # Only the elements the columns name, each once: the sites' diagonal,
     # then the G pairs; rho_total is the exact trace, not a row sum.
     sites = [int(m.group(1)) for m in map(_SITE_COLUMN.match, columns) if m]
-    pairs = [(int(m.group(2)), int(m.group(3))) for m in map(_G_COLUMN.match, columns) if m]
+    pairs = list(dict.fromkeys((int(m.group(2)), int(m.group(3)))
+                               for m in map(_G_COLUMN.match, columns) if m))
     position = {element: c for c, element in
                 enumerate(dict.fromkeys([(i, i) for i in sites] + pairs))}
     greens, trace = averaged_greens(spec, grid, list(position), trace=True)

@@ -121,11 +121,7 @@ def _pole_sums(weights, poles, omegas, eta, double=None):
     ``weights`` is (c, p, m); weights that every sample shares can come as
     an ``np.broadcast_to`` view.  With d = w - pole and r = 1/(d^2 + eta^2)
     the real part is weights @ (d*r) and the imaginary part
-    -eta * (weights @ r): two real matrix products per tile.  When every
-    sample shares the weights (a view whose sample stride is 0: the
-    engine's and the Schur route's), -eta is folded into one copy of them
-    once per call instead of scaling each tile.  Per-sample weights (the
-    eigh route) keep the scaling pass, so their results keep their bits.
+    -eta * (weights @ r): two real matrix products per tile.
 
     ``double`` (q, m), weights every sample shares, adds q rows after the p:
     the double-pole sums sum_m double[j, m] / (omegas[w] + i*eta - poles[c, m])^2,
@@ -152,16 +148,12 @@ def _pole_sums(weights, poles, omegas, eta, double=None):
     # doubled the time at some tile widths.
     d_cells, r_cells = np.empty((2, c_tile * m * w_tile))
     tile_cells = np.empty(c_tile * 2 * (p + q) * w_tile)
-    shared = weights.strides[0] == 0
-    if shared:
-        damped = np.broadcast_to(weights[0] * -eta, weights.shape)
     if q:
         square_cells = np.empty(c_tile * q * w_tile)
         double_im, double_sq = double * (-2 * eta), double * (-2 * eta * eta)
     for c0 in range(0, n_samples, c_tile):
         c1 = min(c0 + c_tile, n_samples)
         mix = weights[c0:c1]
-        mix_im = damped[c0:c1] if shared else mix
         for w0 in range(0, n_omega, w_tile):
             w1 = min(w0 + w_tile, n_omega)
             shape = (c1 - c0, m, w1 - w0)
@@ -176,9 +168,8 @@ def _pole_sums(weights, poles, omegas, eta, double=None):
             tile = tile_cells[:(c1 - c0) * 2 * (p + q) * (w1 - w0)].reshape(
                 c1 - c0, 2, p + q, w1 - w0)
             np.matmul(mix, d, out=tile[:, 0, :p])
-            np.matmul(mix_im, r, out=tile[:, 1, :p])
-            if not shared:
-                tile[:, 1, :p] *= -eta
+            np.matmul(mix, r, out=tile[:, 1, :p])
+            tile[:, 1, :p] *= -eta
             if q:
                 np.matmul(double, r, out=tile[:, 0, p:])
                 d *= r
