@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output base path (extension-adjusted per artifact)")
     common.add_argument("--grid", help="frequency window lo:hi:n, overrides [grid]")
     common.add_argument("--eta", type=float, help="probe regularizer, overrides [grid] eta")
-    common.add_argument("--quiet", action="store_true", help="suppress progress lines")
+    common.add_argument("--quiet", action="store_true", help="do not print the 'wrote PATH' lines")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("dos", parents=[common],
                    help="total/per-site density of states of a graph model")

@@ -7,15 +7,14 @@ h0 and the elements asked for:
 
 * Schur complement, when h0 has no hopping between disordered sites (its
   disordered block D is exactly diagonal), exactly one site u is
-  undisordered and every element asked for is diagonal: the cavity's
-  spectra, whose molecules couple only through the mode u.  Then
-  G_uu = 1/(z - h_uu - Sigma) with the self-energy
-  Sigma = sum_i h_ui^2 / (z - h_ii - xi_i), and each G_ii follows from
-  G_uu, with no eigensolver.
-* Batched symmetric eigendecomposition of h0 + diag(xi) otherwise (the
-  graphs, isolated sites, off-diagonal elements),
-  G_ij = sum_m V_im V_jm / (z - lambda_m).  It is also the oracle the Schur
-  route is tested against.
+  undisordered and every element asked for is G_uu: the cavity mode, whose
+  molecules couple only through it.  Then G_uu = 1/(z - h_uu - Sigma) with
+  the self-energy Sigma = sum_i h_ui^2 / (z - h_ii - xi_i), with no
+  eigensolver.
+* Batched symmetric eigendecomposition of h0 + diag(xi) for every other
+  request (the graphs, isolated sites, the molecules' elements, off-diagonal
+  elements), G_ij = sum_m V_im V_jm / (z - lambda_m).  It is also the oracle
+  the Schur route is tested against.
 
 Both routes reduce to sums of weights over real poles, which the package's one
 real-arithmetic kernel, ``engine._pole_sums``, evaluates in cache-sized tiles
@@ -29,9 +28,9 @@ The samples are split into blocks whose size depends only on the shape of
 the request: its sites, elements and frequencies.  Block b holds the b-th
 segment of the seed's Philox stream and is folded from zero on its own, one
 block per CPU the process may use at a time: the calling thread folds the
-first of each group and a thread pool the others.  They merge into the total
-in block order, so the means and standard errors are the same bits whatever
-the core count.
+first of each group (one more pool thread would only add memory) and a thread
+pool the others.  They merge into the total in block order, so the means and
+standard errors are the same bits whatever the core count.
 """
 
 from __future__ import annotations
@@ -146,84 +145,60 @@ def _eigh_chunk(spec, xi, pairs, omegas, eta):
 
 
 def _schur_chunk(spec, xi, pairs, omegas, eta):
-    """The same tiles, each holding every frequency, for the diagonal
-    requests that _realization_route sends here.  Each disordered site i
-    couples only to the one undisordered site u, so eliminating it gives
-    G_uu = 1/(z - h_uu - sum_i h_ui^2 g_i) with g_i = 1/(z - a_i),
-    a_i = h_ii + xi_i, and G_ii = g_i (1 + h_ui^2 g_i G_uu).  G_uu and the
-    g_i come from real arithmetic, G_uu = (a + ib)/(a^2 + b^2) and
-    g_i = (d*r, -eta*r) with d = w - a_i, r = 1/(d^2 + eta^2).
+    """The same tiles, each holding every frequency, for a request whose
+    elements are all (u, u), u the one undisordered site: the only requests
+    _realization_route sends here.  Each disordered site i couples only to
+    u, so eliminating them gives G_uu = 1/(z - h_uu - Sigma) with the
+    self-energy Sigma = sum_i h_ui^2 / (z - h_ii - xi_i), one row of pole
+    sums with no eigensolver.
     """
     d_sites = np.flatnonzero(spec.disordered)
     u = np.flatnonzero(~spec.disordered)[0]
     c, n_omega = xi.shape[0], omegas.size
     levels = np.diagonal(spec.h0)[d_sites]
     coupling = spec.h0[d_sites, u] ** 2
-    sites = np.array(pairs, dtype=int).reshape(-1, 2)[:, 0]
-    u_rows, d_rows = np.flatnonzero(sites == u), np.flatnonzero(sites != u)
-    column = np.searchsorted(d_sites, sites[d_rows])               # i's place in D
-    weight = coupling[column, None]
     shifted = omegas - spec.h0[u, u]
 
-    # A step fills G_uu and the tile, 2 * (k + 1) * n_omega cells per
-    # sample, with twice _TILE_BUDGET cells, as one of the kernel's tiles
-    # holds.  With half that, a step at k = 7 held about ten samples, and its
-    # numpy calls, which hold the interpreter lock that the block threads
-    # share, cost more than its arithmetic.
-    step = min(c, max(1, _TILE_BUDGET // ((sites.size + 1) * n_omega)))
+    # Row 0 of the tile holds G_uu, even for an empty request.  A step of
+    # _TILE_BUDGET // ((k + 1) * n_omega) samples makes few numpy calls,
+    # which hold the interpreter lock the block threads share, and it sets
+    # the tiles _fold_block merges, so it fixes the statistics' last bits.
+    k = len(pairs)
+    step = min(c, max(1, _TILE_BUDGET // ((k + 1) * n_omega)))
     # Buffers reused by every tile, for the same reason as in engine._pole_sums.
-    # The self-energy sums land where G_uu is then built in place: the tile's
-    # first u row when u is asked for.
-    tile = np.empty((step, 2, sites.size, n_omega))
-    planes = tile[:, :, u_rows[0]] if u_rows.size else np.empty((step, 2, n_omega))
+    tile = np.empty((step, 2, max(1, k), n_omega))
     norm = np.empty((step, n_omega))
-    if d_rows.size:  # G_ii takes G_uu as a complex factor
-        g_uu = np.empty((step, 1, n_omega), dtype=complex)
-        d, r = np.empty((2, step, d_rows.size, n_omega))
-        g, values = np.empty((2, step, d_rows.size, n_omega), dtype=complex)
     for c0 in range(0, c, step):
         s = min(step, c - c0)
         poles = levels + xi[c0:c0 + s, d_sites]                       # (s, |D|)
         shared = np.broadcast_to(coupling, (s, 1, d_sites.size))
         for t0, t1, w0, w1, sums in _pole_sums(shared, poles, omegas, eta):
-            planes[t0:t1, :, w0:w1] = sums[:, :, 0]
+            tile[t0:t1, :, 0, w0:w1] = sums[:, :, 0]
         # G_uu = 1/(a - ib) = (a + ib)/(a^2 + b^2), where a - ib is
         # z - h_uu - Sigma and b = Im Sigma - eta <= -eta, so it exists.
-        a, b = planes[:s, 0], planes[:s, 1]
+        g_uu = tile[:s, :, 0]
+        a, b = g_uu[:, 0], g_uu[:, 1]
         np.subtract(shifted, a, out=a)
         b -= eta
-        np.einsum("cjw,cjw->cw", planes[:s], planes[:s], out=norm[:s])  # a*a + b*b, no temporary
-        planes[:s] /= norm[:s, None]
-        if u_rows.size > 1:
-            tile[:s, :, u_rows[1:]] = planes[:s, :, None]
-        if d_rows.size:
-            g_uu.real[:s, 0], g_uu.imag[:s, 0] = a, b
-            np.subtract(omegas, poles[:, column, None], out=d[:s])
-            np.multiply(d[:s], d[:s], out=r[:s])
-            r[:s] += eta * eta
-            np.reciprocal(r[:s], out=r[:s])
-            np.multiply(d[:s], r[:s], out=g.real[:s])
-            np.multiply(r[:s], -eta, out=g.imag[:s])
-            np.multiply(g[:s], g_uu[:s], out=values[:s])
-            values[:s] *= weight
-            values[:s] += 1.0
-            values[:s] *= g[:s]
-            tile[:s, 0, d_rows] = values.real[:s]
-            tile[:s, 1, d_rows] = values.imag[:s]
-        yield c0, c0 + s, 0, n_omega, tile[:s]
+        np.einsum("cjw,cjw->cw", g_uu, g_uu, out=norm[:s])  # a*a + b*b, no temporary
+        g_uu /= norm[:s, None]
+        tile[:s, :, 1:] = g_uu[:, :, None]
+        yield c0, c0 + s, 0, n_omega, tile[:s, :, :k]
 
 
 def _realization_route(spec, elements):
     """Schur when h0's disordered block is exactly diagonal, exactly one site
-    is undisordered and every element is diagonal, else the batched
-    eigendecomposition.  Two or more undisordered sites would need a
-    |U| x |U| inverse per sample and frequency, up to 24 times slower than
-    the eigendecomposition; with none, every site is isolated."""
+    u is undisordered and every element is (u, u), an empty request too;
+    else the batched eigendecomposition.  Two or more undisordered sites
+    would need a |U| x |U| inverse per sample and frequency, up to 24 times
+    slower than the eigendecomposition; with none, every site is isolated.
+    The molecules' G_ii, which no benchmark asks for, go to the
+    eigendecomposition too."""
+    u = np.flatnonzero(~spec.disordered)
     block = spec.h0[np.ix_(spec.disordered, spec.disordered)]
     hops = np.count_nonzero(block) > np.count_nonzero(np.diagonal(block))
-    one_u = np.count_nonzero(~spec.disordered) == 1
-    diagonal = all(i == j for i, j in elements)
-    return _schur_chunk if one_u and not hops and diagonal else _eigh_chunk
+    schur = u.size == 1 and not hops and all(i == j == u[0] for i, j in elements)
+    return _schur_chunk if schur else _eigh_chunk
 
 
 def _block_size(n, k, n_omega):
@@ -268,20 +243,16 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
                      grid: SpectralGrid, elements=None) -> EnsembleResult:
     """Monte-Carlo mean of G_ij(w + i*eta) over explicit disorder realizations.
 
-    Each sample, H = h0 + diag(xi * mask), is resolved exactly, through a
-    Schur complement on the one undisordered site when no two disordered
-    sites hop to each other and every element is diagonal, and through its
-    eigenmode sum otherwise.  The solver hands over tiles of samples x
-    frequencies; each tile is reduced to its mean and squared deviations
-    while it is still in cache and merged pairwise into its block's
-    statistics (Chan, Golub & LeVeque), so no array holds a block's samples,
-    elements and frequencies at once.  Blocks are folded one per usable CPU
-    at a time, the first of each group on the calling thread (rather than on
-    one more pool thread, which would only add memory) and the rest on a
-    thread pool, and merged in block order, so the result does not depend on
-    the core count.  ``elements`` defaults to the full diagonal.
-    The probe eta comes from ``config``; a nonzero grid.eta must agree with
-    it.  Raises ConvergenceFailure if a batched eigendecomposition fails.
+    Each sample, H = h0 + diag(xi * mask), is resolved exactly: by a Schur
+    complement when only G_uu of the one undisordered site u is asked for
+    and no two disordered sites hop to each other, by its eigenmode sum for
+    every other request.  Each tile of samples x frequencies is folded into
+    its block's statistics (Chan, Golub & LeVeque) while it is still in
+    cache, and the blocks, folded one per usable CPU at a time, merge in
+    block order, so the result does not depend on the core count.
+    ``elements`` defaults to the full diagonal.  The probe eta comes from
+    ``config``; a nonzero grid.eta must agree with it.  Raises
+    ConvergenceFailure if a batched eigendecomposition fails.
     """
     if grid.eta not in (0.0, config.eta):
         raise ValueError(f"grid.eta = {grid.eta} conflicts with ensemble eta = {config.eta}")
@@ -321,5 +292,7 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
                 count += c
 
     stderr = np.sqrt(m2 / max(1, count - 1) / count)
-    return EnsembleResult(elements, (mean[0] + 1j * mean[1]).T.copy(),
-                          stderr[0].T.copy(), stderr[1].T.copy(), int(count))
+    mean_greens = np.empty((nw, k), dtype=complex)
+    mean_greens.real, mean_greens.imag = mean[0].T, mean[1].T
+    return EnsembleResult(elements, mean_greens, stderr[0].T.copy(), stderr[1].T.copy(),
+                          int(count))

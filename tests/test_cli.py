@@ -235,9 +235,9 @@ def test_mc_compare_flag_overrides_beat_config(tmp_path):
 
 
 def test_mc_compare_cavity_z_scores_match_direct_solve(tmp_path):
-    # The cavity state is undisordered: Schur realizations, and a reference
-    # from the engine's Woodbury correction, recomputed here by the direct
-    # solve.
+    # The cavity state is undisordered: eigh realizations of the full
+    # diagonal, and a reference from the engine's Woodbury correction,
+    # recomputed here by the direct solve.
     ini = CAVITY_INI + "[ensemble]\nsamples = 200\nseed = 5\n"
     out = tmp_path / "mc.csv"
     assert run(tmp_path, ini, "mc-compare", "--out", str(out),

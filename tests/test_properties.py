@@ -142,12 +142,11 @@ def realizations(draw):
 def test_schur_realizations_match_eigh_and_direct_solve(case):
     # The eigendecomposition serves every mask and every pair, so it is
     # checked on u x u, u x D and D x D elements, on and off the diagonal.
-    # The Schur route serves masks with exactly one undisordered site u and
-    # diagonal elements only, the only requests routed to it.
+    # The Schur route serves only G_uu, on masks with exactly one
+    # undisordered site u: it is checked on (u, u), asked for twice.
     spec, xi, grid = case
     n, z = spec.n_sites, grid.omegas + 1j * grid.eta
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    diagonal = [(i, i) for i in range(n)]
 
     def collected(solver, elements):
         # The solvers hand over (re, im) tiles of samples x frequencies;
@@ -163,8 +162,10 @@ def test_schur_realizations_match_eigh_and_direct_solve(case):
     direct = direct.reshape(len(xi), z.size, n * n).transpose(0, 2, 1)
     scale = np.abs(direct).max(axis=(1, 2))[:, None, None]           # per realization
     assert np.all(np.abs(eigh - direct) <= 1e-10 * scale)
-    if np.count_nonzero(~spec.disordered) == 1:
-        schur = collected(mc._schur_chunk, diagonal)
-        on_diagonal = [i * n + i for i in range(n)]
-        assert np.all(np.abs(schur - eigh[:, on_diagonal]) <= 1e-10 * scale)
-        assert np.all(np.abs(schur - direct[:, on_diagonal]) <= 1e-10 * scale)
+    undisordered = np.flatnonzero(~spec.disordered)
+    if undisordered.size == 1:
+        u = int(undisordered[0])
+        assert mc._realization_route(spec, [(u, u)]) is mc._schur_chunk
+        schur = collected(mc._schur_chunk, [(u, u), (u, u)])
+        for want in (eigh, direct):
+            assert np.all(np.abs(schur - want[:, [u * n + u] * 2]) <= 1e-10 * scale)
