@@ -422,7 +422,8 @@ def test_elements_default_to_diagonal_and_accept_offdiagonal():
     # Across requests only the summation order of the eigenvector products
     # differs (numpy's matmul picks dot, gemv or gemm by row count), so a
     # shared element agrees to rounding, not bit for bit.
-    assert abs(off.mean_greens[0, 1] - out.mean_greens[0, 3]) <= 1e-13 * abs(out.mean_greens[0, 3])
+    assert abs(off.mean_greens[0, 1] - out.mean_greens[0, 3]) \
+        <= 1e-13 * abs(out.mean_greens[0, 3])
     # A fractional index is rejected by name, not truncated to (0, 2).
     with pytest.raises(ValueError, match="indices must be integers"):
         ensemble_average(spec, conf, grid, elements=[(0.7, 2)])
