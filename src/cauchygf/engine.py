@@ -145,8 +145,16 @@ def _pole_sums(weights, poles, omegas, eta, double=None):
     c_tile = min(n_samples, max(1, _TILE_BUDGET // (width * w_tile)))
     # Reused buffers: with fresh temporaries per tile the allocator handed
     # their pages back to the system and faulted them in again, which
-    # doubled the time at some tile widths.
-    d_cells, r_cells = np.empty((2, c_tile * m * w_tile))
+    # doubled the time at some tile widths.  So the operands of the product
+    # that forms d, rows (-pole, 1) against columns (1, omega), are carved
+    # from the same buffer as d and r: two exact products and one rounding
+    # give the bits of omega - pole in a single pass over d.
+    cells = c_tile * m * w_tile
+    scratch = np.empty(2 * cells + 2 * c_tile * m + 2 * w_tile)
+    d_cells, r_cells = scratch[:cells], scratch[cells:2 * cells]
+    rows = scratch[2 * cells:-2 * w_tile].reshape(c_tile, m, 2)
+    columns = scratch[-2 * w_tile:].reshape(2, w_tile)
+    rows[..., 1], columns[0] = 1, 1
     tile_cells = np.empty(c_tile * 2 * (p + q) * w_tile)
     if q:
         square_cells = np.empty(c_tile * q * w_tile)
@@ -154,13 +162,14 @@ def _pole_sums(weights, poles, omegas, eta, double=None):
     for c0 in range(0, n_samples, c_tile):
         c1 = min(c0 + c_tile, n_samples)
         mix = weights[c0:c1]
+        np.negative(poles[c0:c1], out=rows[:c1 - c0, :, 0])
         for w0 in range(0, n_omega, w_tile):
             w1 = min(w0 + w_tile, n_omega)
             shape = (c1 - c0, m, w1 - w0)
             d = d_cells[:math.prod(shape)].reshape(shape)
             r = r_cells[:d.size].reshape(shape)
-            np.copyto(d, omegas[w0:w1])  # faster than a broadcast subtract into d
-            d -= poles[c0:c1, :, None]
+            columns[1, :w1 - w0] = omegas[w0:w1]
+            np.matmul(rows[:c1 - c0], columns[:, :w1 - w0], out=d)
             np.square(d, out=r)
             r += eta * eta
             np.reciprocal(r, out=r)

@@ -26,18 +26,29 @@ so the estimator has finite variance even though the inputs do not.
 
 The samples are split into blocks whose size depends only on the shape of
 the request: its sites, elements and frequencies.  Block b holds the b-th
-segment of the seed's Philox stream and is folded from zero on its own, one
-block per CPU the process may use at a time: the calling thread folds the
-first of each group (one more pool thread would only add memory) and a thread
-pool the others.  They merge into the total in block order, so the means and
-standard errors are the same bits whatever the core count.
+segment of the seed's Philox stream and is folded from zero on its own.  On
+Linux, when the caller is the process's only Python thread and there is more
+than one block, the caller forks one worker process for each other CPU the
+process may use (threads would share one interpreter lock, which the batched
+eigh and every numpy call in the fold take).  Each of the w processes replays
+the stream's draws in block order, a small cost beside a fold, and folds the
+blocks b = j mod w; worker j sends each block's statistics, or the exception
+that stopped it, to the caller through a pipe.  Otherwise the calling thread
+folds every block, with the same calls.  The blocks merge into the total in
+block order, so the means and standard errors are the same bits whatever the
+core count and whether or not workers ran, and no worker outlives the call.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -154,19 +165,18 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
     """
     d_sites = np.flatnonzero(spec.disordered)
     u = np.flatnonzero(~spec.disordered)[0]
-    c, n_omega = xi.shape[0], omegas.size
+    c, n_omega, k = xi.shape[0], omegas.size, len(pairs)
     levels = np.diagonal(spec.h0)[d_sites]
     coupling = spec.h0[d_sites, u] ** 2
     shifted = omegas - spec.h0[u, u]
 
-    # Row 0 of the tile holds G_uu, even for an empty request.  A step of
-    # _TILE_BUDGET // ((k + 1) * n_omega) samples makes few numpy calls,
-    # which hold the interpreter lock the block threads share, and it sets
-    # the tiles _fold_block merges, so it fixes the statistics' last bits.
-    k = len(pairs)
+    # Row 0 of the tile holds G_uu.  A step of _TILE_BUDGET // ((k + 1) *
+    # n_omega) samples keeps the tile and norm in cache with few numpy
+    # calls, and it sets the tiles _fold_block merges, so it fixes the
+    # statistics' last bits.
     step = min(c, max(1, _TILE_BUDGET // ((k + 1) * n_omega)))
     # Buffers reused by every tile, for the same reason as in engine._pole_sums.
-    tile = np.empty((step, 2, max(1, k), n_omega))
+    tile = np.empty((step, 2, k, n_omega))
     norm = np.empty((step, n_omega))
     for c0 in range(0, c, step):
         s = min(step, c - c0)
@@ -183,15 +193,15 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
         np.einsum("cjw,cjw->cw", g_uu, g_uu, out=norm[:s])  # a*a + b*b, no temporary
         g_uu /= norm[:s, None]
         tile[:s, :, 1:] = g_uu[:, :, None]
-        yield c0, c0 + s, 0, n_omega, tile[:s, :, :k]
+        yield c0, c0 + s, 0, n_omega, tile[:s]
 
 
 def _realization_route(spec, elements):
     """Schur when h0's disordered block is exactly diagonal, exactly one site
-    u is undisordered and every element is (u, u), an empty request too;
-    else the batched eigendecomposition.  Two or more undisordered sites
-    would need a |U| x |U| inverse per sample and frequency, up to 24 times
-    slower than the eigendecomposition; with none, every site is isolated.
+    u is undisordered and every element is (u, u); else the batched
+    eigendecomposition.  Two or more undisordered sites would need a
+    |U| x |U| inverse per sample and frequency, up to 24 times slower than
+    the eigendecomposition; with none, every site is isolated.
     The molecules' G_ii, which no benchmark asks for, go to the
     eigendecomposition too."""
     u = np.flatnonzero(~spec.disordered)
@@ -218,6 +228,69 @@ def _usable_cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         return os.cpu_count() or 1
+
+
+def _draws(dist, mask, seed, sizes):
+    """Each block's noise in turn, drawn in the seed's stream order."""
+    rng = make_rng(seed)
+    for c in sizes:
+        xi = _draw(dist, (c, mask.size), rng)
+        xi *= mask
+        yield xi
+
+
+def _fork_worker(results):
+    """Fork a worker process that sends each item of the iterator
+    ``results``, then the exception that stopped it if one did, down a pipe
+    and exits; return (pid, reader).  The worker never returns from here:
+    it ends with os._exit, which runs none of the caller's exit handlers."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    status = 1
+    try:
+        os.close(r)
+        with open(w, "wb") as out:
+            try:
+                for item in results:
+                    out.write(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+                    out.flush()
+            except BaseException as exc:  # the caller raises it, in block order
+                out.write(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+                raise
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(workers, j, block):
+    """The next item worker j sent, which is block ``block``'s statistics;
+    raises the exception the worker sent instead, or ChildProcessError,
+    naming its exit status, if it ended without sending one (that worker is
+    then reaped and dropped from ``workers``)."""
+    pid, reader = workers[j]
+    try:
+        item = pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):
+        del workers[j]
+        reader.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        raise ChildProcessError(f"Monte-Carlo worker {pid} ended with exit status "
+                                f"{status} before sending block {block}") from None
+    if isinstance(item, BaseException):
+        raise item
+    return item
+
+
+def _reap(workers):
+    """Stop every worker that is left and wait for it to end.  One that has
+    sent all it had to is done, so the signal cannot lose a result."""
+    for pid, reader in workers:
+        reader.close()
+        os.kill(pid, signal.SIGKILL)  # it is not reaped yet, so the pid is still its own
+        os.waitpid(pid, 0)
 
 
 def _fold_block(solve, spec, xi, elements, omegas, eta):
@@ -248,11 +321,14 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
     and no two disordered sites hop to each other, by its eigenmode sum for
     every other request.  Each tile of samples x frequencies is folded into
     its block's statistics (Chan, Golub & LeVeque) while it is still in
-    cache, and the blocks, folded one per usable CPU at a time, merge in
-    block order, so the result does not depend on the core count.
-    ``elements`` defaults to the full diagonal.  The probe eta comes from
-    ``config``; a nonzero grid.eta must agree with it.  Raises
-    ConvergenceFailure if a batched eigendecomposition fails.
+    cache.  The blocks are folded in forked worker processes, one per usable
+    CPU, when the caller is the only Python thread on Linux, else in the
+    calling thread, and merge in block order, so the result does not depend
+    on the core count.  ``elements`` defaults to the full diagonal; an empty
+    request solves nothing.  The probe eta comes from ``config``; a nonzero
+    grid.eta must agree with it.  Raises ConvergenceFailure if a batched
+    eigendecomposition fails, and ChildProcessError if a worker process ends
+    without sending its blocks.
     """
     if grid.eta not in (0.0, config.eta):
         raise ValueError(f"grid.eta = {grid.eta} conflicts with ensemble eta = {config.eta}")
@@ -262,34 +338,41 @@ def ensemble_average(spec: HamiltonianSpec, config: EnsembleConfig,
     else:
         elements = _normalized_elements(elements, n)
     k, nw = len(elements), grid.omegas.size
+    if not k:
+        empty = np.empty((nw, 0))
+        return EnsembleResult(elements, empty.astype(complex), empty, empty.copy(),
+                              int(config.n_samples))
     solve = _realization_route(spec, elements)
 
-    rng = make_rng(config.seed)
     mask = spec.disordered.astype(float)
     block = _block_size(n, k, nw)
     sizes = [min(block, config.n_samples - b0) for b0 in range(0, config.n_samples, block)]
-    workers = min(_usable_cpus(), len(sizes))
+    # A forked child holds only the thread that forked it, so a lock another
+    # thread held at that moment would never be released in the child.
+    alone = sys.platform == "linux" and threading.active_count() == 1
+    n_proc = min(_usable_cpus(), len(sizes)) if alone else 1
 
-    # Imported here: it loads logging, 8 ms that commands without ensembles skip.
-    from concurrent.futures import ThreadPoolExecutor
+    def folded(j):
+        """The statistics of blocks j, j + n_proc, ... in turn."""
+        share = islice(_draws(config.distribution, mask, config.seed, sizes), j, None, n_proc)
+        return (_fold_block(solve, spec, xi, elements, grid.omegas, config.eta)
+                for xi in share)
 
     count = 0
     mean = np.zeros((2, k, nw))   # running (re, im) mean and squared deviations
     m2 = np.zeros((2, k, nw))
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        for g0 in range(0, len(sizes), workers):
-            # One block per worker, drawn here in stream order.
-            counts = sizes[g0:g0 + workers]
-            group = []
-            for c in counts:
-                xi = _draw(config.distribution, (c, n), rng)
-                xi *= mask
-                group.append((solve, spec, xi, elements, grid.omegas, config.eta))
-            futures = [pool.submit(_fold_block, *args) for args in group[1:]]
-            folded = [_fold_block(*group[0])] + [future.result() for future in futures]
-            for c, stats in zip(counts, folded):
-                _merge_streams(count, mean, m2, c, *stats)
-                count += c
+    workers = []
+    try:
+        for j in range(1, n_proc):
+            workers.append(_fork_worker(folded(j)))
+        own = folded(0)
+        for b, c in enumerate(sizes):
+            j = b % n_proc
+            stats = _receive(workers, j - 1, b) if j else next(own)
+            _merge_streams(count, mean, m2, c, *stats)
+            count += c
+    finally:
+        _reap(workers)
 
     stderr = np.sqrt(m2 / max(1, count - 1) / count)
     mean_greens = np.empty((nw, k), dtype=complex)

@@ -37,6 +37,32 @@ def solve_greens(spec: HamiltonianSpec, grid: SpectralGrid,
     return out
 
 
+def pole_sum_tile(weights, poles, omegas, eta, double, c0, c1, w0, w1):
+    """Tile (c0, c1, w0, w1) of ``engine._pole_sums``, with d = omega - pole
+    formed by a copy of the frequencies and a broadcast subtraction of the
+    poles; every later step is the kernel's, on buffers of the same shapes,
+    so the tile must match the kernel's bit for bit."""
+    p, q = weights.shape[1], 0 if double is None else double.shape[0]
+    d = np.empty((c1 - c0, poles.shape[1], w1 - w0))
+    np.copyto(d, omegas[w0:w1])
+    d -= poles[c0:c1, :, None]
+    r = np.square(d)
+    r += eta * eta
+    np.reciprocal(r, out=r)
+    d *= r
+    tile = np.empty((c1 - c0, 2, p + q, w1 - w0))
+    np.matmul(weights[c0:c1], d, out=tile[:, 0, :p])
+    np.matmul(weights[c0:c1], r, out=tile[:, 1, :p])
+    tile[:, 1, :p] *= -eta
+    if q:
+        np.matmul(double, r, out=tile[:, 0, p:])
+        d *= r
+        np.matmul(double * (-2 * eta), d, out=tile[:, 1, p:])
+        r *= r
+        tile[:, 0, p:] += np.matmul(double * (-2 * eta * eta), r)
+    return tile
+
+
 def reference_csv(header, columns) -> bytes:
     """The CSV bytes ``output.write_csv`` must write, one Python ``%`` per row.
 

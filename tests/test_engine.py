@@ -16,7 +16,7 @@ from cauchygf.errors import NonMonotonicGrid, SingularMatrix
 from cauchygf.lattice import (HamiltonianSpec, assemble_cavity,
                               assemble_huckel, build_topology)
 from cauchygf.quadrature import auto_window, integrate_trapezoid
-from oracles import solve_greens
+from oracles import pole_sum_tile, solve_greens
 
 
 def huckel(kind, n, gamma=0.1):
@@ -149,6 +149,35 @@ def test_double_pole_rows_follow_the_single_pole_rows():
         blocks += 1
     assert blocks > 1
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("c, p, m, n_omega, q, shared", [
+    (1, 1, 1, 1, 0, False),      # one pole, one frequency
+    (1, 3, 1, 700, 1, False),    # one pole, double rows
+    (6, 2, 9, 1, 0, False),      # one frequency, several samples a tile
+    (1, 27, 25, 4001, 2, False), # the engine's cavity trace shape
+    (5, 7, 7, 201, 0, False),    # mc-star's full diagonal
+    (3, 1, 80, 601, 0, True),    # the Monte-Carlo self-energy, shared weights
+    (2, 4, 300, 500, 2, False),  # several frequency blocks per sample block
+])
+def test_pole_sum_tiles_match_copy_and_subtract_reference(c, p, m, n_omega, q, shared):
+    # d = omega - pole comes from one matrix product of rows (-pole, 1) and
+    # columns (1, omega): two exact products and one rounding, the bits of
+    # the subtraction.  Cauchy poles reach 1e13, and some sit on a frequency.
+    rng = np.random.default_rng([c, p, m, n_omega, q])
+    poles = 0.1 * rng.standard_cauchy((c, m))
+    poles.flat[::3] = rng.choice([-1e13, 1e13, 3e7, -2.5e-9], poles.flat[::3].size)
+    omegas = np.sort(rng.uniform(-3, 3, n_omega))
+    poles.flat[1::5] = rng.choice(omegas, poles.flat[1::5].size)
+    weights = (np.broadcast_to(rng.standard_normal((1, p, m)), (c, p, m)) if shared
+               else rng.standard_normal((c, p, m)))
+    double = rng.standard_normal((q, m)) if q else None
+    cells = 0
+    for c0, c1, w0, w1, tile in _pole_sums(weights, poles, omegas, 0.05, double):
+        want = pole_sum_tile(weights, poles, omegas, 0.05, double, c0, c1, w0, w1)
+        assert tile.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+        cells += (c1 - c0) * (w1 - w0)
+    assert cells == c * n_omega
 
 
 def test_tiny_gamma_standin_matches_clean_resolvent():

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -184,11 +185,10 @@ def mc_cavity_request():
 
 @pytest.mark.parametrize("shape", ["star-eigh", "mode-schur", "mc-cavity"])
 def test_results_do_not_depend_on_worker_count(shape, monkeypatch):
-    # Three blocks, folded by one, two or three threads (more threads than
-    # this host may have cores), with the interpreter switching threads as
-    # often as it can: the blocks are fixed by the shape and merged in block
-    # order, so every run gives the same bits.  mc-cavity's 601 frequencies
-    # make blocks of 205 samples and a tile per sample.
+    # Three blocks, folded by one, two or three processes (more than this
+    # host may have cores): the blocks are fixed by the shape and merged in
+    # block order, so every run gives the same bits.  mc-cavity's 601
+    # frequencies make blocks of 205 samples and a tile per sample.
     if shape == "mc-cavity":
         spec, elements, grid, law = mc_cavity_request()
     else:
@@ -196,106 +196,153 @@ def test_results_do_not_depend_on_worker_count(shape, monkeypatch):
         grid = SpectralGrid(np.linspace(-2.5, 2.5, 9), eta=0.05)
     block = mc._block_size(spec.n_sites, len(elements), grid.omegas.size)
     config = EnsembleConfig(2 * block + 5, 61, law, grid.eta)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runs = []
-        for workers in (1, 2, 3, 3):
-            monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
-            runs.append(ensemble_average(spec, config, grid, elements))
-    finally:
-        sys.setswitchinterval(interval)
+    runs = []
+    for workers in (1, 2, 3, 3):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
+        runs.append(ensemble_average(spec, config, grid, elements))
     for run in runs[1:]:
         for name in ("mean_greens", "stderr_re", "stderr_im"):
             assert np.array_equal(getattr(run, name), getattr(runs[0], name)), name
 
 
-def test_mc_cavity_request_is_shared_out_in_blocks(monkeypatch):
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_mc_cavity_request_is_shared_out_in_blocks(monkeypatch, tmp_path):
     # Its pole sums, 80 poles at 601 frequencies, size the blocks: by the
     # 81-site eigh batch alone all 1200 samples would make one block, which
-    # one core folds.
+    # one process folds.  Each process appends its pid and block size to a
+    # file, in one write per block.
     spec, elements, grid, law = mc_cavity_request()
-    fold, sizes = mc._fold_block, []
+    fold, log = mc._fold_block, tmp_path / "blocks"
 
     def counting(solve, spec, xi, *rest):
-        sizes.append(len(xi))
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {len(xi)}\n")
         return fold(solve, spec, xi, *rest)
 
     monkeypatch.setattr(mc, "_fold_block", counting)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
     ensemble_average(spec, EnsembleConfig(1200, 5, law, grid.eta), grid, elements)
-    assert len(sizes) >= 2 and sum(sizes) == 1200
+    blocks = [line.split() for line in log.read_text().splitlines()]
+    assert len({pid for pid, _ in blocks}) >= 2
+    assert sum(int(size) for _, size in blocks) == 1200
+    assert_no_child_process()
+
+
+def star_request():
+    spec = assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1)
+    grid = SpectralGrid(np.linspace(-3, 3, 9), eta=0.05)
+    return spec, grid, mc._block_size(7, 7, grid.omegas.size)
 
 
 def test_eigh_failure_on_a_worker_is_convergence_failure(monkeypatch, tmp_path):
-    # The batched eigensolver fails in block 1, which a worker thread folds:
+    # The batched eigensolver fails in block 1, which a worker process folds:
     # the caller gets ConvergenceFailure (mc-compare exits 5, not the 3 of a
-    # ValueError such as LinAlgError), and no thread outlives the call.
-    spec = assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1)
-    grid = SpectralGrid(np.linspace(-3, 3, 9), eta=0.05)
-    eigh = np.linalg.eigh
-    block = mc._block_size(7, 7, grid.omegas.size)
-    calls = set()
+    # ValueError such as LinAlgError), and no process outlives the call.
+    spec, grid, block = star_request()
+    eigh, caller, log = np.linalg.eigh, os.getpid(), tmp_path / "calls"
 
     def failing(h):
-        calls.add((len(h), threading.current_thread() is threading.main_thread()))
+        with open(log, "a") as out:
+            out.write(f"{len(h)} {os.getpid() == caller}\n")
         if len(h) == 5:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigh(h)
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
-    before = threading.active_count()
     with pytest.raises(ConvergenceFailure, match="eigensolver failed"):
         ensemble_average(spec, EnsembleConfig(block + 5, 1, CAUCHY, 0.05), grid)
-    assert threading.active_count() == before
-    assert calls == {(block, True), (5, False)}
+    assert_no_child_process()
+    assert set(log.read_text().splitlines()) == {f"{block} True", "5 False"}
 
     cfg = tmp_path / "run.ini"
     cfg.write_text("[model]\nkind = star\nn_sites = 7\ngamma = 0.1\n"
                    f"[ensemble]\nsamples = {block + 5}\nseed = 1\neta = 0.05\n")
     assert main(["mc-compare", "--config", str(cfg), "--quiet", "--grid=-3:3:9",
                  "--out", str(tmp_path / "mc")]) == 5
-    assert threading.active_count() == before
+    assert_no_child_process()
 
 
-def test_failure_on_the_calling_thread_waits_for_the_pool(monkeypatch):
-    # The eigensolver fails in block 0, on the calling thread, while block 1
-    # is still being folded on a pool thread: ConvergenceFailure reaches the
-    # caller only after that thread has finished its block and ended.
-    spec = assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1)
-    grid = SpectralGrid(np.linspace(-3, 3, 9), eta=0.05)
-    eigh, fold = np.linalg.eigh, mc._fold_block
-    block = mc._block_size(7, 7, grid.omegas.size)
-    in_flight, failed = threading.Event(), threading.Event()
-    calls = set()
+@pytest.mark.parametrize("failure, raised", [
+    (np.linalg.LinAlgError, ConvergenceFailure), (KeyboardInterrupt, KeyboardInterrupt)],
+    ids=["eigh-failure", "interrupt"])
+def test_failure_in_the_callers_block_reaps_the_worker(failure, raised, monkeypatch,
+                                                       tmp_path):
+    # Block 0 fails in the caller, an eigensolver failure or an interrupt,
+    # while the worker is still folding block 1, which would take a minute:
+    # the error reaches the caller at once, and only after the worker has
+    # been stopped and reaped.
+    spec, grid, block = star_request()
+    eigh, caller, started = np.linalg.eigh, os.getpid(), tmp_path / "started"
 
     def failing(h):
-        on_caller = threading.current_thread() is threading.main_thread()
-        calls.add((len(h), on_caller))
-        if on_caller:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigh(h)
-
-    def folding(*args):
-        if threading.current_thread() is threading.main_thread():
-            assert in_flight.wait(10)
-            try:
-                return fold(*args)
-            finally:
-                failed.set()
-        in_flight.set()
-        assert failed.wait(10)
-        return fold(*args)
+        if os.getpid() != caller:
+            started.write_text(str(os.getpid()))
+            time.sleep(60)
+            return eigh(h)
+        deadline = time.monotonic() + 10
+        while not (started.exists() and started.read_text()):
+            assert time.monotonic() < deadline, "the worker never started block 1"
+            time.sleep(0.01)
+        raise failure("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
-    monkeypatch.setattr(mc, "_fold_block", folding)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
-    before = threading.active_count()
-    with pytest.raises(ConvergenceFailure, match="eigensolver failed"):
+    begun = time.monotonic()
+    with pytest.raises(raised):
         ensemble_average(spec, EnsembleConfig(block + 5, 1, CAUCHY, 0.05), grid)
-    assert threading.active_count() == before
-    assert calls == {(block, True), (5, False)}
+    assert time.monotonic() - begun < 30
+    assert_no_child_process()
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(started.read_text()), 0)
+
+
+def test_worker_that_ends_without_a_result_is_an_error(monkeypatch):
+    # A worker that dies before sending its block is named with its exit
+    # status; the caller neither waits for it forever nor merges the blocks
+    # it has.
+    spec, grid, block = star_request()
+    fold, caller = mc._fold_block, os.getpid()
+
+    def dying(*args):
+        if os.getpid() != caller:
+            os._exit(7)
+        return fold(*args)
+
+    monkeypatch.setattr(mc, "_fold_block", dying)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    with pytest.raises(ChildProcessError, match="exit status 7 before sending block 1"):
+        ensemble_average(spec, EnsembleConfig(block + 5, 1, CAUCHY, 0.05), grid)
+    assert_no_child_process()
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    # A forked child holds only the thread that forked it, so beside another
+    # Python thread the caller folds every block itself, to the same bits.
+    spec, elements, grid, law = mc_cavity_request()
+    config = EnsembleConfig(1200, 5, law, grid.eta)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    forked = ensemble_average(spec, config, grid, elements)
+
+    def no_fork():
+        raise AssertionError("forked beside another thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        serial = ensemble_average(spec, config, grid, elements)
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    for name in ("mean_greens", "stderr_re", "stderr_im"):
+        assert np.array_equal(getattr(serial, name), getattr(forked, name)), name
 
 
 def test_importing_the_cli_does_not_load_the_thread_pool():
@@ -325,12 +372,13 @@ def test_statistics_hold_no_per_sample_array():
 
 
 def test_two_worker_schur_ensemble_holds_no_more_than_one_block(monkeypatch):
-    # The mc-cavity request on two workers: two blocks of 205 samples in
-    # flight, each with the kernel's 601-wide d and r and its step's tile,
-    # hold less than one block of all 1200 samples would (3.19 MB traced).
+    # The mc-cavity request on two workers: the caller's blocks of 205
+    # samples, each with the kernel's 601-wide d and r and its step's tile,
+    # and the worker's statistics it reads hold less than one block of all
+    # 1200 samples would (3.19 MB traced).
     spec, elements, grid, law = mc_cavity_request()
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
-    # A first call imports the thread pool's modules, which are not the ensemble's.
+    # A first call leaves whatever it caches out of the traced call.
     ensemble_average(spec, EnsembleConfig(1, 5, law, grid.eta), grid, elements)
     tracemalloc.start()
     try:
@@ -341,20 +389,26 @@ def test_two_worker_schur_ensemble_holds_no_more_than_one_block(monkeypatch):
     assert peak < 3.15e6
 
 
-def test_empty_schur_request_holds_no_chunk_sized_tile():
+def test_empty_schur_request_holds_no_chunk_sized_tile(monkeypatch):
     # cavity(N=8), 8192 samples, 601 omega, no elements: a tile spanning the
-    # whole draw chunk takes 238 MB, one sized by a single element 3 MB.
+    # whole draw chunk takes 238 MB, one sized by a single element 3 MB, and
+    # G_uu, which nobody reads, took 186 ms; nothing is solved.
     spec = assemble_cavity(CavityParams(2.1, 2.1, 0.02, 8, coupling=0.1 / np.sqrt(8)))
     grid = SpectralGrid(np.linspace(2.0, 2.2, 601), eta=0.002)
     config = EnsembleConfig(8192, 3, DisorderSpec("cauchy", 0.02), 0.002)
     assert mc._realization_route(spec, []) is mc._schur_chunk
+
+    def unread(*args):
+        raise AssertionError("pole sums of an empty request")
+
+    monkeypatch.setattr(mc, "_pole_sums", unread)
     tracemalloc.start()
     try:
         result = ensemble_average(spec, config, grid, elements=[])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.mean_greens.shape == (601, 0)
+    assert result.mean_greens.shape == (601, 0) and result.n_samples == 8192
     assert peak < 16e6
 
 

@@ -129,13 +129,20 @@ def test_cavity_element_matches_closed_form(case):
 
 @st.composite
 def realizations(draw):
-    """h0 with no hopping between disordered sites, three noise realizations
-    on those sites and a grid at eta > 0."""
+    """Three noise realizations and a grid at eta > 0 for two masks on one
+    drawn h0: the mask matrices() draws, and the mask that leaves only a
+    drawn site u undisordered.  Each comes with its own copy of h0 whose
+    disordered sites do not hop to each other."""
     h0, mask = draw(matrices())
-    h0[np.ix_(mask, mask)] = np.diag(np.diagonal(h0)[mask])
+    one = np.arange(mask.size) != draw(st.integers(0, mask.size - 1))
     xi = draw(hnp.arrays(float, (3, mask.size), elements=st.floats(-3.0, 3.0),
                          fill=st.nothing()))
-    return HamiltonianSpec(h0, 0.1, mask), xi * mask, draw(grids(-5.0, 3.0, st.floats(0.05, 0.5)))
+    cases = []
+    for disordered in (mask, one):
+        h = h0.copy()
+        h[np.ix_(disordered, disordered)] = np.diag(np.diagonal(h0)[disordered])
+        cases.append((HamiltonianSpec(h, 0.1, disordered), xi * disordered))
+    return cases, draw(grids(-5.0, 3.0, st.floats(0.05, 0.5)))
 
 
 @given(realizations())
@@ -143,29 +150,35 @@ def test_schur_realizations_match_eigh_and_direct_solve(case):
     # The eigendecomposition serves every mask and every pair, so it is
     # checked on u x u, u x D and D x D elements, on and off the diagonal.
     # The Schur route serves only G_uu, on masks with exactly one
-    # undisordered site u: it is checked on (u, u), asked for twice.
-    spec, xi, grid = case
-    n, z = spec.n_sites, grid.omegas + 1j * grid.eta
-    pairs = [(i, j) for i in range(n) for j in range(n)]
+    # undisordered site u, which every example has: it is checked on
+    # (u, u), asked for twice.
+    cases, grid = case
+    z = grid.omegas + 1j * grid.eta
+    schur_checked = 0
+    for spec, xi in cases:
+        n = spec.n_sites
+        pairs = [(i, j) for i in range(n) for j in range(n)]
 
-    def collected(solver, elements):
-        # The solvers hand over (re, im) tiles of samples x frequencies;
-        # gather them back into one (c, k, n_omega) complex array.
-        out = np.full((len(xi), len(elements), z.size), np.nan, dtype=complex)
-        for c0, c1, w0, w1, tile in solver(spec, xi, elements, grid.omegas, grid.eta):
-            out[c0:c1, :, w0:w1] = tile[:, 0] + 1j * tile[:, 1]
-        return out
+        def collected(solver, elements):
+            # The solvers hand over (re, im) tiles of samples x frequencies;
+            # gather them back into one (c, k, n_omega) complex array.
+            out = np.full((len(xi), len(elements), z.size), np.nan, dtype=complex)
+            for c0, c1, w0, w1, tile in solver(spec, xi, elements, grid.omegas, grid.eta):
+                out[c0:c1, :, w0:w1] = tile[:, 0] + 1j * tile[:, 1]
+            return out
 
-    eigh = collected(mc._eigh_chunk, pairs)
-    h = spec.h0 + xi[:, :, None] * np.eye(n)                        # (c, n, n)
-    direct = np.linalg.solve(z[:, None, None] * np.eye(n) - h[:, None], np.eye(n))
-    direct = direct.reshape(len(xi), z.size, n * n).transpose(0, 2, 1)
-    scale = np.abs(direct).max(axis=(1, 2))[:, None, None]           # per realization
-    assert np.all(np.abs(eigh - direct) <= 1e-10 * scale)
-    undisordered = np.flatnonzero(~spec.disordered)
-    if undisordered.size == 1:
-        u = int(undisordered[0])
-        assert mc._realization_route(spec, [(u, u)]) is mc._schur_chunk
-        schur = collected(mc._schur_chunk, [(u, u), (u, u)])
-        for want in (eigh, direct):
-            assert np.all(np.abs(schur - want[:, [u * n + u] * 2]) <= 1e-10 * scale)
+        eigh = collected(mc._eigh_chunk, pairs)
+        h = spec.h0 + xi[:, :, None] * np.eye(n)                        # (c, n, n)
+        direct = np.linalg.solve(z[:, None, None] * np.eye(n) - h[:, None], np.eye(n))
+        direct = direct.reshape(len(xi), z.size, n * n).transpose(0, 2, 1)
+        scale = np.abs(direct).max(axis=(1, 2))[:, None, None]           # per realization
+        assert np.all(np.abs(eigh - direct) <= 1e-10 * scale)
+        undisordered = np.flatnonzero(~spec.disordered)
+        if undisordered.size == 1:
+            u = int(undisordered[0])
+            assert mc._realization_route(spec, [(u, u)]) is mc._schur_chunk
+            schur = collected(mc._schur_chunk, [(u, u), (u, u)])
+            for want in (eigh, direct):
+                assert np.all(np.abs(schur - want[:, [u * n + u] * 2]) <= 1e-10 * scale)
+            schur_checked += 1
+    assert schur_checked >= 1
