@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import itertools
 import os
 import re
 import sys
@@ -183,21 +184,16 @@ def _out_paths(args, default_base):
     }
 
 
-def _write_table(path, header, columns):
+def _write_table(path, header, table, text=None):
     """``write_csv`` for a command's result table, which must be finite: a NaN
-    or infinite float cell is a numerical failure, named by column and first
-    bad row before the file is opened, so an existing file keeps its contents."""
-    bad = []
-    for position, (name, column) in enumerate(zip(header, columns)):
-        values = np.asarray(column)
-        if values.dtype.kind == "f" and not np.isfinite(values).all():
-            row = int(np.argmin(np.isfinite(values)))
-            bad.append((row, position, name, values[row]))
-    if bad:
-        row, _, name, value = min(bad)
-        raise NonFiniteResult(f"column {name} is {value} in data row {row + 1} "
-                              f"of {len(columns[0])}; no table written")
-    write_csv(path, header, columns)
+    or infinite cell is a numerical failure, named by column and first bad
+    row before the target is opened, so an existing file keeps its contents."""
+    if not np.isfinite(table).all():  # one pass; the cell is looked for only now
+        row, column = np.argwhere(~np.isfinite(table))[0]  # row-major order
+        names = [name for c, name in enumerate(header) if text is None or c != text[0]]
+        raise NonFiniteResult(f"column {names[column]} is {table[row, column]} in data "
+                              f"row {row + 1} of {len(table)}; no table written")
+    write_csv(path, header, table, text)
 
 
 _SITE_COLUMN = re.compile(r"^rho_site_(0|[1-9][0-9]*)$")
@@ -224,6 +220,51 @@ def _dos_columns(cfg, n_sites):
     return names
 
 
+def _dos_source(name):
+    """The real plane a dos column reads and the element it reads there."""
+    site, pair = _SITE_COLUMN.match(name), _G_COLUMN.match(name)
+    if site:
+        return "rho", (int(site[1]), int(site[1]))
+    if pair:
+        return pair[1], (int(pair[2]), int(pair[3]))
+    return "total", None
+
+
+def _dos_table(spec, grid, columns):
+    """The dos table: omega, then the named columns, one row per frequency.
+
+    The complex result dies with this call, before the table is formatted,
+    so the table's blocks reuse its memory.  Kept alive, it grew the heap
+    past glibc's trim threshold, so every call of main gave pages back at its
+    end and faulted them in again: about 1,300 page faults a call on a
+    ring(64) table and 370 on the cavity's (N = 24)."""
+    sources = [_dos_source(name) for name in columns]
+    # Only the elements the columns name, each once: the sites' diagonal,
+    # then the G pairs; rho_total is the exact trace, not a row sum.
+    position = {element: c for c, element in enumerate(dict.fromkeys(
+        [e for plane, e in sources if plane == "rho"]
+        + [e for plane, e in sources if plane in ("re", "im")]))}
+    greens, trace = averaged_greens(spec, grid, list(position), trace=True)
+
+    planes = {"rho": greens.imag, "re": greens.real, "im": greens.imag,
+              "total": trace.imag[:, None]}
+    table = np.empty((grid.omegas.size, 1 + len(columns)))
+    table[:, 0] = grid.omegas
+    # A run of columns that read neighbouring columns of one plane is filled
+    # by one call: every rho_site column of a default table at once.
+    runs = itertools.groupby(enumerate(sources, 1),
+                             lambda cs: (cs[1][0], position.get(cs[1][1], 0) - cs[0]))
+    for (plane, shift), run in runs:
+        run = [c for c, _ in run]
+        target = table[:, run[0]:run[-1] + 1]
+        source = planes[plane][:, run[0] + shift:run[-1] + 1 + shift]
+        if plane in ("re", "im"):
+            target[...] = source
+        else:
+            np.divide(source, -np.pi, out=target)
+    return table
+
+
 def _cmd_dos(cfg, args):
     spec, _, model_echo = _resolve_model(cfg)
     grid, grid_echo = _resolve_grid(
@@ -231,33 +272,9 @@ def _cmd_dos(cfg, args):
         default_eta(spec))
 
     columns = _dos_columns(cfg, spec.n_sites)
-    # Only the elements the columns name, each once: the sites' diagonal,
-    # then the G pairs; rho_total is the exact trace, not a row sum.
-    sites = [int(m.group(1)) for m in map(_SITE_COLUMN.match, columns) if m]
-    pairs = list(dict.fromkeys((int(m.group(2)), int(m.group(3)))
-                               for m in map(_G_COLUMN.match, columns) if m))
-    position = {element: c for c, element in
-                enumerate(dict.fromkeys([(i, i) for i in sites] + pairs))}
-    greens, trace = averaged_greens(spec, grid, list(position), trace=True)
-
-    series = {"omega": grid.omegas, "rho_total": -trace.imag / np.pi}
-    rho = -greens.imag / np.pi
-    for i in sites:
-        series[f"rho_site_{i}"] = rho[:, position[(i, i)]]
-    for i, j in pairs:
-        column = position[(i, j)]
-        series[f"re_G_{i}_{j}"] = greens[:, column].real.copy()
-        series[f"im_G_{i}_{j}"] = greens[:, column].imag.copy()
-    # With no view of it left, the complex result is freed before the table
-    # is formatted, and the table's blocks reuse its memory.  Kept alive, it
-    # grew the heap past glibc's trim threshold, so every call of main gave
-    # pages back at its end and faulted them in again: about 1,300 page
-    # faults a call on a ring(64) table and 370 on the cavity's (N = 24).
-    del greens
-
+    table = _dos_table(spec, grid, columns)
     paths = _out_paths(args, "dos.csv")
-    header = ["omega"] + columns
-    _write_table(paths["csv"], header, [series[name] for name in header])
+    _write_table(paths["csv"], ["omega"] + columns, table)
     summary = {
         "command": "dos",
         "model": model_echo,
@@ -281,22 +298,17 @@ def _cmd_cavity(cfg, args):
     # An overflow leaves inf or nan in the table, which _write_table refuses
     # by column and row, so numpy's warnings would only repeat it.
     with np.errstate(all="ignore"):
-        series = {
-            "omega": w,
-            "rho_c": cavity_mod.rho_c(params, w, eta),
-            "delta_rho_m": cavity_mod.delta_rho_m(params, w, eta),
-            "delta_rho_t": cavity_mod.delta_rho_t(params, w, eta),
-        }
         header = ["omega", "rho_c", "delta_rho_m", "delta_rho_t"]
+        series = [w, cavity_mod.rho_c(params, w, eta), cavity_mod.delta_rho_m(params, w, eta),
+                  cavity_mod.delta_rho_t(params, w, eta)]
         if params.mu_debye is not None:
             alpha = cavity_mod.absorption(params, w, eta)
-            series["alpha_m2"] = alpha
             top = float(alpha.max())
-            series["alpha_normalized"] = alpha / top if top > 0 else alpha
+            series += [alpha, alpha / top if top > 0 else alpha]
             header += ["alpha_m2", "alpha_normalized"]
 
     paths = _out_paths(args, "cavity.csv")
-    _write_table(paths["csv"], header, [series[name] for name in header])
+    _write_table(paths["csv"], header, np.column_stack(series))
     payload = {
         "command": "cavity",
         "model": model_echo,
@@ -354,12 +366,13 @@ def _cmd_mc_compare(cfg, args):
 
     # One block of rows per element, every frequency in each.
     labels = np.repeat([f"G_{i}_{j}" for i, j in result.elements], grid.omegas.size)
+    table = np.column_stack([np.tile(grid.omegas, len(result.elements)),
+                             result.mean_greens.real.T.ravel(), result.mean_greens.imag.T.ravel(),
+                             result.stderr_re.T.ravel(), result.stderr_im.T.ravel()])
     paths = _out_paths(args, "mc-compare.csv")
     _write_table(paths["csv"],
                  ["omega", "element", "re_mean", "im_mean", "re_stderr", "im_stderr"],
-                 [np.tile(grid.omegas, len(result.elements)), labels,
-                  result.mean_greens.real.T.ravel(), result.mean_greens.imag.T.ravel(),
-                  result.stderr_re.T.ravel(), result.stderr_im.T.ravel()])
+                 table, text=(1, labels))
     summary = {
         "command": "mc-compare",
         "model": model_echo,

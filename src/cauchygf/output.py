@@ -4,20 +4,28 @@ Floats are printed as ``"%.12e" % value`` would print them (13 significant
 digits in scientific notation), line endings are LF, and JSON keys are
 sorted, so identical inputs always produce byte-identical files.
 
-The CSV writer formats each block of rows, about 2**15 cells, with numpy
-rather than one Python ``%`` per cell.  A cell's mantissa
+A CSV table is one 2-D float array, plus at most one text column.  The
+writer formats each block of rows, about 2**15 cells, with numpy rather
+than one Python ``%`` per cell.  A cell's mantissa
 m = |x| * 10**(12 - e) is computed with a single rounding by an exact power
 of ten (|12 - e| <= 22), so it lies within 2**-10 of the true value, and
 floor(m + 1/2) is the correctly rounded 13-digit mantissa unless m is within
 2**-9 of a half-integer.  Every cell that test cannot settle is printed by
 ``%`` itself: zeros, NaN and infinities, magnitudes outside [1e-10, 1e35),
-and near-ties.
+and near-ties.  The digits go in four at a time, from a table of the ASCII
+text of 0000-9999.
+
+Both writers overwrite an existing file in place and cut it at the end of
+the new bytes (``_rewrite``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
+import stat
 
 import numpy as np
 
@@ -37,6 +45,19 @@ _POW10 = np.array([float(10 ** k) for k in range(23)])  # exact in binary64
 _GUARD = 0.5 - 2.0 ** -9
 
 
+def _digit_groups():
+    """The four ASCII digits of every group value 0000-9999, each read as one
+    native uint32, and the last two digits of 00-99 as one uint16."""
+    digits = np.empty((10,) * 4 + (4,), dtype=np.uint8)
+    for k in range(4):
+        digits[..., k] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - k))
+    digits = digits.reshape(10_000, 4)
+    return digits.view(np.uint32).ravel(), digits[:100, 2:].copy().view(np.uint16).ravel()
+
+
+_GROUPS, _PAIRS = _digit_groups()
+
+
 def _scaled(a, e, out):
     """|x| * 10**(12 - e) into ``out``, rounded once: multiply or divide by an
     exact power of ten."""
@@ -53,7 +74,7 @@ def _scaled(a, e, out):
 def _mantissas(x):
     """Per cell of the flat float array ``x``: whether the fast path settles
     it (ok), its decimal exponent e and its 13-digit mantissa split as
-    hi * 10**7 + lo, all as int32 or bool.  The float64 buffers die here, so
+    hi * 10**8 + lo, all as int32 or bool.  The float64 buffers die here, so
     they are gone before the caller allocates the text."""
     a = np.abs(x)
     ok = a >= 1e-11
@@ -74,27 +95,38 @@ def _mantissas(x):
     carry = d == 1e13
     d[carry] = 1e12
     e += carry
-    hi = np.floor(np.divide(d, 1e7, out=m), out=m)
-    lo = np.subtract(d, np.multiply(hi, 1e7, out=a), out=d)
+    hi = np.floor(np.divide(d, 1e8, out=m), out=m)
+    lo = np.subtract(d, np.multiply(hi, 1e8, out=a), out=d)
     return ok, e, hi.astype(np.int32), lo.astype(np.int32)
 
 
+def _column(cells, offset, dtype):
+    """The bytes at ``offset`` of every row of ``cells`` as one ``dtype``
+    column: a strided, possibly unaligned view."""
+    return np.ndarray((cells.shape[0],), dtype, cells, offset, (cells.strides[0],))
+
+
 def _float_cells(x):
-    """The "%.12e" text of every float in ``x`` as a (x.size, _SLOTS + 1)
-    array of bytes, NUL-padded, with a comma in the separator slot."""
-    x = x.ravel()
-    ok, e, hi, lo = _mantissas(x)
-    # Six digits of the mantissa to slots 1 and 3-7, seven to 8-14.
+    """The "%.12e" text of every float in the contiguous array ``x`` as an
+    (x.size, _SLOTS + 1) array of bytes, NUL-padded, with a comma in the
+    separator slot."""
+    x = x.reshape(-1)
     out = np.empty((x.size, _SLOTS + 1), dtype=np.uint8)
-    q, digit = np.empty((2, x.size), dtype=np.int32)
-    for part, slots in ((hi, (7, 6, 5, 4, 3, 1)), (lo, range(14, 7, -1))):
-        for slot in slots:
-            # Three in-place passes; one np.divmod took more than twice as long.
-            np.floor_divide(part, 10, out=q)
-            np.subtract(part, np.multiply(q, 10, out=digit), out=digit)
-            digit += 48
-            out[:, slot] = digit
-            part, q = q, part
+    if not x.size:  # no row to view a column of
+        return out
+    ok, e, hi, lo = _mantissas(x)
+    # The leading digit to slot 1, then three groups of four digits to slots
+    # 3-6, 7-10 and 11-14, each stored as one uint32 through a strided view.
+    q, r = np.empty((2, x.size), dtype=np.int32)
+    np.floor_divide(hi, 10_000, out=q)
+    np.subtract(hi, np.multiply(q, 10_000, out=r), out=r)
+    q += 48
+    out[:, 1] = q
+    _column(out, 3, np.uint32)[...] = _GROUPS.take(r)
+    np.floor_divide(lo, 10_000, out=q)
+    np.subtract(lo, np.multiply(q, 10_000, out=r), out=r)
+    _column(out, 7, np.uint32)[...] = _GROUPS.take(q)
+    _column(out, 11, np.uint32)[...] = _GROUPS.take(r)
     np.less(x, 0, out=out[:, 0])
     out[:, 0] *= ord("-")
     out[:, 2] = ord(".")
@@ -104,12 +136,7 @@ def _float_cells(x):
     out[:, 16] += ord("+")
     out[:, 17] = 0  # |e| <= 35 here; three-digit exponents fall back
     np.abs(e, out=e)
-    np.floor_divide(e, 10, out=q)
-    np.subtract(e, np.multiply(q, 10, out=digit), out=digit)
-    q += 48
-    digit += 48
-    out[:, 18] = q
-    out[:, 19] = digit
+    _column(out, 18, np.uint16)[...] = _PAIRS.take(e)
     out[:, _SLOTS] = ord(",")
 
     rest = np.flatnonzero(~ok)
@@ -126,47 +153,71 @@ def _text_cells(column):
     return np.concatenate([cells, np.full((column.size, 1), ord(","), np.uint8)], axis=1)
 
 
-def _csv_blocks(header, columns):
+def _csv_blocks(header, table, text):
     """Yield the CSV bytes: the header line, then one bytes object per block of rows.
 
-    ``header`` is a list of column names; ``columns`` the matching list of
-    equal-length sequences.  A column of strings passes through untouched;
-    every other column is read as floats and printed as "%.12e" prints them.
+    ``table`` is a 2-D float array with one row per line, ``header`` names
+    its columns in order and, with ``text = (position, strings)``, one text
+    column more, printed as it is at ``position`` among them.  Every float is
+    printed as "%.12e" prints it.
     """
-    if len(header) != len(columns):
-        raise ValueError(f"{len(header)} names for {len(columns)} columns")
-    lengths = {len(c) for c in columns}
-    if len(lengths) > 1:
-        raise ValueError(f"column lengths differ: {sorted(lengths)}")
-    arrays = [np.asarray(c) for c in columns]
-    arrays = [a if a.dtype.kind in "US" else np.asarray(a, dtype=float) for a in arrays]
-    is_text = [a.dtype.kind in "US" for a in arrays]
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    if table.ndim != 2:
+        raise ValueError(f"a table has two dimensions, not {table.ndim}")
+    n_rows, n_floats = table.shape
+    if text is not None:
+        position, strings = text[0], np.asarray(text[1])
+        if not 0 <= position <= n_floats:
+            raise ValueError(f"text column {position} outside {n_floats + 1} columns")
+        if strings.shape != (n_rows,):
+            raise ValueError(f"{strings.size} strings for {n_rows} rows")
+    n_columns = n_floats + (text is not None)
+    if len(header) != n_columns:
+        raise ValueError(f"{len(header)} names for {n_columns} columns")
     yield (",".join(header) + "\n").encode()
-    n_rows = lengths.pop() if lengths else 0
-    block_rows = max(1, _CSV_BLOCK_CELLS // max(1, len(arrays)))
+    if not n_columns:
+        return
+    text_cells = _text_cells(strings) if text is not None else None
+    block_rows = max(1, _CSV_BLOCK_CELLS // n_columns)
     for start in range(0, n_rows, block_rows):
-        block = [a[start:start + block_rows] for a in arrays]
-        rows = block[0].size
-        floats = [b for b, text in zip(block, is_text) if not text]
-        buf = _float_cells(np.stack(floats, axis=1)) if floats else None
-        if any(is_text):
-            cells = iter(buf.reshape(rows, len(floats), -1).swapaxes(0, 1)) if floats else None
-            buf = np.concatenate([_text_cells(b) if text else next(cells)
-                                  for b, text in zip(block, is_text)], axis=1)
-        buf = buf.reshape(rows, -1)
+        block = table[start:start + block_rows]  # contiguous: whole rows
+        rows = block.shape[0]
+        buf = _float_cells(block).reshape(rows, n_floats * (_SLOTS + 1))
+        if text_cells is not None:
+            cut = position * (_SLOTS + 1)
+            buf = np.concatenate([buf[:, :cut], text_cells[start:start + rows],
+                                  buf[:, cut:]], axis=1)
         buf[:, -1] = ord("\n")
         yield buf.tobytes().translate(None, b"\0")  # drop the NUL padding
 
 
-def write_csv(path, header, columns) -> None:
-    blocks = _csv_blocks(header, columns)
-    # The header line comes after the column checks: a rejected table raises
+def _rewrite(path, chunks) -> None:
+    """Write the byte strings ``chunks`` over ``path`` from its first byte,
+    then cut a regular file at the end of them.
+
+    The target is not truncated on opening: on a filesystem that discards
+    freed blocks, overwriting an old artifact in place costs a fraction of
+    freeing it first.  The cut runs even when a write fails, so the file
+    then holds a prefix of the new bytes, never a stale tail; a process
+    killed mid-write can leave the new head over the old tail."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        try:
+            for chunk in chunks:
+                fh.write(chunk)
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null or a pipe
+                fh.truncate()
+
+
+def write_csv(path, header, table, text=None) -> None:
+    """Write the float ``table`` (rows by columns) as CSV under ``header``,
+    with at most one text column ``text = (position, strings)``."""
+    blocks = _csv_blocks(header, table, text)
+    # The header line comes after the shape checks: a rejected table raises
     # before the target is opened, so an existing file keeps its contents.
     head = next(blocks)
-    with open(path, "wb") as fh:
-        fh.write(head)
-        for block in blocks:
-            fh.write(block)
+    _rewrite(path, itertools.chain([head], blocks))
 
 
 def _plain(value):
@@ -194,5 +245,4 @@ def json_text(payload) -> str:
 
 
 def write_json(path, payload) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(json_text(payload))
+    _rewrite(path, [json_text(payload).encode()])

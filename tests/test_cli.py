@@ -140,7 +140,8 @@ def test_dos_column_subset_matches_the_full_column_set(tmp_path, monkeypatch, in
     # holds: rho_total is the trace, not a sum over the rho_site columns.
     tables = []
     monkeypatch.setattr(cli, "write_csv",
-                        lambda path, header, columns: tables.append(dict(zip(header, columns))))
+                        lambda path, header, table, text=None:
+                        tables.append(dict(zip(header, table.T))))
     ini = ini.split("[output]")[0]
     subset = "rho_total, rho_site_0, re_G_0_1, im_G_0_1"
     full = ", ".join(["rho_total"] + [f"rho_site_{i}" for i in range(n_sites)]
@@ -153,6 +154,41 @@ def test_dos_column_subset_matches_the_full_column_set(tmp_path, monkeypatch, in
     for name, values in small.items():
         scale = np.abs(large[name]).max()
         assert np.abs(values - large[name]).max() <= 1e-13 * scale, name
+
+
+def test_dos_rerun_rewrites_exactly_the_new_table(tmp_path):
+    # Each run overwrites the last one's files in place and cuts them at the
+    # end of the new bytes: a run with fewer columns (a shorter table and
+    # summary) leaves no stale tail, and one with more grows them again.
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    for columns in ("", "[output]\ncolumns = rho_site_2\n",
+                    "[output]\ncolumns = rho_total, re_G_0_1, im_G_0_1, rho_site_6\n"):
+        ini = STAR_INI + columns
+        assert run(tmp_path, ini, "dos", "--out", str(tmp_path / "t"), "--grid=-3:3:201") == 0
+        assert run(fresh, ini, "dos", "--out", str(fresh / "t"), "--grid=-3:3:201") == 0
+        assert (tmp_path / "t.csv").read_bytes() == (fresh / "t.csv").read_bytes()
+        summary = (tmp_path / "t.summary.json").read_text()
+        assert summary == (fresh / "t.summary.json").read_text().replace(str(fresh), str(tmp_path))
+        (fresh / "t.csv").unlink()
+        (fresh / "t.summary.json").unlink()
+
+
+def test_write_table_names_the_first_bad_row_then_its_first_bad_column(tmp_path):
+    # Row order first, then column order among the floats, wherever the text
+    # column sits among the names.
+    table = np.ones((4, 3))
+    table[3, 0] = np.nan
+    table[2, 2] = -np.inf
+    table[2, 1] = np.inf
+    path = tmp_path / "t.csv"
+    for position in range(4):
+        header = ["a", "b", "c"]
+        header.insert(position, "label")
+        with pytest.raises(cli.NonFiniteResult,
+                           match="column b is inf in data row 3 of 4; no table written"):
+            cli._write_table(path, header, table, text=(position, list("wxyz")))
+    assert not path.exists()
 
 
 def test_dos_rejects_unknown_column(tmp_path):

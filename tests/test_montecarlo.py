@@ -345,13 +345,16 @@ def test_no_fork_while_another_thread_runs(monkeypatch):
         assert np.array_equal(getattr(serial, name), getattr(forked, name)), name
 
 
-def test_importing_the_cli_does_not_load_the_thread_pool():
-    # concurrent.futures loads logging; only ensemble_average imports it.
+def test_importing_the_cli_starts_no_thread_or_process():
+    # Workers exist only while ensemble_average runs; importing the package
+    # leaves the interpreter with its main thread and no child process.
     src = os.path.dirname(os.path.dirname(mc.__file__))
-    probe = "import sys, cauchygf.cli; print('concurrent.futures' in sys.modules)"
+    probe = ("import os, threading, cauchygf.cli\n"
+             "try:\n    os.waitpid(-1, os.WNOHANG)\nexcept ChildProcessError:\n"
+             "    print(threading.active_count(), 'no child')\n")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "1 no child"
 
 
 def test_statistics_hold_no_per_sample_array():

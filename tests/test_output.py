@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,45 +10,139 @@ from cauchygf.output import json_text, write_csv, write_json
 from oracles import reference_csv
 
 
-def render(tmp_path, header, columns):
+def render(tmp_path, header, table, text=None):
     path = tmp_path / "t.csv"
-    write_csv(path, header, columns)
+    write_csv(path, header, table, text)
     return path.read_text()
+
+
+def oracle_columns(table, text=None):
+    """The table's columns as ``reference_csv`` takes them, the text one
+    inserted at its position."""
+    columns = list(np.asarray(table, dtype=float).T)
+    if text is not None:
+        columns.insert(text[0], np.asarray(text[1]))
+    return columns
 
 
 def test_format_float_full_precision(tmp_path):
     values = [1 / 3, np.float64(-2.5e-17), 0]
-    assert render(tmp_path, ["x"], [values]).split("\n")[1:4] == [
+    assert render(tmp_path, ["x"], np.c_[values]).split("\n")[1:4] == [
         "3.333333333333e-01", "-2.500000000000e-17", "0.000000000000e+00"]
     # 13 significant digits are enough to round-trip through the text form
     # at any magnitude this package produces.
     values = [np.pi, 6.02e23, 1.05e-34]
-    cells = render(tmp_path, ["x"], [values]).split()[1:]
+    cells = render(tmp_path, ["x"], np.c_[values]).split()[1:]
     assert [float(c) for c in cells] == pytest.approx(values, rel=1e-12)
 
 
 def test_csv_golden_rendering(tmp_path):
     text = render(tmp_path, ["omega", "label", "rho"],
-                  [[0.5, -1.0], ["a", "b"], np.array([0.25, 0.75])])
+                  [[0.5, 0.25], [-1.0, 0.75]], text=(1, ["a", "b"]))
     assert text == ("omega,label,rho\n"
                     "5.000000000000e-01,a,2.500000000000e-01\n"
                     "-1.000000000000e+00,b,7.500000000000e-01\n")
 
 
+REJECTED_TABLES = [
+    (["a", "b"], np.ones((1, 1)), None),               # two names, one column
+    (["a"], np.ones((2, 1)), (0, ["x"])),              # two names needed
+    (["a", "b"], np.ones((2, 1)), (1, ["x"])),         # one string for two rows
+    (["a", "b"], np.ones((2, 1)), (2, ["x", "y"])),    # text column past the end
+    (["a"], np.ones((2, 1, 1)), None),                 # not two-dimensional
+    (["a"], np.ones(2), None),
+]
+
+
 def test_csv_rejects_mismatched_shapes(tmp_path):
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0]])
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0], [1.0, 2.0]])
+    for header, table, text in REJECTED_TABLES:
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", header, table, text)
+        assert not (tmp_path / "t.csv").exists()
 
 
 def test_rejected_columns_leave_an_existing_file_untouched(tmp_path):
     path = tmp_path / "keep.csv"
     path.write_text("a\n1\n")
-    for header, columns in ((["a", "b"], [[1.0]]), (["a", "b"], [[1.0], [1.0, 2.0]])):
+    for header, table, text in REJECTED_TABLES:
         with pytest.raises(ValueError):
-            write_csv(path, header, columns)
+            write_csv(path, header, table, text)
         assert path.read_text() == "a\n1\n"
+
+
+# ------------------------------------------------------- in-place rewrites
+
+def test_rewrites_leave_exactly_the_new_bytes(tmp_path):
+    # The writers overwrite the old file from its first byte and cut it at
+    # the end of the new bytes: no stale tail after a shorter rewrite, and a
+    # longer one grows the file.
+    path = tmp_path / "t.csv"
+    rng = np.random.default_rng(5)
+    for n_rows in (3000, 40, 3000, 0, 1):
+        table = rng.standard_normal((n_rows, 3))
+        write_csv(path, ["x", "y", "z"], table)
+        assert path.read_bytes() == reference_csv(["x", "y", "z"], list(table.T))
+    json_path = tmp_path / "t.json"
+    for payload in ({"n": list(range(50))}, {"n": 2}, {"n": list(range(9))}):
+        write_json(json_path, payload)
+        assert json_path.read_bytes() == json_text(payload).encode()
+
+
+def test_writers_keep_the_file_and_its_mode(tmp_path):
+    # A rewrite keeps the old file's inode and permissions, as opening it
+    # with truncation did.
+    path = tmp_path / "t.json"
+    path.write_text("x" * 100)
+    path.chmod(0o640)
+    inode = path.stat().st_ino
+    write_json(path, {"n": 1})
+    assert (path.stat().st_ino, path.stat().st_mode & 0o777) == (inode, 0o640)
+    assert path.read_bytes() == b'{\n  "n": 1\n}\n'
+
+
+def test_writers_do_not_truncate_a_device(tmp_path):
+    write_csv(os.devnull, ["x"], np.ones((5, 1)))
+    write_json(os.devnull, {"n": 1})
+
+
+class FailingFile:
+    """A writable file whose ``write`` raises OSError after ``good`` calls."""
+
+    def __init__(self, fh, good):
+        self.fh, self.good = fh, good
+
+    def write(self, data):
+        if not self.good:
+            raise OSError(28, "No space left on device")
+        self.good -= 1
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+@pytest.mark.parametrize("good", [0, 1, 2])
+def test_failed_write_leaves_a_prefix_of_the_new_table(tmp_path, monkeypatch, good):
+    # The header, then blocks of about 2**15 cells: 4,096 rows of 8 columns.
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"9" * 3_000_000)  # an old file longer than the new one
+    table = np.random.default_rng(good).standard_normal((10_000, 8))
+    header = [f"c{c}" for c in range(8)]
+    monkeypatch.setattr(output, "open", lambda *a, **k: FailingFile(open(*a, **k), good),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write_csv(path, header, table)
+    written = path.read_bytes()
+    full = reference_csv(header, list(table.T))
+    assert full.startswith(written) and b"9" * 20 not in written
+    lines = written.count(b"\n")
+    assert lines == [0, 1, 1 + 4096][good]
 
 
 def test_json_sorted_keys_and_numpy_coercion():
@@ -92,10 +187,18 @@ def test_writers_round_trip(tmp_path):
 
 # ------------------------------------------- block formatter vs the % oracle
 
-def csv_bytes(tmp_path, header, columns):
+def csv_bytes(tmp_path, header, table, text=None):
     path = tmp_path / "t.csv"
-    write_csv(path, header, columns)
+    write_csv(path, header, table, text)
     return path.read_bytes()
+
+
+def matches_oracle(tmp_path, table, text=None):
+    """Whether ``write_csv`` prints ``table`` as one ``%`` per row would."""
+    table = np.asarray(table, dtype=float)
+    header = [f"c{c}" for c in range(table.shape[1] + (text is not None))]
+    return csv_bytes(tmp_path, header, table, text) == \
+        reference_csv(header, oracle_columns(table, text))
 
 
 finite_or_not = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
@@ -106,9 +209,9 @@ def test_csv_bytes_match_percent_oracle(tmp_path_factory, values, n_columns):
     # Any float64, NaN, infinities, signed zeros and subnormals included; the
     # fixed tables below also cross block boundaries.
     tmp_path = tmp_path_factory.mktemp("csv")
-    columns = [np.array(values)[::-1] if c % 2 else values for c in range(n_columns)]
-    header = [f"c{c}" for c in range(n_columns)]
-    assert csv_bytes(tmp_path, header, columns) == reference_csv(header, columns)
+    table = np.array([np.array(values)[::-1] if c % 2 else values
+                      for c in range(n_columns)]).reshape(n_columns, len(values)).T
+    assert matches_oracle(tmp_path, table)
 
 
 EDGE_VALUES = [
@@ -123,8 +226,40 @@ EDGE_VALUES = [
 
 def test_csv_edge_values_match_percent_oracle(tmp_path):
     values = np.array(EDGE_VALUES)
-    columns = [values, -values]
-    assert csv_bytes(tmp_path, ["x", "y"], columns) == reference_csv(["x", "y"], columns)
+    assert matches_oracle(tmp_path, np.c_[values, -values])
+
+
+# Boundaries of the digit groups and of the exponent's fast range: mantissa
+# groups with leading zeros, carries into the next decade, the first and
+# last exponents printed without %, and the cells % prints.
+BOUNDARY_VALUES = [
+    1.00000001, 1.000000010000, 1.0000000000010, 1.000100010001, 1.000000000001,
+    9.000000000009, 1.234000000056, 5.000050000500, 1.0001, 1.00000000001,
+    9.9999999999995e-01, 9.9999999999994e-01, 9.99999999999951e-01, 9.999999999999e-01,
+    0.99999999999995, 99.999999999995, 9999999.9999995, 9.9999999999995e33,
+    9.9999999999995e-12, 9.9999999999995e-11, 9.9999999999995e34, 9.9999999999995e35,
+    1e-11, 1.5e-11, 9.87654321e-11, 1e-10, 1.23456789e-10, 9.99999999999e-10,
+    1e34, 4.5e34, 9.99999999999e34, 1e35, 3.2e35, 9.99999999999e35,
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.2345e-315,
+    float("inf"), -float("inf"), float("nan"),
+    1e-100, -3.5e-200, 1e100, 7.77e299, 1.7976931348623157e308, 1e-99, 1e99,
+]
+
+
+@pytest.mark.parametrize("values", [BOUNDARY_VALUES, [-v for v in BOUNDARY_VALUES]],
+                         ids=["positive", "negative"])
+def test_csv_digit_boundaries_match_percent_oracle(tmp_path, values):
+    # Each value with its neighbours one ulp away, so both sides of every
+    # rounding, carry and exponent boundary are printed.
+    values = np.array(values)
+    with np.errstate(over="ignore"):  # the largest double's neighbour is inf
+        table = np.c_[values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)]
+    assert matches_oracle(tmp_path, table)
+    cells = csv_bytes(tmp_path, ["x"], np.c_[values]).split(b"\n")[1:6]
+    sign = b"-" if values[0] < 0 else b""
+    assert cells == [sign + c for c in (b"1.000000010000e+00", b"1.000000010000e+00",
+                                        b"1.000000000001e+00", b"1.000100010001e+00",
+                                        b"1.000000000001e+00")]
 
 
 def test_csv_near_ties_match_percent_oracle(tmp_path):
@@ -134,18 +269,21 @@ def test_csv_near_ties_match_percent_oracle(tmp_path):
     digits = rng.integers(10 ** 12, 10 ** 13, 4000) * 10 + 5
     values = digits / 10.0 ** rng.integers(0, 30, 4000)
     values = np.concatenate([[1.2345678901235, 0.12345678901235], values, -values])
-    text = csv_bytes(tmp_path, ["x"], [values])
+    text = csv_bytes(tmp_path, ["x"], np.c_[values])
     assert text == reference_csv(["x"], [values])
     assert text.split(b"\n")[1:3] == [b"1.234567890123e+00", b"1.234567890123e-01"]
 
 
 def test_csv_mixed_string_and_float_table_matches_oracle(tmp_path):
+    # The one text column first, among the floats, and last.
     rng = np.random.default_rng(3)
     n = 1300
     labels = np.repeat(["G_0_0", "G_12_3", "", "é✓"], n // 4 + 1)[:n]
-    columns = [rng.standard_normal(n), labels, rng.standard_normal(n) * 1e-30, labels]
-    header = ["omega", "element", "re", "again"]
-    assert csv_bytes(tmp_path, header, columns) == reference_csv(header, columns)
+    table = np.c_[rng.standard_normal(n), rng.standard_normal(n) * 1e-30,
+                  rng.standard_normal(n) * 1e30]
+    for position in (0, 1, 3):
+        assert matches_oracle(tmp_path, table, text=(position, labels))
+    assert matches_oracle(tmp_path, np.empty((n, 0)), text=(0, labels))
 
 
 @pytest.mark.parametrize("n_rows, n_columns", [(40_000, 2), (1_100, 66), (3, 40_000)],
@@ -158,15 +296,16 @@ def test_csv_blocks_of_any_width_match_oracle(tmp_path, n_rows, n_columns):
     rows = max(1, output._CSV_BLOCK_CELLS // n_columns)
     assert n_rows > 2 * rows
     rng = np.random.default_rng(n_columns)
-    values = rng.standard_normal((n_columns - 1, n_rows)) * 10.0 ** rng.integers(
-        -12, 12, (n_columns - 1, n_rows))
+    table = rng.standard_normal((n_rows, n_columns - 1)) * 10.0 ** rng.integers(
+        -12, 12, (n_rows, n_columns - 1))
     labels = np.array([f"G_{i}" for i in range(n_rows)])
-    columns = [values[0], labels, *values[1:]]
-    header = [f"c{c}" for c in range(n_columns)]
-    assert csv_bytes(tmp_path, header, columns) == reference_csv(header, columns)
+    assert matches_oracle(tmp_path, table, text=(1, labels))
 
 
-@pytest.mark.parametrize("header, columns", [(["a", "b"], [[], []]), ([], [])],
-                         ids=["zero-rows", "zero-columns"])
-def test_csv_empty_tables_match_oracle(tmp_path, header, columns):
-    assert csv_bytes(tmp_path, header, columns) == reference_csv(header, columns)
+@pytest.mark.parametrize("header, table, text",
+                         [(["a", "b"], np.empty((0, 2)), None), ([], np.empty((0, 0)), None),
+                          (["a"], np.empty((0, 0)), (0, []))],
+                         ids=["zero-rows", "zero-columns", "text-only"])
+def test_csv_empty_tables_match_oracle(tmp_path, header, table, text):
+    assert csv_bytes(tmp_path, header, table, text) == \
+        reference_csv(header, oracle_columns(table, text))
