@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import itertools
 import os
 import re
 import sys
@@ -201,67 +200,57 @@ _G_COLUMN = re.compile(r"^(re|im)_G_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)$")
 
 
 def _dos_columns(cfg, n_sites):
+    """The dos columns after omega, each as (name, plane, element): the real
+    plane it reads ("rho" is -Im G / pi, "re" and "im" are G's parts, "total"
+    is -Im tr G / pi) and the element of G it reads there."""
     raw = _get(cfg, "output", "columns", str, None)
     if raw is None:
-        return ["rho_total"] + [f"rho_site_{i}" for i in range(n_sites)]
+        return [("rho_total", "total", None)] + [
+            (f"rho_site_{i}", "rho", (i, i)) for i in range(n_sites)]
     names = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not names:
         raise ConfigParseError("[output] columns is empty")
+    columns = []
     for name in names:
         site = _SITE_COLUMN.match(name)
         pair = _G_COLUMN.match(name)
         if name == "rho_total":
-            continue
-        if site and int(site.group(1)) < n_sites:
-            continue
-        if pair and int(pair.group(2)) < n_sites and int(pair.group(3)) < n_sites:
-            continue
-        raise ConfigParseError(f"unknown or out-of-range column {name!r}")
-    return names
-
-
-def _dos_source(name):
-    """The real plane a dos column reads and the element it reads there."""
-    site, pair = _SITE_COLUMN.match(name), _G_COLUMN.match(name)
-    if site:
-        return "rho", (int(site[1]), int(site[1]))
-    if pair:
-        return pair[1], (int(pair[2]), int(pair[3]))
-    return "total", None
+            columns.append((name, "total", None))
+        elif site and int(site.group(1)) < n_sites:
+            columns.append((name, "rho", (int(site.group(1)),) * 2))
+        elif pair and int(pair.group(2)) < n_sites and int(pair.group(3)) < n_sites:
+            columns.append((name, pair.group(1), (int(pair.group(2)), int(pair.group(3)))))
+        else:
+            raise ConfigParseError(f"unknown or out-of-range column {name!r}")
+    return columns
 
 
 def _dos_table(spec, grid, columns):
-    """The dos table: omega, then the named columns, one row per frequency.
+    """The dos table: omega, then the ``columns``, one row per frequency.
 
     The complex result dies with this call, before the table is formatted,
     so the table's blocks reuse its memory.  Kept alive, it grew the heap
     past glibc's trim threshold, so every call of main gave pages back at its
     end and faulted them in again: about 1,300 page faults a call on a
     ring(64) table and 370 on the cavity's (N = 24)."""
-    sources = [_dos_source(name) for name in columns]
     # Only the elements the columns name, each once: the sites' diagonal,
     # then the G pairs; rho_total is the exact trace, not a row sum.
     position = {element: c for c, element in enumerate(dict.fromkeys(
-        [e for plane, e in sources if plane == "rho"]
-        + [e for plane, e in sources if plane in ("re", "im")]))}
+        [e for _, plane, e in columns if plane == "rho"]
+        + [e for _, plane, e in columns if plane in ("re", "im")]))}
     greens, trace = averaged_greens(spec, grid, list(position), trace=True)
 
-    planes = {"rho": greens.imag, "re": greens.real, "im": greens.imag,
-              "total": trace.imag[:, None]}
     table = np.empty((grid.omegas.size, 1 + len(columns)))
     table[:, 0] = grid.omegas
-    # A run of columns that read neighbouring columns of one plane is filled
-    # by one call: every rho_site column of a default table at once.
-    runs = itertools.groupby(enumerate(sources, 1),
-                             lambda cs: (cs[1][0], position.get(cs[1][1], 0) - cs[0]))
-    for (plane, shift), run in runs:
-        run = [c for c, _ in run]
-        target = table[:, run[0]:run[-1] + 1]
-        source = planes[plane][:, run[0] + shift:run[-1] + 1 + shift]
-        if plane in ("re", "im"):
-            target[...] = source
+    for c, (_, plane, element) in enumerate(columns, 1):
+        if plane == "total":
+            np.divide(trace.imag, -np.pi, out=table[:, c])
+            continue
+        source = (greens.real if plane == "re" else greens.imag)[:, position[element]]
+        if plane == "rho":
+            np.divide(source, -np.pi, out=table[:, c])
         else:
-            np.divide(source, -np.pi, out=target)
+            table[:, c] = source
     return table
 
 
@@ -273,13 +262,14 @@ def _cmd_dos(cfg, args):
 
     columns = _dos_columns(cfg, spec.n_sites)
     table = _dos_table(spec, grid, columns)
+    names = [name for name, _, _ in columns]
     paths = _out_paths(args, "dos.csv")
-    _write_table(paths["csv"], ["omega"] + columns, table)
+    _write_table(paths["csv"], ["omega"] + names, table)
     summary = {
         "command": "dos",
         "model": model_echo,
         "grid": grid_echo,
-        "columns": columns,
+        "columns": names,
         "artifacts": {"csv": paths["csv"]},
     }
     write_json(paths["summary"], summary)

@@ -14,18 +14,12 @@ floor(m + 1/2) is the correctly rounded 13-digit mantissa unless m is within
 ``%`` itself: zeros, NaN and infinities, magnitudes outside [1e-10, 1e35),
 and near-ties.  The digits go in four at a time, from a table of the ASCII
 text of 0000-9999.
-
-Both writers overwrite an existing file in place and cut it at the end of
-the new bytes (``_rewrite``).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import os
-import stat
 
 import numpy as np
 
@@ -177,37 +171,17 @@ def _csv_blocks(header, table, text):
     yield (",".join(header) + "\n").encode()
     if not n_columns:
         return
-    text_cells = _text_cells(strings) if text is not None else None
     block_rows = max(1, _CSV_BLOCK_CELLS // n_columns)
     for start in range(0, n_rows, block_rows):
         block = table[start:start + block_rows]  # contiguous: whole rows
         rows = block.shape[0]
         buf = _float_cells(block).reshape(rows, n_floats * (_SLOTS + 1))
-        if text_cells is not None:
+        if text is not None:
             cut = position * (_SLOTS + 1)
-            buf = np.concatenate([buf[:, :cut], text_cells[start:start + rows],
+            buf = np.concatenate([buf[:, :cut], _text_cells(strings[start:start + rows]),
                                   buf[:, cut:]], axis=1)
         buf[:, -1] = ord("\n")
         yield buf.tobytes().translate(None, b"\0")  # drop the NUL padding
-
-
-def _rewrite(path, chunks) -> None:
-    """Write the byte strings ``chunks`` over ``path`` from its first byte,
-    then cut a regular file at the end of them.
-
-    The target is not truncated on opening: on a filesystem that discards
-    freed blocks, overwriting an old artifact in place costs a fraction of
-    freeing it first.  The cut runs even when a write fails, so the file
-    then holds a prefix of the new bytes, never a stale tail; a process
-    killed mid-write can leave the new head over the old tail."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb") as fh:
-        try:
-            for chunk in chunks:
-                fh.write(chunk)
-        finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null or a pipe
-                fh.truncate()
 
 
 def write_csv(path, header, table, text=None) -> None:
@@ -217,7 +191,10 @@ def write_csv(path, header, table, text=None) -> None:
     # The header line comes after the shape checks: a rejected table raises
     # before the target is opened, so an existing file keeps its contents.
     head = next(blocks)
-    _rewrite(path, itertools.chain([head], blocks))
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for block in blocks:
+            fh.write(block)
 
 
 def _plain(value):
@@ -245,4 +222,5 @@ def json_text(payload) -> str:
 
 
 def write_json(path, payload) -> None:
-    _rewrite(path, [json_text(payload).encode()])
+    with open(path, "w", newline="\n") as fh:
+        fh.write(json_text(payload))

@@ -157,9 +157,9 @@ def test_dos_column_subset_matches_the_full_column_set(tmp_path, monkeypatch, in
 
 
 def test_dos_rerun_rewrites_exactly_the_new_table(tmp_path):
-    # Each run overwrites the last one's files in place and cuts them at the
-    # end of the new bytes: a run with fewer columns (a shorter table and
-    # summary) leaves no stale tail, and one with more grows them again.
+    # Each run replaces the last one's files: a run with fewer columns (a
+    # shorter table and summary) leaves no stale tail, and one with more
+    # grows them again.
     fresh = tmp_path / "fresh"
     fresh.mkdir()
     for columns in ("", "[output]\ncolumns = rho_site_2\n",

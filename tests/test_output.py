@@ -1,5 +1,5 @@
+import io
 import json
-import os
 
 import numpy as np
 import pytest
@@ -70,12 +70,10 @@ def test_rejected_columns_leave_an_existing_file_untouched(tmp_path):
         assert path.read_text() == "a\n1\n"
 
 
-# ------------------------------------------------------- in-place rewrites
+# ---------------------------------------------------------------- rewrites
 
 def test_rewrites_leave_exactly_the_new_bytes(tmp_path):
-    # The writers overwrite the old file from its first byte and cut it at
-    # the end of the new bytes: no stale tail after a shorter rewrite, and a
-    # longer one grows the file.
+    # No stale tail after a shorter rewrite, and a longer one grows the file.
     path = tmp_path / "t.csv"
     rng = np.random.default_rng(5)
     for n_rows in (3000, 40, 3000, 0, 1):
@@ -89,8 +87,7 @@ def test_rewrites_leave_exactly_the_new_bytes(tmp_path):
 
 
 def test_writers_keep_the_file_and_its_mode(tmp_path):
-    # A rewrite keeps the old file's inode and permissions, as opening it
-    # with truncation did.
+    # A rewrite keeps the old file's inode and permissions.
     path = tmp_path / "t.json"
     path.write_text("x" * 100)
     path.chmod(0o640)
@@ -98,11 +95,6 @@ def test_writers_keep_the_file_and_its_mode(tmp_path):
     write_json(path, {"n": 1})
     assert (path.stat().st_ino, path.stat().st_mode & 0o777) == (inode, 0o640)
     assert path.read_bytes() == b'{\n  "n": 1\n}\n'
-
-
-def test_writers_do_not_truncate_a_device(tmp_path):
-    write_csv(os.devnull, ["x"], np.ones((5, 1)))
-    write_json(os.devnull, {"n": 1})
 
 
 class FailingFile:
@@ -143,6 +135,38 @@ def test_failed_write_leaves_a_prefix_of_the_new_table(tmp_path, monkeypatch, go
     assert full.startswith(written) and b"9" * 20 not in written
     lines = written.count(b"\n")
     assert lines == [0, 1, 1 + 4096][good]
+
+
+class FailingRaw(io.FileIO):
+    """A file opened for writing whose raw writes raise OSError once they
+    would pass ``room`` bytes, under the buffer that ``open`` puts on it."""
+
+    def __init__(self, path, room):
+        super().__init__(path, "wb")
+        self.room = room
+
+    def write(self, data):
+        if len(data) > self.room:
+            raise OSError(28, "No space left on device")
+        self.room -= len(data)
+        return super().write(data)
+
+
+@pytest.mark.parametrize("room", [0, 30, 700_000])
+def test_failed_raw_write_leaves_a_prefix_of_the_new_table(tmp_path, monkeypatch, room):
+    # The buffered header reaches the disk with the first block or not at
+    # all; either way the old file's bytes are gone.
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"9" * 3_000_000)
+    table = np.random.default_rng(room).standard_normal((10_000, 8))
+    header = [f"c{c}" for c in range(8)]
+    monkeypatch.setattr(output, "open",
+                        lambda p, mode: io.BufferedWriter(FailingRaw(p, room)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write_csv(path, header, table)
+    written = path.read_bytes()
+    assert reference_csv(header, list(table.T)).startswith(written)
+    assert len(written) <= room and b"9" * 20 not in written
 
 
 def test_json_sorted_keys_and_numpy_coercion():
