@@ -8,12 +8,24 @@ A CSV table is one 2-D float array, plus at most one text column.  The
 writer formats each block of rows, about 2**15 cells, with numpy rather
 than one Python ``%`` per cell.  A cell's mantissa
 m = |x| * 10**(12 - e) is computed with a single rounding by an exact power
-of ten (|12 - e| <= 22), so it lies within 2**-10 of the true value, and
-floor(m + 1/2) is the correctly rounded 13-digit mantissa unless m is within
-2**-9 of a half-integer.  Every cell that test cannot settle is printed by
-``%`` itself: zeros, NaN and infinities, magnitudes outside [1e-10, 1e35),
-and near-ties.  The digits go in four at a time, from a table of the ASCII
-text of 0000-9999.
+of ten (|12 - e| <= 22), so it lies within half an ulp of the true value,
+and floor(m + 1/2) is the correctly rounded 13-digit mantissa unless m is
+within one ulp, ``np.spacing(m)``, of a half-integer.  Every cell that test
+cannot settle is printed by ``%`` itself: zeros, NaN and infinities,
+magnitudes outside [1e-10, 1e35), and near-ties.  The text goes in as words
+read from tables built at import: the leading digit with its point, three
+groups of four digits and the exponent with its sign.
+
+Without its sign, the text of a finite float with a two-digit exponent is
+18 bytes long.  So within a run of rows in which every float column keeps
+one sign (``np.signbit``, so -0.0 counts as negative), every cell has a
+fixed width and each word is stored at its final byte offset, once per
+group of adjacent columns of one sign; the ``%`` cells drop into their
+slots.  A block is laid out that way unless it holds a NaN, an infinity, a
+three-digit exponent or text cells of different lengths, or splits into
+more groups than their numpy calls pay for.  Such a block is laid out in
+21-byte slots padded with NUL, its text cells are joined in with one
+concatenation, and ``bytes.translate`` drops the padding.
 """
 
 from __future__ import annotations
@@ -29,126 +41,258 @@ import numpy as np
 # tables take as few numpy calls per cell as wide ones.
 _CSV_BLOCK_CELLS = 2 ** 15
 
-# Byte slots of one float cell, "[-]d.dddddddddddde+[h]tu", NUL where unused;
-# the widest "%.12e" text is "-1.000000000000e-308".  One more slot holds the
-# separator.
-_SLOTS = 20
+# The "%.12e" text of a finite float with a two-digit exponent, sign left out:
+# "d.dddddddddddde+tu", five words from the tables below.
+_BODY = 18
+# A padded cell: the sign or NUL, the body, NUL, the separator.  The widest
+# "%" text, "-1.000000000000e-308", fills all but the separator.
+_SLOT = _BODY + 3
+# A group of same-sign columns in a pad-free block costs about what dropping
+# the padding saves on this many cells, plus one cell for each row it spans:
+# it takes a dozen numpy calls, and each of them touches every row it spans.
+# Measured on 496 x 66 and 6,553 x 5 blocks with 1 to 2,112 groups.
+_GROUP_CELLS = 512
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # exact in binary64
-# Rounding is monotone and half-integers below 1e13 are doubles, so only an m
-# that lands exactly on one is ambiguous; the 2**-9 band is margin beyond that.
-_GUARD = 0.5 - 2.0 ** -9
+
+
+def _table(texts, dtype):
+    """The ASCII ``texts``, all of one length, each read as one native word."""
+    return np.frombuffer("".join(texts).encode(), dtype)
 
 
 def _digit_groups():
     """The four ASCII digits of every group value 0000-9999, each read as one
-    native uint32, and the last two digits of 00-99 as one uint16."""
+    native uint32 (built in numpy: 10,000 Python strings would stay resident)."""
     digits = np.empty((10,) * 4 + (4,), dtype=np.uint8)
     for k in range(4):
         digits[..., k] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - k))
-    digits = digits.reshape(10_000, 4)
-    return digits.view(np.uint32).ravel(), digits[:100, 2:].copy().view(np.uint16).ravel()
+    return digits.reshape(10_000, 4).view(np.uint32).ravel()
 
 
-_GROUPS, _PAIRS = _digit_groups()
+_LEADS = _table([f"{d}." for d in range(10)], np.uint16)
+_GROUPS = _digit_groups()
+_EXPONENTS = _table([f"e{e:+03d}" for e in range(-99, 100)], np.uint32)  # at e + 99
 
 
-def _scaled(a, e, out):
+class _Scratch:
+    """The buffers of one ``write_csv`` call, reused from block to block so
+    that their pages are faulted in once per call, not once per block.  They
+    are cut from one allocation, with room for the floats of a padded block:
+    with separate buffers, a process running the cavity ``dos`` again and
+    again faulted about 400 pages back in at each engine call."""
+
+    def __init__(self, cells):
+        raw = np.empty((30 + _SLOT) * cells, dtype=np.uint8)
+        cuts = np.cumsum([16, 8, 4, 2]) * cells  # bytes per cell of each buffer
+        floats, wide, exponents, flags, self.out = np.split(raw, cuts)
+        self.floats = floats.view(np.float64).reshape(2, cells)
+        self.wide = wide.view(np.int64)
+        self.exponents = exponents.view(np.int32)
+        self.flags = flags.view(bool).reshape(2, cells)
+
+    def text(self, size):
+        """The first ``size`` bytes of the output buffer, grown as needed."""
+        if self.out.size < size:
+            self.out = np.empty(size, dtype=np.uint8)
+        return self.out[:size]
+
+
+def _scaled(a, e, out, k):
     """|x| * 10**(12 - e) into ``out``, rounded once: multiply or divide by an
-    exact power of ten."""
-    k = np.subtract(12, e)
+    exact power of ten.  ``k`` is int scratch."""
+    np.subtract(12, e, out=k)
     divide = k < 0
     np.abs(k, out=k)
     np.minimum(k, 22, out=k)
-    p = _POW10[k]
-    np.multiply(a, p, out=out)
-    np.divide(a, p, out=out, where=divide)
+    np.take(_POW10, k, out=out, mode="clip")
+    np.multiply(a, out, out=out, where=~divide)
+    np.divide(a, out, out=out, where=divide)
     return out
 
 
-def _mantissas(x):
+def _mantissas(x, s):
     """Per cell of the flat float array ``x``: whether the fast path settles
-    it (ok), its decimal exponent e and its 13-digit mantissa split as
-    hi * 10**8 + lo, all as int32 or bool.  The float64 buffers die here, so
-    they are gone before the caller allocates the text."""
-    a = np.abs(x)
-    ok = a >= 1e-11
+    it (ok), its decimal exponent e and its 13-digit mantissa d, a whole
+    number held as a float; all three are views of the scratch ``s``."""
+    a, m = s.floats[:, :x.size]
+    k, e = s.wide[:x.size], s.exponents[:x.size]
+    ok = s.flags[0, :x.size]
+    np.abs(x, out=a)
+    np.greater_equal(a, 1e-11, out=ok)
     ok &= a < 1e36  # False for zeros, NaN and infinities
     np.copyto(a, 1.0, where=~ok)
-    m = np.log10(a)
-    e = np.floor(m, out=m).astype(np.int32)
-    _scaled(a, e, m)
+    np.log10(a, out=m)
+    np.floor(m, out=m)
+    np.copyto(e, m, casting="unsafe")
+    _scaled(a, e, m, k)
     fix = np.flatnonzero((m < 1e12) | (m >= 1e13))  # log10 missed by one
     if fix.size:
         e[fix] += np.where(m[fix] >= 1e13, 1, -1)
-        m[fix] = _scaled(a[fix], e[fix], np.empty(fix.size))
-    d = np.add(m, 0.5)
-    np.floor(d, out=d)
-    ok &= np.abs(np.subtract(d, m, out=a), out=a) < _GUARD
+        m[fix] = _scaled(a[fix], e[fix], np.empty(fix.size), np.empty(fix.size, np.int64))
+    d = np.floor(np.add(m, 0.5, out=a), out=a)  # |x| is needed no more
+    # m is within half an ulp of the true mantissa and half-integers below 1e13
+    # are doubles, so only an m exactly on one is ambiguous; the guard keeps a
+    # margin of one ulp, np.spacing(m), twice the rounding error: for these m,
+    # the power of two whose exponent field is m's less 52.
+    guard = k.view(np.float64)
+    np.bitwise_and(m.view(np.int64), 0x7FF << 52, out=k)
+    k -= 52 << 52
+    np.subtract(0.5, guard, out=guard)
+    ok &= np.abs(np.subtract(d, m, out=m), out=m) < guard
     ok &= e >= -10
     ok &= e <= 34
     carry = d == 1e13
-    d[carry] = 1e12
+    np.copyto(d, 1e12, where=carry)
     e += carry
-    hi = np.floor(np.divide(d, 1e8, out=m), out=m)
-    lo = np.subtract(d, np.multiply(hi, 1e8, out=a), out=d)
-    return ok, e, hi.astype(np.int32), lo.astype(np.int32)
+    return ok, e, d
 
 
-def _column(cells, offset, dtype):
-    """The bytes at ``offset`` of every row of ``cells`` as one ``dtype``
-    column: a strided, possibly unaligned view."""
-    return np.ndarray((cells.shape[0],), dtype, cells, offset, (cells.strides[0],))
-
-
-def _float_cells(x):
-    """The "%.12e" text of every float in the contiguous array ``x`` as an
-    (x.size, _SLOTS + 1) array of bytes, NUL-padded, with a comma in the
-    separator slot."""
-    x = x.reshape(-1)
-    out = np.empty((x.size, _SLOTS + 1), dtype=np.uint8)
-    if not x.size:  # no row to view a column of
-        return out
-    ok, e, hi, lo = _mantissas(x)
-    # The leading digit to slot 1, then three groups of four digits to slots
-    # 3-6, 7-10 and 11-14, each stored as one uint32 through a strided view.
-    q, r = np.empty((2, x.size), dtype=np.int32)
-    np.floor_divide(hi, 10_000, out=q)
-    np.subtract(hi, np.multiply(q, 10_000, out=r), out=r)
-    q += 48
-    out[:, 1] = q
-    _column(out, 3, np.uint32)[...] = _GROUPS.take(r)
-    np.floor_divide(lo, 10_000, out=q)
-    np.subtract(lo, np.multiply(q, 10_000, out=r), out=r)
-    _column(out, 7, np.uint32)[...] = _GROUPS.take(q)
-    _column(out, 11, np.uint32)[...] = _GROUPS.take(r)
-    np.less(x, 0, out=out[:, 0])
-    out[:, 0] *= ord("-")
-    out[:, 2] = ord(".")
-    out[:, 15] = ord("e")
-    np.less(e, 0, out=out[:, 16])  # "+" and "-" are two apart
-    out[:, 16] *= ord("-") - ord("+")
-    out[:, 16] += ord("+")
-    out[:, 17] = 0  # |e| <= 35 here; three-digit exponents fall back
-    np.abs(e, out=e)
-    _column(out, 18, np.uint16)[...] = _PAIRS.take(e)
-    out[:, _SLOTS] = ord(",")
-
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        text = np.array([b"%.12e" % v for v in x[rest].tolist()], dtype=f"S{_SLOTS}")
-        out[rest, :_SLOTS] = text.view(np.uint8).reshape(rest.size, _SLOTS)
-    return out
+def _words(e, d, s):
+    """Yield (offset in the body, words) for the five words of every cell's
+    body in turn, each in the same scratch.  Consumes the mantissas ``d``."""
+    hi = s.floats[1, :d.size]
+    q, r = s.wide[:d.size].view(np.int32).reshape(2, d.size)  # two int32 halves
+    np.floor(np.divide(d, 1e8, out=hi), out=hi)  # the first five digits
+    np.copyto(r, hi, casting="unsafe")
+    np.subtract(d, np.multiply(hi, 1e8, out=hi), out=d)  # and the last eight
+    words = hi.view(np.uint32)[:d.size]
+    np.floor_divide(r, 10_000, out=q)
+    yield 0, np.take(_LEADS, q, out=words.view(np.uint16)[:d.size], mode="clip")
+    np.subtract(r, np.multiply(q, 10_000, out=q), out=r)
+    yield 2, np.take(_GROUPS, r, out=words, mode="clip")
+    np.copyto(r, d, casting="unsafe")
+    np.floor_divide(r, 10_000, out=q)
+    yield 6, np.take(_GROUPS, q, out=words, mode="clip")
+    np.subtract(r, np.multiply(q, 10_000, out=q), out=r)
+    yield 10, np.take(_GROUPS, r, out=words, mode="clip")
+    yield 14, np.take(_EXPONENTS, np.add(e, 99, out=q), out=words, mode="clip")
 
 
 def _text_cells(column):
-    """A string column's cells as NUL-padded UTF-8 bytes, comma appended."""
+    """A string column's cells as UTF-8 bytes, NUL-padded to the longest,
+    and whether none of them is padded."""
     text = np.array([str(v).encode() for v in column.tolist()], dtype=bytes)
     cells = text.view(np.uint8).reshape(column.size, text.itemsize)
-    return np.concatenate([cells, np.full((column.size, 1), ord(","), np.uint8)], axis=1)
+    return cells, bool(cells[:, -1].all())
+
+
+def _layout(neg, position, label, padded):
+    """Where each cell of a block goes, or None for a pad-free layout that
+    would take more groups than pay.
+
+    Returns (runs, begin, row, cells, texts, groups): run r holds rows
+    runs[r] up to runs[r + 1] at byte begin[r] of the block, each row[r]
+    bytes long; cells[r] holds the byte offset of every float cell within
+    such a row and texts[r] that of the text cell (``label`` bytes), if any;
+    groups lists (run, first column, end column, cell width) of adjacent
+    float columns laid out alike.  A padded block is one run of 21-byte
+    float cells, without the text cell (``position`` None).
+    """
+    n_rows, n = neg.shape
+    if padded:
+        runs = np.zeros(1, dtype=np.intp)
+        widths = np.full((1, n), _SLOT)
+    else:
+        flat = neg.reshape(-1)
+        changed = np.flatnonzero(flat[n:] != flat[:-n]) // n  # rows before a change
+        runs = np.append(0, changed[np.diff(changed, prepend=-1) != 0] + 1)
+        if runs.size * _GROUP_CELLS + n_rows > neg.size:  # each run has a group
+            return None
+        widths = neg[runs] + (_BODY + 1)
+    edge = np.empty(widths.shape, dtype=bool)  # where each group starts
+    edge[:, :1] = True
+    np.not_equal(widths[:, 1:], widths[:, :-1], out=edge[:, 1:])
+    cells = np.cumsum(widths, axis=1) - widths
+    row = widths.sum(axis=1)
+    texts = None
+    if position is not None:
+        edge[:, position:position + 1] = True  # no group spans the text cell
+        texts = (cells[:, position] if position < n else row).copy()
+        cells[:, position:] += label + 1
+        row += label + 1
+    starts = np.flatnonzero(edge)
+    group_run, first = np.divmod(starts, n)  # no starts when n is 0
+    runs = np.append(runs, n_rows)
+    if not padded and (starts.size * _GROUP_CELLS + np.diff(runs)[group_run].sum()
+                       > neg.size):
+        return None
+    begin = np.append(0, np.cumsum(np.diff(runs) * row))
+    ends = np.append(starts[1:], widths.size) - group_run * n
+    groups = list(zip(group_run.tolist(), first.tolist(), ends.tolist(),
+                      widths.reshape(-1)[starts].tolist()))
+    return runs, begin, row, cells, texts, groups
+
+
+def _block_bytes(x, position, labels, s):
+    """The CSV lines of the float block ``x`` (rows by columns) with the text
+    cells ``labels = (bytes, one length)`` at ``position``.  A pad-free block
+    comes back as a view of the scratch ``s``, valid until its next use."""
+    n_rows, n = x.shape
+    flat = x.reshape(-1)
+    neg = np.signbit(x, out=s.flags[1, :x.size].reshape(n_rows, n))
+    label = 0 if labels is None else labels[0].shape[1]
+    layout = None
+    if labels is None or labels[1]:
+        layout = _layout(neg, position, label, padded=False)
+    ok, e, d = _mantissas(flat, s)
+    rest = np.flatnonzero(~ok)
+    if layout is not None:  # the sign is the group's
+        printed = [b"%.12e" % v for v in np.abs(flat[rest]).tolist()]
+        if any(len(t) != _BODY for t in printed):
+            layout = None
+    padded = layout is None
+    if padded:
+        layout = _layout(neg, None, 0, padded=True)
+        printed = [b"%.12e" % v for v in flat[rest].tolist()]
+    runs, begin, row, cells, texts, groups = layout
+    out = s.text(begin[-1])
+
+    def view(r, c0, c1, at, dtype, width):
+        return np.ndarray((runs[r + 1] - runs[r], c1 - c0), dtype, out,
+                          begin[r] + cells[r, c0] + at, (row[r], width))
+
+    for r, c0, c1, width in groups:  # the sign and the separator
+        if padded:
+            sign = view(r, c0, c1, 0, np.uint8, width)
+            np.multiply(neg[runs[r]:runs[r + 1], c0:c1], np.uint8(ord("-")), out=sign)
+            view(r, c0, c1, width - 2, np.uint8, width)[...] = 0
+        elif width > _BODY + 1:
+            view(r, c0, c1, 0, np.uint8, width)[...] = ord("-")
+        view(r, c0, c1, width - 1, np.uint8, width)[...] = ord(",")
+    for at, words in _words(e, d, s):
+        words = words.reshape(n_rows, n)
+        for r, c0, c1, width in groups:
+            view(r, c0, c1, at + (width > _BODY + 1), words.dtype, width)[...] = \
+                words[runs[r]:runs[r + 1], c0:c1]
+    if rest.size:
+        i, c = np.divmod(rest, n)
+        r = np.searchsorted(runs, i, side="right") - 1
+        at = begin[r] + (i - runs[r]) * row[r] + cells[r, c]
+        width = _SLOT - 1 if padded else _BODY
+        if not padded:
+            at += neg.reshape(-1)[rest]
+        printed = np.array(printed, dtype=f"S{width}").view(np.uint8)
+        out[at[:, None] + np.arange(width)] = printed.reshape(-1, width)
+    if padded:
+        lines = out.reshape(n_rows, -1)
+        if labels is not None:  # one group of floats stores faster than two
+            cut = position * _SLOT
+            comma = np.full((n_rows, 1), ord(","), dtype=np.uint8)
+            lines = np.concatenate([lines[:, :cut], labels[0], comma, lines[:, cut:]], axis=1)
+        lines[:, -1] = ord("\n")
+        return lines.tobytes().translate(None, b"\0")  # drop the NUL padding
+    for r in range(len(runs) - 1):
+        lines = np.ndarray((runs[r + 1] - runs[r], row[r]), np.uint8, out, begin[r])
+        if labels is not None:
+            lines[:, texts[r]:texts[r] + label] = labels[0][runs[r]:runs[r + 1]]
+            lines[:, texts[r] + label] = ord(",")
+        lines[:, -1] = ord("\n")
+    return memoryview(out)
 
 
 def _csv_blocks(header, table, text):
-    """Yield the CSV bytes: the header line, then one bytes object per block of rows.
+    """Yield the CSV bytes: the header line, then the lines of one block of
+    rows at a time, each valid until the next is asked for.
 
     ``table`` is a 2-D float array with one row per line, ``header`` names
     its columns in order and, with ``text = (position, strings)``, one text
@@ -159,6 +303,7 @@ def _csv_blocks(header, table, text):
     if table.ndim != 2:
         raise ValueError(f"a table has two dimensions, not {table.ndim}")
     n_rows, n_floats = table.shape
+    position = None
     if text is not None:
         position, strings = text[0], np.asarray(text[1])
         if not 0 <= position <= n_floats:
@@ -172,16 +317,11 @@ def _csv_blocks(header, table, text):
     if not n_columns:
         return
     block_rows = max(1, _CSV_BLOCK_CELLS // n_columns)
+    scratch = _Scratch(min(block_rows, n_rows) * n_floats)
     for start in range(0, n_rows, block_rows):
         block = table[start:start + block_rows]  # contiguous: whole rows
-        rows = block.shape[0]
-        buf = _float_cells(block).reshape(rows, n_floats * (_SLOTS + 1))
-        if text is not None:
-            cut = position * (_SLOTS + 1)
-            buf = np.concatenate([buf[:, :cut], _text_cells(strings[start:start + rows]),
-                                  buf[:, cut:]], axis=1)
-        buf[:, -1] = ord("\n")
-        yield buf.tobytes().translate(None, b"\0")  # drop the NUL padding
+        labels = None if text is None else _text_cells(strings[start:start + len(block)])
+        yield _block_bytes(block, position, labels, scratch)
 
 
 def write_csv(path, header, table, text=None) -> None:

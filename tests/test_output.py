@@ -333,3 +333,108 @@ def test_csv_blocks_of_any_width_match_oracle(tmp_path, n_rows, n_columns):
 def test_csv_empty_tables_match_oracle(tmp_path, header, table, text):
     assert csv_bytes(tmp_path, header, table, text) == \
         reference_csv(header, oracle_columns(table, text))
+
+
+# ------------------------------------------------- pad-free and padded blocks
+
+@pytest.fixture
+def pad_free(monkeypatch):
+    """Per block written, whether it was laid out without padding: a padded
+    block comes back from ``bytes.translate`` as bytes, a pad-free one as a
+    view of the writer's buffer."""
+    seen = []
+    real = output._block_bytes
+
+    def spy(*args):
+        lines = real(*args)
+        seen.append(isinstance(lines, memoryview))
+        return lines
+
+    monkeypatch.setattr(output, "_block_bytes", spy)
+    return seen
+
+
+def log_uniform(rng, shape):
+    return 10.0 ** rng.uniform(-9, 9, shape)
+
+
+@pytest.mark.parametrize("signs", [[1, 1, 1, 1], [-1, -1, -1, -1], [1, -1, -1, 1]],
+                         ids=["positive", "negative", "mixed-columns"])
+def test_columns_of_one_sign_are_written_pad_free(tmp_path, pad_free, signs):
+    table = log_uniform(np.random.default_rng(11), (3000, 4)) * signs
+    assert matches_oracle(tmp_path, table)
+    assert pad_free == [True]
+
+
+@pytest.mark.parametrize("crossing", [1000, 1500], ids=["block-boundary", "mid-block"])
+def test_sign_change_splits_a_run(tmp_path, monkeypatch, pad_free, crossing):
+    # Blocks of 1,000 rows; the first column turns positive at ``crossing``.
+    monkeypatch.setattr(output, "_CSV_BLOCK_CELLS", 4000)
+    table = log_uniform(np.random.default_rng(crossing), (3000, 4))
+    table[:, 0] = np.arange(3000) - crossing + 0.5
+    assert matches_oracle(tmp_path, table)
+    assert pad_free == [True] * 3
+
+
+def test_signed_zeros_drop_into_their_slots(tmp_path, pad_free):
+    # 0.0 keeps a positive column's run, -0.0 a negative one's; a -0.0 in a
+    # positive column starts a run of its own.
+    table = log_uniform(np.random.default_rng(12), (3000, 8)) * np.repeat([1, -1], 4)
+    table[::7, 0] = 0.0
+    table[::5, 7] = -0.0
+    table[1200, 3] = -0.0
+    header = [f"c{c}" for c in range(8)]
+    text = csv_bytes(tmp_path, header, table)
+    assert text == reference_csv(header, list(table.T))
+    assert pad_free == [True]
+    assert b"\n0.000000000000e+00," in text and b",-0.000000000000e+00\n" in text
+    assert text.split(b"\n")[1201].split(b",")[3] == b"-0.000000000000e+00"
+
+
+def test_near_ties_in_a_pad_free_run(tmp_path, pad_free):
+    rng = np.random.default_rng(13)
+    digits = rng.integers(10 ** 12, 10 ** 13, (4000, 2)) * 10 + 5
+    table = digits / 10.0 ** rng.integers(0, 30, (4000, 2))
+    table[:, 1] = np.nextafter(table[:, 1], np.inf)
+    assert matches_oracle(tmp_path, table)
+    assert matches_oracle(tmp_path, -table)
+    assert pad_free == [True, True]
+
+
+@pytest.mark.parametrize("odd", [float("nan"), float("inf"), -float("inf"), 1e-100, 3e100])
+def test_a_cell_printed_at_another_width_pads_only_its_block(tmp_path, monkeypatch, pad_free,
+                                                             odd):
+    monkeypatch.setattr(output, "_CSV_BLOCK_CELLS", 4000)
+    table = log_uniform(np.random.default_rng(14), (3000, 4))
+    table[1234, 2] = odd
+    assert matches_oracle(tmp_path, table)
+    assert pad_free == [True, False, True]
+
+
+@pytest.mark.parametrize("position", [0, 1, 3])
+@pytest.mark.parametrize("names, one_width", [(["G_0_1", "G_1_0", "G_3_3"], True),
+                                              (["G_0_1", "G_10_3", "G_3_3"], False)],
+                         ids=["one-width", "mixed-widths"])
+def test_text_column_of_one_width_is_written_pad_free(tmp_path, pad_free, position, names,
+                                                      one_width):
+    table = log_uniform(np.random.default_rng(position), (2000, 3))
+    labels = np.repeat(names, 700)[:2000]
+    assert matches_oracle(tmp_path, table, text=(position, labels))
+    assert pad_free == [one_width]
+
+
+def test_dos_ring_table_never_takes_the_padded_path(tmp_path, monkeypatch, pad_free):
+    # A ring's dos table: sorted omega crossing zero, then positive densities.
+    real = output._layout
+
+    def layout(neg, position, label, padded):
+        assert not padded
+        return real(neg, position, label, padded)
+
+    monkeypatch.setattr(output, "_layout", layout)
+    omegas = np.linspace(-2.6, 2.4, 4001)
+    levels = 2 * np.cos(2 * np.pi * np.arange(64) / 64) - 0.1
+    rho = 0.1 / np.pi / ((omegas[:, None] - levels) ** 2 + 0.01)
+    table = np.column_stack([omegas, rho.sum(axis=1), rho, rho[:, :1]])
+    assert matches_oracle(tmp_path, table)
+    assert pad_free == [True] * 9

@@ -89,6 +89,19 @@ def test_site_dos_is_non_negative(problem):
     assert diagonal.imag.max() <= 1e-14 * max(1.0, np.abs(diagonal).max())
 
 
+@given(problems())
+def test_generalized_ward_identity(problem):
+    # G^-1 - G^-H = 2i(eta + Gamma), so -Im G_ii = sum_j |G_ji|^2 (eta + gamma_j)
+    # at every frequency, with gamma_j = 0 on the sites without disorder (the
+    # Woodbury sites); on a uniform mask it restates the kernel's Im part.
+    spec, grid = problem
+    g = full(averaged_greens(spec, grid), spec.n_sites)
+    damping = grid.eta + np.where(spec.disordered, spec.gamma, 0.0)
+    lhs = -np.diagonal(g, axis1=1, axis2=2).imag
+    rhs = np.einsum("wji,j->wi", np.abs(g) ** 2, damping)
+    assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
+
+
 @st.composite
 def fully_disordered(draw):
     h0, _ = draw(matrices())
