@@ -25,7 +25,8 @@ import numpy as np
 
 from . import cavity as cavity_mod
 from .cavity import CavityParams, polariton_poles
-from .engine import SpectralGrid, averaged_greens, default_eta, diagonalize
+from .engine import (SpectralGrid, averaged_densities, averaged_greens, default_eta,
+                     diagonalize)
 from .errors import ConfigParseError, NonFiniteResult
 from .lattice import (DisorderSpec, Family, assemble_cavity, assemble_huckel,
                       build_topology)
@@ -228,6 +229,24 @@ def _dos_columns(cfg, n_sites):
 def _dos_table(spec, grid, columns):
     """The dos table: omega, then the ``columns``, one row per frequency.
 
+    When every site is disordered and every column is a density, the engine
+    writes the densities straight into the table from the imaginary plane
+    of its pole sums (``averaged_densities``); any other request takes the
+    complex route, ``_greens_columns``.  Both give the same bits."""
+    table = np.empty((grid.omegas.size, 1 + len(columns)))
+    table[:, 0] = grid.omegas
+    if spec.disordered.all() and all(plane in ("rho", "total") for _, plane, _ in columns):
+        sites = [None if element is None else element[0] for _, _, element in columns]
+        averaged_densities(spec, grid, sites, out=table[:, 1:])
+    else:
+        _greens_columns(spec, grid, columns, table)
+    return table
+
+
+def _greens_columns(spec, grid, columns, table):
+    """Fill table[:, 1:] with the ``columns`` from one complex
+    ``averaged_greens`` result, which serves every mask and every column.
+
     The complex result dies with this call, before the table is formatted,
     so the table's blocks reuse its memory.  Kept alive, it grew the heap
     past glibc's trim threshold, so every call of main gave pages back at its
@@ -239,9 +258,6 @@ def _dos_table(spec, grid, columns):
         [e for _, plane, e in columns if plane == "rho"]
         + [e for _, plane, e in columns if plane in ("re", "im")]))}
     greens, trace = averaged_greens(spec, grid, list(position), trace=True)
-
-    table = np.empty((grid.omegas.size, 1 + len(columns)))
-    table[:, 0] = grid.omegas
     for c, (_, plane, element) in enumerate(columns, 1):
         if plane == "total":
             np.divide(trace.imag, -np.pi, out=table[:, c])
@@ -251,7 +267,6 @@ def _dos_table(spec, grid, columns):
             np.divide(source, -np.pi, out=table[:, c])
         else:
             table[:, c] = source
-    return table
 
 
 def _cmd_dos(cfg, args):
@@ -403,8 +418,7 @@ def _cmd_sum_rules(cfg, args):
     else:
         grid, grid_echo = _resolve_grid(
             cfg, args, lambda: auto_window(diagonalize(spec)[0], spec.gamma), 0.0)
-        _, trace = averaged_greens(spec, grid, [], trace=True)
-        rho_total = -trace.imag / np.pi
+        rho_total = averaged_densities(spec, grid, [None])[:, 0]
         checks.append(_check("total_dos_norm",
                              integrate_trapezoid(grid.omegas, rho_total),
                              target=float(spec.n_sites),

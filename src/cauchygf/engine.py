@@ -21,6 +21,19 @@ Tr G = Tr G0 - Tr(K^-1 (G0^2)[U, U]), from one more weight row and |U|^2
 double-pole sums, so with k elements and few undisordered sites the total
 density of states costs O(n (k + |U|^2)) per frequency, not the O(n^2) of
 the whole diagonal.
+
+``averaged_densities``: with no undisordered site and only densities asked
+for (-Im G_ii/pi and -Im Tr G/pi), the kernel skips the real plane, its
+d*r pass and its matrix product, and each tile goes straight into the
+caller's table, with the bits ``averaged_greens`` gives.
+
+The kernel's single-pole rows come raw: the real row is Re S, the imaginary
+row weights @ r with Im S = -eta times it.  Each reader applies -eta where
+it already copies the sums: ``averaged_greens`` in its copies into the
+result and into G0's Woodbury rows, ``averaged_densities`` in its tile
+before the copy, the Monte-Carlo fold once per block of statistics, and the
+Schur route in forming z - h_uu - Sigma.  The double-pole rows come
+finished, from pre-scaled weights.
 """
 
 from __future__ import annotations
@@ -112,21 +125,27 @@ def _element_pairs(elements, n):
     return _normalized_elements(elements, n)
 
 
-def _pole_sums(weights, poles, omegas, eta, double=None):
+def _pole_sums(weights, poles, omegas, eta, double=None, real=True):
     """Yield tiles (c0, c1, w0, w1, tile) of the pole sums
-    S[c, p, w] = sum_m weights[c, p, m] / (omegas[w] + i*eta - poles[c, m]),
-    with tile[:, 0] = Re S and tile[:, 1] = Im S over samples c0:c1 and
-    frequencies w0:w1.
+    S[c, p, w] = sum_m weights[c, p, m] / (omegas[w] + i*eta - poles[c, m])
+    over samples c0:c1 and frequencies w0:w1, as raw real sums that each
+    reader scales where it copies them: with d = w - pole and
+    r = 1/(d^2 + eta^2), tile[:, 0] = weights @ (d*r) = Re S and
+    tile[:, 1] = weights @ r, so Im S = -eta * tile[:, 1].  Two real matrix
+    products per tile; the readers apply -eta in the copy they make anyway
+    (``averaged_greens``, ``averaged_densities``) or once per block of
+    statistics (the Monte-Carlo fold).
 
     ``weights`` is (c, p, m); weights that every sample shares can come as
-    an ``np.broadcast_to`` view.  With d = w - pole and r = 1/(d^2 + eta^2)
-    the real part is weights @ (d*r) and the imaginary part
-    -eta * (weights @ r): two real matrix products per tile.
+    an ``np.broadcast_to`` view.  With ``real=False`` the real plane is
+    skipped, neither d*r nor its product is formed, and tile[:, 0] holds
+    stale values: for readers of densities alone, which -Im S gives.
 
-    ``double`` (q, m), weights every sample shares, adds q rows after the p:
-    the double-pole sums sum_m double[j, m] / (omegas[w] + i*eta - poles[c, m])^2,
-    whose real part is double @ r - 2 eta^2 double @ r^2 and imaginary part
-    -2 eta double @ (d*r*r), from the same d and r.
+    ``double`` (q, m), weights every sample shares, adds q finished rows
+    after the p (not with ``real=False``): the double-pole sums
+    sum_m double[j, m] / (omegas[w] + i*eta - poles[c, m])^2, whose real
+    part is double @ r - 2 eta^2 double @ r^2 and imaginary part
+    -2 eta double @ (d*r*r), from the same d and r and pre-scaled weights.
 
     A tile counts max(P, ceil((2m + 2P + q)/4)) cells per (sample, frequency),
     with P = p + q rows, so that d and r (m cells each), the tile (2P) and the
@@ -173,12 +192,12 @@ def _pole_sums(weights, poles, omegas, eta, double=None):
             np.square(d, out=r)
             r += eta * eta
             np.reciprocal(r, out=r)
-            d *= r
             tile = tile_cells[:(c1 - c0) * 2 * (p + q) * (w1 - w0)].reshape(
                 c1 - c0, 2, p + q, w1 - w0)
-            np.matmul(mix, d, out=tile[:, 0, :p])
             np.matmul(mix, r, out=tile[:, 1, :p])
-            tile[:, 1, :p] *= -eta
+            if real:
+                d *= r
+                np.matmul(mix, d, out=tile[:, 0, :p])
             if q:
                 np.matmul(double, r, out=tile[:, 0, p:])
                 d *= r
@@ -300,20 +319,26 @@ def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
     step = min(n_omega, max(1, _TILE_BUDGET // sum(map(math.prod, shapes))))
     buffers = [np.empty(math.prod(shape) * step, dtype=complex) for shape in shapes] \
         if n_u else []
+    eta = grid.eta + spec.gamma
+    p = len(weights)  # the single-pole rows, whose Im G0 is -eta times the tile's
     for _, _, w0, w1, tile in _pole_sums(weights[None], eigenvalues[None], grid.omegas,
-                                         grid.eta + spec.gamma, double):
+                                         eta, double):
         re, im = tile[0]                                               # (rows, b) each
         if not n_u:
             out.real[w0:w1] = re[target[:k]].T
-            out.imag[w0:w1] = im[target[:k]].T
+            np.multiply(im[target[:k]].T, -eta, out=out.imag[w0:w1])
             if trace:
-                out_trace.real[w0:w1], out_trace.imag[w0:w1] = re[total], im[total]
+                out_trace.real[w0:w1] = re[total]
+                np.multiply(im[total], -eta, out=out_trace.imag[w0:w1])
             continue
         for s0 in range(w0, w1, step):
             s1 = min(s0 + step, w1)
             g0, lhs, rhs, result = (cells[:math.prod(shape) * (s1 - s0)].reshape(*shape, -1)
                                     for cells, shape in zip(buffers, shapes))
-            g0.real[:len(re)], g0.imag[:len(re)] = re[:, s0 - w0:s1 - w0], im[:, s0 - w0:s1 - w0]
+            part = np.s_[s0 - w0:s1 - w0]
+            g0.real[:len(re)] = re[:, part]
+            np.multiply(im[:p, part], -eta, out=g0.imag[:p])
+            g0.imag[p:len(re)] = im[p:, part]
             if trace:
                 g0[zero], g0[one] = 0, 1
             # The indices are valid, and with mode="clip" take fills each buffer
@@ -328,3 +353,41 @@ def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
             if trace:
                 np.sum(result[k:], axis=0, out=out_trace[s0:s1])
     return (out, out_trace) if trace else out
+
+
+def averaged_densities(spec: HamiltonianSpec, grid: SpectralGrid, sites, out=None):
+    """Averaged densities -Im G_ii(w + i*eta)/pi for each i in ``sites``,
+    None standing for the total density -Im Tr G/pi, when every site is
+    disordered.
+
+    Returns a float array of shape (n_omega, len(sites)), written into
+    ``out`` when given (any float view of that shape, such as columns of a
+    wider table).  With no undisordered site G = G0, whose imaginary part
+    needs only the pole sums' imaginary plane: no real plane and no complex
+    array is formed, and each frequency tile goes straight into ``out``.
+    The weight rows are those ``averaged_greens(..., trace=True)`` builds
+    for the distinct sites, in order of first use, then the trace's row of
+    ones, and each cell is scaled as -Im/pi of its result is, so every cell
+    has the same bits.  Raises ValueError on a spec with undisordered sites.
+    """
+    if not spec.disordered.all():
+        raise ValueError("averaged_densities needs every site disordered; "
+                         "use averaged_greens")
+    n = spec.n_sites
+    pairs = _normalized_elements([(i, i) for i in sites if i is not None], n)
+    distinct = list(dict.fromkeys(i for i, _ in pairs))
+    position = {i: row for row, i in enumerate(distinct)}
+    eigenvalues, eigenvectors = diagonalize(spec)
+    weights = np.vstack([eigenvectors[distinct] * eigenvectors[distinct], np.ones(n)])
+    rows = np.array([len(position) if i is None else position[int(i)] for i in sites],
+                    dtype=np.intp)
+    if out is None:
+        out = np.empty((grid.omegas.size, len(sites)))
+    eta = grid.eta + spec.gamma
+    for _, _, w0, w1, tile in _pole_sums(weights[None], eigenvalues[None], grid.omegas,
+                                         eta, real=False):
+        im = tile[0, 1]                                        # (rows, b), raw
+        im *= -eta                                             # Im G, as averaged_greens has it
+        im /= -np.pi
+        out[w0:w1] = im[rows].T
+    return out

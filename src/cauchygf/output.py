@@ -170,8 +170,12 @@ def _words(e, d, s):
 
 def _text_cells(column):
     """A string column's cells as UTF-8 bytes, NUL-padded to the longest,
-    and whether none of them is padded."""
-    text = np.array([str(v).encode() for v in column.tolist()], dtype=bytes)
+    and whether none of them is padded.  Each run of equal strings, such as
+    mc-compare's element labels, is encoded once and its bytes repeated."""
+    starts = np.flatnonzero(column[1:] != column[:-1]) + 1
+    runs = np.array([str(v).encode() for v in column[np.append(0, starts)].tolist()],
+                    dtype=bytes)
+    text = np.repeat(runs, np.diff(starts, prepend=0, append=column.size))
     cells = text.view(np.uint8).reshape(column.size, text.itemsize)
     return cells, bool(cells[:, -1].all())
 

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import cauchygf.cli as cli
+import cauchygf.engine as engine
 from cauchygf.cavity import CavityParams, g_cc, polariton_poles
 from cauchygf.cli import main
 from cauchygf.engine import SpectralGrid
@@ -154,6 +156,71 @@ def test_dos_column_subset_matches_the_full_column_set(tmp_path, monkeypatch, in
     for name, values in small.items():
         scale = np.abs(large[name]).max()
         assert np.abs(values - large[name]).max() <= 1e-13 * scale, name
+
+
+DENSITY_SPECS = {
+    "chain": assemble_huckel(build_topology("chain", 9), 0.0, 1.0, 0.1),
+    "ring": assemble_huckel(build_topology("ring", 64), 0.0, 1.0, 0.1),
+    "star": assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1),
+    "hexagon": assemble_huckel(build_topology(
+        "custom", 6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]), -0.3, -2.4, 0.05),
+}
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.02])
+@pytest.mark.parametrize("shape", list(DENSITY_SPECS))
+def test_density_only_table_equals_the_complex_route_byte_for_byte(shape, eta):
+    # A table of densities on a fully disordered graph skips the real plane
+    # and the complex array; its cells must keep the complex route's bits.
+    spec = DENSITY_SPECS[shape]
+    n = spec.n_sites
+    grid = SpectralGrid(np.linspace(-3.1, 3.1, 1201), eta)
+    default = cli._dos_columns(configparser.ConfigParser(), n)
+    requests = {
+        "default": default,
+        "total alone": [("rho_total", "total", None)],
+        "sites alone, reordered and repeated": [
+            (f"rho_site_{i}", "rho", (i, i)) for i in (n - 1, 2, 0, 2, n - 1, 1)],
+        "mixed": [(f"rho_site_{i}", "rho", (i, i)) for i in (3, 1)]
+                 + [("rho_total", "total", None), ("rho_site_3", "rho", (3, 3))],
+    }
+    for name, columns in requests.items():
+        density = cli._dos_table(spec, grid, columns)
+        complex_route = np.empty_like(density)
+        complex_route[:, 0] = grid.omegas
+        cli._greens_columns(spec, grid, columns, complex_route)
+        assert density.tobytes() == complex_route.tobytes(), name
+
+
+def test_only_density_requests_on_disordered_graphs_skip_the_real_plane(tmp_path,
+                                                                         monkeypatch):
+    # Every pole-sum call of a ring's default dos and of a graph's sum rules
+    # leaves out the real plane, and no complex Green's function is built;
+    # the cavity's dos with re_G_0_1, or a graph's with an element column,
+    # still forms it.
+    kernel, greens, calls = engine._pole_sums, engine.averaged_greens, []
+
+    def spy(*args, real=True, **kwargs):
+        calls.append(real)
+        return kernel(*args, real=real, **kwargs)
+
+    def no_greens(*args, **kwargs):
+        calls.append("averaged_greens")
+        return greens(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_pole_sums", spy)
+    monkeypatch.setattr(cli, "averaged_greens", no_greens)
+    ring = "[model]\nkind = ring\nn_sites = 64\ngamma = 0.1\n"
+    for ini, command in ((ring, "dos"), (ring, "sum-rules"), (STAR_INI, "sum-rules")):
+        calls.clear()
+        assert run(tmp_path, ini, command, "--out", str(tmp_path / "d")) == 0
+        assert calls and all(real is False for real in calls), (command, calls)
+    for ini in (bench_cavity_ini(24, "rho_total, rho_site_0, re_G_0_1, im_G_0_1"),
+                bench_cavity_ini(24, "rho_site_0"),
+                ring + "[output]\ncolumns = rho_total, im_G_0_0\n"):
+        calls.clear()
+        assert run(tmp_path, ini, "dos", "--out", str(tmp_path / "d")) == 0
+        assert calls[0] == "averaged_greens" and calls[1:] and all(calls[1:]), calls
 
 
 def test_dos_rerun_rewrites_exactly_the_new_table(tmp_path):

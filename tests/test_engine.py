@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose
 import cauchygf
 from cauchygf import output
 from cauchygf.cavity import CavityParams
-from cauchygf.engine import (_TILE_BUDGET, SpectralGrid, _pole_sums, averaged_greens,
-                             default_eta, diagonalize)
+from cauchygf.engine import (_TILE_BUDGET, SpectralGrid, _pole_sums, averaged_densities,
+                             averaged_greens, default_eta, diagonalize)
 from cauchygf.errors import NonMonotonicGrid, SingularMatrix
 from cauchygf.lattice import (HamiltonianSpec, assemble_cavity,
                               assemble_huckel, build_topology)
@@ -133,7 +133,8 @@ def test_pole_sum_tiles_are_sized_by_their_working_set(m, p, n_omega, first):
 
 
 def test_double_pole_rows_follow_the_single_pole_rows():
-    # tile[:, :, :p] are the sums of weights/(z - pole) and tile[:, :, p:] of
+    # tile[:, :, :p] are the sums of weights/(z - pole), whose imaginary
+    # part is -eta times the raw row, and tile[:, :, p:] the finished sums of
     # double/(z - pole)^2, over tiles that span several frequency blocks.
     rng = np.random.default_rng(17)
     m, n_omega, eta = 300, 500, 0.07
@@ -146,6 +147,7 @@ def test_double_pole_rows_follow_the_single_pole_rows():
     blocks = 0
     for _, _, w0, w1, tile in _pole_sums(weights, poles, omegas, eta, double):
         got[:, w0:w1] = tile[0, 0] + 1j * tile[0, 1]
+        got[:3, w0:w1].imag *= -eta
         blocks += 1
     assert blocks > 1
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -178,6 +180,40 @@ def test_pole_sum_tiles_match_copy_and_subtract_reference(c, p, m, n_omega, q, s
         assert tile.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
         cells += (c1 - c0) * (w1 - w0)
     assert cells == c * n_omega
+
+
+@pytest.mark.parametrize("c, p, m, n_omega, shared", [
+    (1, 65, 64, 4001, False),    # ring(64)'s densities: 64 sites and the trace
+    (5, 7, 7, 201, False),       # several samples a tile
+    (3, 1, 80, 601, True),       # one row, shared weights, wide tiles
+])
+def test_pole_sums_without_the_real_plane_keep_the_imaginary_bits(c, p, m, n_omega, shared):
+    # real=False forms neither d*r nor its product; the imaginary plane and
+    # the tiles stay what real=True gives, bit for bit.
+    rng = np.random.default_rng([c, p, m, n_omega])
+    poles = rng.uniform(-3, 3, (c, m))
+    omegas = np.linspace(-3.5, 3.5, n_omega)
+    weights = (np.broadcast_to(rng.standard_normal((1, p, m)), (c, p, m)) if shared
+               else rng.standard_normal((c, p, m)))
+    full, imaginary = (_pole_sums(weights, poles, omegas, 0.05, real=real)
+                       for real in (True, False))
+    tiles = 0
+    for (*span, want), (*got_span, got) in zip(full, imaginary, strict=True):
+        assert got_span == span
+        assert got[:, 1].tobytes() == want[:, 1].tobytes()
+        tiles += 1
+    assert tiles >= 1
+
+
+def test_densities_need_every_site_disordered_and_valid_sites():
+    grid = SpectralGrid(np.linspace(-1, 1, 5), 0.01)
+    cavity = assemble_cavity(CavityParams(0.0, 0.0, 0.1, 3, coupling=0.2))
+    with pytest.raises(ValueError, match="every site disordered"):
+        averaged_densities(cavity, grid, [None])
+    with pytest.raises(IndexError, match="outside 0..6"):
+        averaged_densities(huckel("star", 7), grid, [None, 7])
+    densities = averaged_densities(huckel("star", 7), grid, [0, None, 0])
+    assert densities.shape == (5, 3) and np.array_equal(densities[:, 0], densities[:, 2])
 
 
 def test_tiny_gamma_standin_matches_clean_resolvent():

@@ -310,6 +310,32 @@ def test_csv_mixed_string_and_float_table_matches_oracle(tmp_path):
     assert matches_oracle(tmp_path, np.empty((n, 0)), text=(0, labels))
 
 
+@pytest.mark.parametrize("labels", [
+    ["G_0_0"], ["G_0_0", "G_0_0"], ["a", "bb", "a", "a", "é✓", ""], list("abcdefg"),
+    np.repeat(["G_0_0", "G_1_1", "G_0_0", "G_12_3"], 201),
+    np.array(["x", "x", "yy"], dtype=object),
+], ids=["one-row", "one-run", "recurring", "all-distinct", "mc-compare", "object"])
+def test_text_cells_match_one_encoding_per_row(labels):
+    # Each run of equal labels is encoded once and its bytes repeated; the
+    # cells and the padding flag are those of one str(v).encode() per row.
+    column = np.asarray(labels)
+    cells, unpadded = output._text_cells(column)
+    want = np.array([str(v).encode() for v in column.tolist()], dtype=bytes)
+    assert cells.shape == (column.size, want.itemsize)
+    assert cells.tobytes() == want.tobytes()
+    assert unpadded == all(len(v) == want.itemsize for v in want.tolist())
+
+
+def test_label_runs_across_block_boundaries_match_oracle(tmp_path):
+    # mc-compare's layout: one run of rows per element, here longer than a
+    # block (5,461 rows of six columns), recurring after another label.
+    rng = np.random.default_rng(8)
+    labels = np.repeat(["G_0_0", "G_1_1", "G_0_0"], 6000)
+    table = rng.standard_normal((labels.size, 5))
+    assert labels.size > 3 * (output._CSV_BLOCK_CELLS // 6)
+    assert matches_oracle(tmp_path, table, text=(1, labels))
+
+
 @pytest.mark.parametrize("n_rows, n_columns", [(40_000, 2), (1_100, 66), (3, 40_000)],
                          ids=["narrow", "dos-ring", "wider-than-a-block"])
 def test_csv_blocks_of_any_width_match_oracle(tmp_path, n_rows, n_columns):
