@@ -25,7 +25,7 @@ import numpy as np
 
 from . import cavity as cavity_mod
 from .cavity import CavityParams, polariton_poles
-from .engine import (SpectralGrid, averaged_densities, averaged_greens, default_eta,
+from .engine import (SpectralGrid, averaged_greens, averaged_table, default_eta,
                      diagonalize)
 from .errors import ConfigParseError, NonFiniteResult
 from .lattice import (DisorderSpec, Family, assemble_cavity, assemble_huckel,
@@ -201,12 +201,12 @@ _G_COLUMN = re.compile(r"^(re|im)_G_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)$")
 
 
 def _dos_columns(cfg, n_sites):
-    """The dos columns after omega, each as (name, plane, element): the real
-    plane it reads ("rho" is -Im G / pi, "re" and "im" are G's parts, "total"
-    is -Im tr G / pi) and the element of G it reads there."""
+    """The dos columns after omega, each as (name, part, element): the part
+    of G it reads ("rho" is -Im / pi, "re" and "im" are G's parts) and the
+    element, None for the trace, as ``averaged_table`` takes them."""
     raw = _get(cfg, "output", "columns", str, None)
     if raw is None:
-        return [("rho_total", "total", None)] + [
+        return [("rho_total", "rho", None)] + [
             (f"rho_site_{i}", "rho", (i, i)) for i in range(n_sites)]
     names = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not names:
@@ -216,7 +216,7 @@ def _dos_columns(cfg, n_sites):
         site = _SITE_COLUMN.match(name)
         pair = _G_COLUMN.match(name)
         if name == "rho_total":
-            columns.append((name, "total", None))
+            columns.append((name, "rho", None))
         elif site and int(site.group(1)) < n_sites:
             columns.append((name, "rho", (int(site.group(1)),) * 2))
         elif pair and int(pair.group(2)) < n_sites and int(pair.group(3)) < n_sites:
@@ -227,46 +227,12 @@ def _dos_columns(cfg, n_sites):
 
 
 def _dos_table(spec, grid, columns):
-    """The dos table: omega, then the ``columns``, one row per frequency.
-
-    When every site is disordered and every column is a density, the engine
-    writes the densities straight into the table from the imaginary plane
-    of its pole sums (``averaged_densities``); any other request takes the
-    complex route, ``_greens_columns``.  Both give the same bits."""
+    """The dos table: omega, then the ``columns``, one row per frequency."""
     table = np.empty((grid.omegas.size, 1 + len(columns)))
     table[:, 0] = grid.omegas
-    if spec.disordered.all() and all(plane in ("rho", "total") for _, plane, _ in columns):
-        sites = [None if element is None else element[0] for _, _, element in columns]
-        averaged_densities(spec, grid, sites, out=table[:, 1:])
-    else:
-        _greens_columns(spec, grid, columns, table)
+    averaged_table(spec, grid, [(part, element) for _, part, element in columns],
+                   table[:, 1:])
     return table
-
-
-def _greens_columns(spec, grid, columns, table):
-    """Fill table[:, 1:] with the ``columns`` from one complex
-    ``averaged_greens`` result, which serves every mask and every column.
-
-    The complex result dies with this call, before the table is formatted,
-    so the table's blocks reuse its memory.  Kept alive, it grew the heap
-    past glibc's trim threshold, so every call of main gave pages back at its
-    end and faulted them in again: about 1,300 page faults a call on a
-    ring(64) table and 370 on the cavity's (N = 24)."""
-    # Only the elements the columns name, each once: the sites' diagonal,
-    # then the G pairs; rho_total is the exact trace, not a row sum.
-    position = {element: c for c, element in enumerate(dict.fromkeys(
-        [e for _, plane, e in columns if plane == "rho"]
-        + [e for _, plane, e in columns if plane in ("re", "im")]))}
-    greens, trace = averaged_greens(spec, grid, list(position), trace=True)
-    for c, (_, plane, element) in enumerate(columns, 1):
-        if plane == "total":
-            np.divide(trace.imag, -np.pi, out=table[:, c])
-            continue
-        source = (greens.real if plane == "re" else greens.imag)[:, position[element]]
-        if plane == "rho":
-            np.divide(source, -np.pi, out=table[:, c])
-        else:
-            table[:, c] = source
 
 
 def _cmd_dos(cfg, args):
@@ -418,7 +384,8 @@ def _cmd_sum_rules(cfg, args):
     else:
         grid, grid_echo = _resolve_grid(
             cfg, args, lambda: auto_window(diagonalize(spec)[0], spec.gamma), 0.0)
-        rho_total = averaged_densities(spec, grid, [None])[:, 0]
+        rho_total = averaged_table(spec, grid, [("rho", None)],
+                                   np.empty((grid.omegas.size, 1)))[:, 0]
         checks.append(_check("total_dos_norm",
                              integrate_trapezoid(grid.omegas, rho_total),
                              target=float(spec.n_sites),

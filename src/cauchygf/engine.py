@@ -3,9 +3,10 @@
 Averaging the resolvent over independent Cauchy noise on the marked diagonal
 entries is exactly equivalent to deleting the noise and subtracting i*gamma
 from those same entries.  The whole ensemble therefore collapses to a single
-complex matrix, evaluated by one route for every disorder mask:
+complex matrix, evaluated by one route, ``averaged_table``, for every
+disorder mask and every request.
 
-``averaged_greens``: one real-symmetric eigendecomposition of h0 gives
+One real-symmetric eigendecomposition of h0 gives
 G0(z) = V diag(1/(z + i*gamma - eps_m)) V^T, the answer when every site is
 disordered (z = w + i*eta).  The few undisordered sites U (the cavity state;
 none on the graphs) are put back by the rank-|U| Woodbury identity
@@ -13,32 +14,34 @@ G = G0 - G0[:, U] (i/gamma I + G0[U, U])^-1 G0[U, :], with the small matrix
 reduced by elimination without pivoting, vectorized over frequencies, so no
 LAPACK call runs per frequency.  Each entry of G0 is a sum of weights over
 real poles, evaluated by ``_pole_sums``, the package's one cache-tiled kernel
-(the Monte-Carlo realizations run it too), at two real matrix products (Re
-and Im) per frequency tile.  It returns one complex array
-of shape (n_omega, n_elements); densities of states are the usual -Im/pi of
-its diagonal-element columns.  On request it also returns the exact trace,
-Tr G = Tr G0 - Tr(K^-1 (G0^2)[U, U]), from one more weight row and |U|^2
+(the Monte-Carlo realizations run it too), at one real matrix product per
+frequency tile for Im and one more for Re.  The exact trace,
+Tr G = Tr G0 - Tr(K^-1 (G0^2)[U, U]), costs one more weight row and |U|^2
 double-pole sums, so with k elements and few undisordered sites the total
 density of states costs O(n (k + |U|^2)) per frequency, not the O(n^2) of
 the whole diagonal.
 
-``averaged_densities``: with no undisordered site and only densities asked
-for (-Im G_ii/pi and -Im Tr G/pi), the kernel skips the real plane, its
-d*r pass and its matrix product, and each tile goes straight into the
-caller's table, with the bits ``averaged_greens`` gives.
+A request is the columns of a float table, each the real part, the
+imaginary part or the density -Im/pi of one element or of the trace, and
+``averaged_table`` writes them straight into the caller's table.  The real
+plane of the pole sums is formed only when a column reads a real part or U
+is not empty.  ``averaged_greens`` is the same route read as complex
+numbers: the Re and Im columns of the requested elements, and of the trace
+on request, as one (n_omega, n_elements) complex array.
 
 The kernel's single-pole rows come raw: the real row is Re S, the imaginary
 row weights @ r with Im S = -eta times it.  Each reader applies -eta where
-it already copies the sums: ``averaged_greens`` in its copies into the
-result and into G0's Woodbury rows, ``averaged_densities`` in its tile
-before the copy, the Monte-Carlo fold once per block of statistics, and the
-Schur route in forming z - h_uu - Sigma.  The double-pole rows come
+it already works on the sums: ``averaged_table`` in each tile before it
+copies the columns out, the Monte-Carlo fold once per block of statistics,
+and the Schur route in forming z - h_uu - Sigma.  The double-pole rows come
 finished, from pre-scaled weights.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,12 +111,13 @@ def default_eta(spec: HamiltonianSpec) -> float:
 def _normalized_elements(elements, n):
     pairs = []
     for i, j in elements:
-        if not (hasattr(type(i), "__index__") and hasattr(type(j), "__index__")):
-            raise ValueError(f"element ({i!r}, {j!r}) indices must be integers")
-        i, j = int(i), int(j)
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"element ({i}, {j}) outside 0..{n - 1}")
-        pairs.append((i, j))
+        try:
+            pair = operator.index(i), operator.index(j)
+        except TypeError:
+            raise ValueError(f"element ({i!r}, {j!r}) indices must be integers") from None
+        if not (0 <= pair[0] < n and 0 <= pair[1] < n):
+            raise IndexError(f"element {pair} outside 0..{n - 1}")
+        pairs.append(pair)
     return tuple(pairs)
 
 
@@ -132,14 +136,14 @@ def _pole_sums(weights, poles, omegas, eta, double=None, real=True):
     reader scales where it copies them: with d = w - pole and
     r = 1/(d^2 + eta^2), tile[:, 0] = weights @ (d*r) = Re S and
     tile[:, 1] = weights @ r, so Im S = -eta * tile[:, 1].  Two real matrix
-    products per tile; the readers apply -eta in the copy they make anyway
-    (``averaged_greens``, ``averaged_densities``) or once per block of
-    statistics (the Monte-Carlo fold).
+    products per tile; the readers apply -eta in the tile before they copy
+    it out (``averaged_table``) or once per block of statistics (the
+    Monte-Carlo fold).
 
     ``weights`` is (c, p, m); weights that every sample shares can come as
     an ``np.broadcast_to`` view.  With ``real=False`` the real plane is
     skipped, neither d*r nor its product is formed, and tile[:, 0] holds
-    stale values: for readers of densities alone, which -Im S gives.
+    stale values: for readers of imaginary parts and densities alone.
 
     ``double`` (q, m), weights every sample shares, adds q finished rows
     after the p (not with ``real=False``): the double-pole sums
@@ -243,34 +247,37 @@ def _woodbury_step(kernel, lhs, rhs, result, omegas):
             f"shifted matrix singular at omega = {omegas[int(np.argmax(singular))]}")
 
 
-def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
-                    elements=None, *, trace=False):
-    """Averaged G_ij(w + i*eta) for every frequency and requested element.
+def averaged_table(spec: HamiltonianSpec, grid: SpectralGrid, columns, out):
+    """Write averaged G(w + i*eta) into the float table ``out``, one row per
+    frequency and one column per entry of ``columns``, and return ``out``.
 
-    Returns a complex array of shape (n_omega, n_elements), columns in the
-    order of ``elements`` (default: every pair, row-major).  With
-    ``trace=True`` it returns (greens, trace), where trace is the exact
-    Tr G(w + i*eta) at each frequency, at a cost that does not grow with the
-    number of diagonal elements: Tr G = Tr G0 - Tr(K^-1 S), where S =
-    (G0^2)[U, U] holds the double-pole sums
-    sum_m V_um V_vm / (z + i*gamma - eps_m)^2.
+    Each column is (part, element): part "re" or "im" reads that part of
+    G_ij and "rho" the density -Im G_ij/pi; element (i, j) names the entry,
+    and None the exact trace Tr G.  ``out`` is any float view of shape
+    (n_omega, len(columns)), such as the columns of a wider table or a
+    complex array's ``.view(float)``.
 
-    Every entry of G0 that is needed -- the requested ones plus, for the
-    Woodbury correction, the rows and columns of the undisordered sites, and
-    for the trace Tr G0, whose weights are ones -- is a fixed real mix of the
-    eigenmode factors, sum_m V_am V_bm / (z + i*gamma - eps_m), so each
-    frequency tile costs two real matrix products (Re and Im), and S three
-    more (``_pole_sums``).  The Woodbury step then
-    works on that tile's complex columns, frequency last: K = G0[U, U] +
-    (i/gamma) I is reduced without pivoting (``_woodbury_step``), and the
-    trace rides along as |U| more columns, lhs = e_u and rhs = S[:, u].
-    That is safe: -Im G0 <= I/(gamma + eta), so Im K >= eta/(gamma (gamma +
-    eta)) I and no pivot vanishes when eta > 0.  At eta = 0 a pivot that is
-    exactly zero makes K singular -- an undisordered resonance -- and
-    SingularMatrix names the first such frequency.
+    The weight rows are one per distinct symmetric pair (G0 = G0^T) among
+    the requested entries and, for the Woodbury correction, the rows and
+    columns of the undisordered sites U, then Tr G0's row of ones and the
+    double-pole rows of S = (G0^2)[U, U] when the trace is asked for.  The
+    Woodbury step works on each tile's complex columns, frequency last:
+    K = G0[U, U] + (i/gamma) I is reduced without pivoting
+    (``_woodbury_step``), and the trace rides along as |U| more columns,
+    lhs = e_u and rhs = S[:, u], for Tr G = Tr G0 - Tr(K^-1 S).  That is
+    safe: -Im G0 <= I/(gamma + eta), so Im K >= eta/(gamma (gamma + eta)) I
+    and no pivot vanishes when eta > 0.  At eta = 0 a pivot that is exactly
+    zero makes K singular -- an undisordered resonance -- and SingularMatrix
+    names the first such frequency.
     """
     n = spec.n_sites
-    pairs = _element_pairs(elements, n)
+    parts = [part for part, _ in columns]
+    if not set(parts) <= {"re", "im", "rho"}:
+        raise ValueError(f"column parts must be re, im or rho, got {parts}")
+    named = iter(_normalized_elements([e for _, e in columns if e is not None], n))
+    requested = [None if e is None else next(named) for _, e in columns]
+    elements = list(dict.fromkeys(e for e in requested if e is not None))
+    trace = None in requested
     eigenvalues, eigenvectors = diagonalize(spec)
     undisordered = np.flatnonzero(~spec.disordered).tolist()
 
@@ -280,13 +287,13 @@ def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
     def row(a, b):
         return rows.setdefault((a, b) if a <= b else (b, a), len(rows))
 
-    k, n_u, n_omega = len(pairs), len(undisordered), grid.omegas.size
-    target = [row(i, j) for i, j in pairs]
-    left = [[row(u, i) for i, _ in pairs] for u in undisordered]
-    right = [[row(u, j) for _, j in pairs] for u in undisordered]
+    k, n_u, n_omega = len(elements), len(undisordered), grid.omegas.size
+    target = [row(i, j) for i, j in elements]
+    left = [[row(u, i) for i, _ in elements] for u in undisordered]
+    right = [[row(u, j) for _, j in elements] for u in undisordered]
     square = [[row(u, v) for v in undisordered] for u in undisordered]
-    keys = np.array(list(rows), dtype=int).reshape(-1, 2)
-    weights = eigenvectors[keys[:, 0]] * eigenvectors[keys[:, 1]]  # (p, n)
+    keys = np.fromiter(itertools.chain.from_iterable(rows), np.intp, 2 * len(rows))
+    weights = eigenvectors[keys[0::2]] * eigenvectors[keys[1::2]]  # (p, n)
     double = None
     if trace:
         # Rows after the pairs: Tr G0, then S's upper triangle, then the
@@ -304,90 +311,83 @@ def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
             left[s] += [one if t == s else zero for t in range(n_u)]
             right[s] += [s_row[min(u, v), max(u, v)] for v in undisordered]
     n_rows = one + 1 if trace else len(rows)
+
+    # Each column copies one row of a (2 * sources, b) block: the Re rows,
+    # then the Im rows, of the tile's G0 rows when every site is disordered,
+    # else of the Woodbury result's elements and trace.  The densities are
+    # then divided by -pi in the block, one run of adjacent columns at a time.
+    p = len(weights)  # the single-pole rows, whose Im G0 is -eta times the tile's
+    sources, slot = (k + trace, range(k + 1)) if n_u else (p, target)
+    position = {element: c for c, element in enumerate(elements)} | {None: k}
+    index = np.array([(part != "re") * sources + slot[position[element]]
+                      for part, element in zip(parts, requested)], dtype=np.intp)
+    runs, stop = [], 0
+    for density, group in itertools.groupby(part == "rho" for part in parts):
+        start, stop = stop, stop + len(list(group))
+        if density:
+            runs.append(slice(start, stop))
+
     target = np.array(target, dtype=np.intp)  # the elements, then the trace's columns
-    left, right = (np.array(index, dtype=np.intp).reshape(n_u, target.size)
-                   for index in (left, right))
+    left, right = (np.array(lists, dtype=np.intp).reshape(n_u, target.size)
+                   for lists in (left, right))
     square = np.array(square, dtype=np.intp).reshape(n_u, n_u)
 
-    out = np.empty((n_omega, k), dtype=complex)
-    out_trace = np.empty(n_omega, dtype=complex) if trace else None
     # The Woodbury step runs on frequency blocks whose complex buffers (G0
     # rows, lhs, rhs, result) hold at most _TILE_BUDGET cells, so that they
     # stay in cache beside the kernel's tile: on 49 columns of cavity(N=24)
     # the whole 668-wide tile took half as long again.
     shapes = ((n_rows,), left.shape, right.shape, target.shape)
-    step = min(n_omega, max(1, _TILE_BUDGET // sum(map(math.prod, shapes))))
+    step = min(n_omega, max(1, _TILE_BUDGET // sum(map(math.prod, shapes)))) \
+        if n_u else n_omega
     buffers = [np.empty(math.prod(shape) * step, dtype=complex) for shape in shapes] \
         if n_u else []
     eta = grid.eta + spec.gamma
-    p = len(weights)  # the single-pole rows, whose Im G0 is -eta times the tile's
+    real = bool(n_u) or "re" in parts
     for _, _, w0, w1, tile in _pole_sums(weights[None], eigenvalues[None], grid.omegas,
-                                         eta, double):
+                                         eta, double, real=real):
         re, im = tile[0]                                               # (rows, b) each
-        if not n_u:
-            out.real[w0:w1] = re[target[:k]].T
-            np.multiply(im[target[:k]].T, -eta, out=out.imag[w0:w1])
-            if trace:
-                out_trace.real[w0:w1] = re[total]
-                np.multiply(im[total], -eta, out=out_trace.imag[w0:w1])
-            continue
+        im[:p] *= -eta                                                 # Im G0
         for s0 in range(w0, w1, step):
             s1 = min(s0 + step, w1)
-            g0, lhs, rhs, result = (cells[:math.prod(shape) * (s1 - s0)].reshape(*shape, -1)
-                                    for cells, shape in zip(buffers, shapes))
-            part = np.s_[s0 - w0:s1 - w0]
-            g0.real[:len(re)] = re[:, part]
-            np.multiply(im[:p, part], -eta, out=g0.imag[:p])
-            g0.imag[p:len(re)] = im[p:, part]
-            if trace:
-                g0[zero], g0[one] = 0, 1
-            # The indices are valid, and with mode="clip" take fills each buffer
-            # directly instead of through a temporary.
-            np.take(g0, left, axis=0, out=lhs, mode="clip")
-            np.take(g0, right, axis=0, out=rhs, mode="clip")
-            np.take(g0, target, axis=0, out=result, mode="clip")
-            kernel = g0[square]                                        # (u, u, b)
-            kernel.reshape(n_u * n_u, -1)[::n_u + 1] += 1j / spec.gamma  # its diagonal
-            _woodbury_step(kernel, lhs, rhs, result, grid.omegas[s0:s1])
-            out[s0:s1] = result[:k].T
-            if trace:
-                np.sum(result[k:], axis=0, out=out_trace[s0:s1])
-    return (out, out_trace) if trace else out
-
-
-def averaged_densities(spec: HamiltonianSpec, grid: SpectralGrid, sites, out=None):
-    """Averaged densities -Im G_ii(w + i*eta)/pi for each i in ``sites``,
-    None standing for the total density -Im Tr G/pi, when every site is
-    disordered.
-
-    Returns a float array of shape (n_omega, len(sites)), written into
-    ``out`` when given (any float view of that shape, such as columns of a
-    wider table).  With no undisordered site G = G0, whose imaginary part
-    needs only the pole sums' imaginary plane: no real plane and no complex
-    array is formed, and each frequency tile goes straight into ``out``.
-    The weight rows are those ``averaged_greens(..., trace=True)`` builds
-    for the distinct sites, in order of first use, then the trace's row of
-    ones, and each cell is scaled as -Im/pi of its result is, so every cell
-    has the same bits.  Raises ValueError on a spec with undisordered sites.
-    """
-    if not spec.disordered.all():
-        raise ValueError("averaged_densities needs every site disordered; "
-                         "use averaged_greens")
-    n = spec.n_sites
-    pairs = _normalized_elements([(i, i) for i in sites if i is not None], n)
-    distinct = list(dict.fromkeys(i for i, _ in pairs))
-    position = {i: row for row, i in enumerate(distinct)}
-    eigenvalues, eigenvectors = diagonalize(spec)
-    weights = np.vstack([eigenvectors[distinct] * eigenvectors[distinct], np.ones(n)])
-    rows = np.array([len(position) if i is None else position[int(i)] for i in sites],
-                    dtype=np.intp)
-    if out is None:
-        out = np.empty((grid.omegas.size, len(sites)))
-    eta = grid.eta + spec.gamma
-    for _, _, w0, w1, tile in _pole_sums(weights[None], eigenvalues[None], grid.omegas,
-                                         eta, real=False):
-        im = tile[0, 1]                                        # (rows, b), raw
-        im *= -eta                                             # Im G, as averaged_greens has it
-        im /= -np.pi
-        out[w0:w1] = im[rows].T
+            if not n_u:
+                block = tile[0].reshape(2 * p, -1)[index]
+            else:
+                g0, lhs, rhs, result = (cells[:math.prod(shape) * (s1 - s0)].reshape(*shape, -1)
+                                        for cells, shape in zip(buffers, shapes))
+                part = np.s_[s0 - w0:s1 - w0]
+                g0.real[:len(re)] = re[:, part]
+                g0.imag[:len(re)] = im[:, part]
+                if trace:
+                    g0[zero], g0[one] = 0, 1
+                # The indices are valid, and with mode="clip" take fills each buffer
+                # directly instead of through a temporary.
+                np.take(g0, left, axis=0, out=lhs, mode="clip")
+                np.take(g0, right, axis=0, out=rhs, mode="clip")
+                np.take(g0, target, axis=0, out=result, mode="clip")
+                kernel = g0[square]                                        # (u, u, b)
+                kernel.reshape(n_u * n_u, -1)[::n_u + 1] += 1j / spec.gamma  # its diagonal
+                _woodbury_step(kernel, lhs, rhs, result, grid.omegas[s0:s1])
+                if trace:
+                    result[k] = np.sum(result[k:], axis=0)
+                block = np.concatenate([result.real[:sources], result.imag[:sources]])[index]
+            for run in runs:
+                block[run] /= -np.pi
+            out[s0:s1] = block.T
     return out
+
+
+def averaged_greens(spec: HamiltonianSpec, grid: SpectralGrid,
+                    elements=None, *, trace=False):
+    """Averaged G_ij(w + i*eta) for every frequency and requested element.
+
+    Returns a complex array of shape (n_omega, n_elements), columns in the
+    order of ``elements`` (default: every pair, row-major).  With
+    ``trace=True`` it returns (greens, trace), where trace is the exact
+    Tr G(w + i*eta) at each frequency.  Both are the Re and Im columns of
+    one ``averaged_table`` call, read as complex numbers.
+    """
+    wanted = [*_element_pairs(elements, spec.n_sites)] + [None] * trace
+    out = np.empty((grid.omegas.size, len(wanted)), dtype=complex)
+    averaged_table(spec, grid, [(part, e) for e in wanted for part in ("re", "im")],
+                   out.view(float))
+    return (out[:, :-1], out[:, -1]) if trace else out

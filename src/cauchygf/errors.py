@@ -6,7 +6,8 @@ class InvalidSize(ValueError):
 
 
 class InvalidEdge(ValueError):
-    """Edge list contains an out-of-range index, a self-loop, or a duplicate."""
+    """Edge list contains a non-integer or out-of-range index, a self-loop, or a
+    duplicate."""
 
 
 class InvalidCoupling(ValueError):

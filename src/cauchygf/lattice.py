@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,7 +101,10 @@ def build_topology(kind, n_sites: int, edges=None) -> Topology:
     seen = set()
     normalized = []
     for i, j in edges:
-        i, j = int(i), int(j)
+        try:
+            i, j = operator.index(i), operator.index(j)
+        except TypeError:
+            raise InvalidEdge(f"edge ({i!r}, {j!r}) indices must be integers") from None
         if not (0 <= i < n_sites and 0 <= j < n_sites):
             raise InvalidEdge(f"edge ({i}, {j}) references a site outside 0..{n_sites - 1}")
         if i == j:

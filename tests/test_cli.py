@@ -13,7 +13,7 @@ import cauchygf.cli as cli
 import cauchygf.engine as engine
 from cauchygf.cavity import CavityParams, g_cc, polariton_poles
 from cauchygf.cli import main
-from cauchygf.engine import SpectralGrid
+from cauchygf.engine import SpectralGrid, averaged_greens
 from cauchygf.lattice import (DisorderSpec, assemble_cavity, assemble_huckel,
                               build_topology)
 from cauchygf.montecarlo import EnsembleConfig, ensemble_average
@@ -164,63 +164,79 @@ DENSITY_SPECS = {
     "star": assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1),
     "hexagon": assemble_huckel(build_topology(
         "custom", 6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]), -0.3, -2.4, 0.05),
+    "cavity": assemble_cavity(CavityParams(2.1, 2.1, 0.02, 24, coupling=0.1 / math.sqrt(8))),
 }
+
+
+def greens_view_table(spec, grid, columns):
+    """The dos table read off the complex ``averaged_greens`` result for the
+    same distinct elements and trace."""
+    elements = list(dict.fromkeys(e for _, _, e in columns if e is not None))
+    trace = any(e is None for _, _, e in columns)
+    greens = averaged_greens(spec, grid, elements, trace=trace)
+    greens, total = greens if trace else (greens, None)
+    table = np.empty((grid.omegas.size, 1 + len(columns)))
+    table[:, 0] = grid.omegas
+    for c, (_, part, e) in enumerate(columns, 1):
+        value = total if e is None else greens[:, elements.index(e)]
+        table[:, c] = value.real if part == "re" else \
+            value.imag if part == "im" else value.imag / -np.pi
+    return table
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.02])
 @pytest.mark.parametrize("shape", list(DENSITY_SPECS))
 def test_density_only_table_equals_the_complex_route_byte_for_byte(shape, eta):
-    # A table of densities on a fully disordered graph skips the real plane
-    # and the complex array; its cells must keep the complex route's bits.
+    # The table's cells, written straight from the pole sums (no real plane
+    # for densities and imaginary parts on a graph), keep the bits of the
+    # complex averaged_greens view of the same request, on every mask.
     spec = DENSITY_SPECS[shape]
     n = spec.n_sites
-    grid = SpectralGrid(np.linspace(-3.1, 3.1, 1201), eta)
+    grid = SpectralGrid(np.linspace(-3.1, 3.1, 1201) + 2.1 * (shape == "cavity"), eta)
     default = cli._dos_columns(configparser.ConfigParser(), n)
     requests = {
         "default": default,
-        "total alone": [("rho_total", "total", None)],
+        "total alone": [("rho_total", "rho", None)],
         "sites alone, reordered and repeated": [
             (f"rho_site_{i}", "rho", (i, i)) for i in (n - 1, 2, 0, 2, n - 1, 1)],
         "mixed": [(f"rho_site_{i}", "rho", (i, i)) for i in (3, 1)]
-                 + [("rho_total", "total", None), ("rho_site_3", "rho", (3, 3))],
+                 + [("rho_total", "rho", None), ("rho_site_3", "rho", (3, 3))],
+        "im parts": [("im_G_0_1", "im", (0, 1)), ("rho_site_1", "rho", (1, 1)),
+                     ("im_G_1_0", "im", (1, 0)), ("rho_total", "rho", None)],
+        "re and im parts": [("re_G_2_0", "re", (2, 0)), ("rho_site_0", "rho", (0, 0)),
+                            ("im_G_2_0", "im", (2, 0)), ("re_G_1_1", "re", (1, 1)),
+                            ("rho_total", "rho", None), ("rho_site_2", "rho", (2, 2))],
     }
     for name, columns in requests.items():
-        density = cli._dos_table(spec, grid, columns)
-        complex_route = np.empty_like(density)
-        complex_route[:, 0] = grid.omegas
-        cli._greens_columns(spec, grid, columns, complex_route)
-        assert density.tobytes() == complex_route.tobytes(), name
+        table = cli._dos_table(spec, grid, columns)
+        assert table.tobytes() == greens_view_table(spec, grid, columns).tobytes(), name
 
 
-def test_only_density_requests_on_disordered_graphs_skip_the_real_plane(tmp_path,
-                                                                         monkeypatch):
-    # Every pole-sum call of a ring's default dos and of a graph's sum rules
-    # leaves out the real plane, and no complex Green's function is built;
-    # the cavity's dos with re_G_0_1, or a graph's with an element column,
-    # still forms it.
-    kernel, greens, calls = engine._pole_sums, engine.averaged_greens, []
+def test_requests_without_real_parts_on_disordered_graphs_skip_the_real_plane(tmp_path,
+                                                                               monkeypatch):
+    # Every pole-sum call of a ring's default dos, of its densities and
+    # imaginary parts, and of a graph's sum rules leaves out the real plane;
+    # a re_G column, or the cavity's undisordered site, still forms it.
+    kernel, calls = engine._pole_sums, []
 
     def spy(*args, real=True, **kwargs):
         calls.append(real)
         return kernel(*args, real=real, **kwargs)
 
-    def no_greens(*args, **kwargs):
-        calls.append("averaged_greens")
-        return greens(*args, **kwargs)
-
     monkeypatch.setattr(engine, "_pole_sums", spy)
-    monkeypatch.setattr(cli, "averaged_greens", no_greens)
     ring = "[model]\nkind = ring\nn_sites = 64\ngamma = 0.1\n"
-    for ini, command in ((ring, "dos"), (ring, "sum-rules"), (STAR_INI, "sum-rules")):
+    imaginary = ring + "[output]\ncolumns = rho_total, im_G_0_0\n"
+    for ini, command in ((ring, "dos"), (imaginary, "dos"),
+                         (ring, "sum-rules"), (STAR_INI, "sum-rules")):
         calls.clear()
         assert run(tmp_path, ini, command, "--out", str(tmp_path / "d")) == 0
-        assert calls and all(real is False for real in calls), (command, calls)
+        assert calls and not any(calls), (command, calls)
     for ini in (bench_cavity_ini(24, "rho_total, rho_site_0, re_G_0_1, im_G_0_1"),
                 bench_cavity_ini(24, "rho_site_0"),
-                ring + "[output]\ncolumns = rho_total, im_G_0_0\n"):
+                ring + "[output]\ncolumns = rho_total, re_G_0_0\n"):
         calls.clear()
         assert run(tmp_path, ini, "dos", "--out", str(tmp_path / "d")) == 0
-        assert calls[0] == "averaged_greens" and calls[1:] and all(calls[1:]), calls
+        assert calls and all(calls), calls
 
 
 def test_dos_rerun_rewrites_exactly_the_new_table(tmp_path):

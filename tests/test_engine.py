@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose
 import cauchygf
 from cauchygf import output
 from cauchygf.cavity import CavityParams
-from cauchygf.engine import (_TILE_BUDGET, SpectralGrid, _pole_sums, averaged_densities,
-                             averaged_greens, default_eta, diagonalize)
+from cauchygf.engine import (_TILE_BUDGET, SpectralGrid, _pole_sums, averaged_greens,
+                             averaged_table, default_eta, diagonalize)
 from cauchygf.errors import NonMonotonicGrid, SingularMatrix
 from cauchygf.lattice import (HamiltonianSpec, assemble_cavity,
                               assemble_huckel, build_topology)
@@ -205,15 +205,15 @@ def test_pole_sums_without_the_real_plane_keep_the_imaginary_bits(c, p, m, n_ome
     assert tiles >= 1
 
 
-def test_densities_need_every_site_disordered_and_valid_sites():
+def test_table_rejects_invalid_sites_and_parts():
     grid = SpectralGrid(np.linspace(-1, 1, 5), 0.01)
-    cavity = assemble_cavity(CavityParams(0.0, 0.0, 0.1, 3, coupling=0.2))
-    with pytest.raises(ValueError, match="every site disordered"):
-        averaged_densities(cavity, grid, [None])
+    star, out = huckel("star", 7), np.empty((5, 3))
     with pytest.raises(IndexError, match="outside 0..6"):
-        averaged_densities(huckel("star", 7), grid, [None, 7])
-    densities = averaged_densities(huckel("star", 7), grid, [0, None, 0])
-    assert densities.shape == (5, 3) and np.array_equal(densities[:, 0], densities[:, 2])
+        averaged_table(star, grid, [("rho", None), ("rho", (7, 7))], out[:, :2])
+    with pytest.raises(ValueError, match="re, im or rho"):
+        averaged_table(star, grid, [("abs", (0, 0))], out[:, :1])
+    densities = averaged_table(star, grid, [("rho", (0, 0)), ("rho", None), ("rho", (0, 0))], out)
+    assert densities is out and np.array_equal(out[:, 0], out[:, 2])
 
 
 def test_tiny_gamma_standin_matches_clean_resolvent():

@@ -61,6 +61,16 @@ def test_named_family_rejects_edge_list():
         build_topology("chain", 3, [(0, 1)])
 
 
+def test_custom_edge_indices_must_be_integers():
+    # int() would truncate 1.7 to site 1 and fail on NaN with Python's own
+    # message; the error names the edge instead.
+    with pytest.raises(InvalidEdge, match=r"edge \(0, 1\.7\) indices must be integers"):
+        build_topology("custom", 3, [(0, 1.7)])
+    with pytest.raises(InvalidEdge, match=r"edge \(nan, 2\) indices must be integers"):
+        build_topology("custom", 3, [(0, 1), (float("nan"), 2)])
+    assert build_topology("custom", 3, [(np.int64(0), 2)]).edges == ((0, 2),)
+
+
 def test_custom_edges_normalized_and_sorted():
     topo = build_topology("custom", 4, [(2, 0), (3, 1)])
     assert topo.edges == ((0, 2), (1, 3))
