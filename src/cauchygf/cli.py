@@ -184,18 +184,6 @@ def _out_paths(args, default_base):
     }
 
 
-def _write_table(path, header, table, text=None):
-    """``write_csv`` for a command's result table, which must be finite: a NaN
-    or infinite cell is a numerical failure, named by column and first bad
-    row before the target is opened, so an existing file keeps its contents."""
-    if not np.isfinite(table).all():  # one pass; the cell is looked for only now
-        row, column = np.argwhere(~np.isfinite(table))[0]  # row-major order
-        names = [name for c, name in enumerate(header) if text is None or c != text[0]]
-        raise NonFiniteResult(f"column {names[column]} is {table[row, column]} in data "
-                              f"row {row + 1} of {len(table)}; no table written")
-    write_csv(path, header, table, text)
-
-
 _SITE_COLUMN = re.compile(r"^rho_site_(0|[1-9][0-9]*)$")
 _G_COLUMN = re.compile(r"^(re|im)_G_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)$")
 
@@ -245,7 +233,7 @@ def _cmd_dos(cfg, args):
     table = _dos_table(spec, grid, columns)
     names = [name for name, _, _ in columns]
     paths = _out_paths(args, "dos.csv")
-    _write_table(paths["csv"], ["omega"] + names, table)
+    write_csv(paths["csv"], ["omega"] + names, table)
     summary = {
         "command": "dos",
         "model": model_echo,
@@ -266,7 +254,7 @@ def _cmd_cavity(cfg, args):
 
     w = grid.omegas
     eta = grid.eta
-    # An overflow leaves inf or nan in the table, which _write_table refuses
+    # An overflow leaves inf or nan in the table, which write_csv refuses
     # by column and row, so numpy's warnings would only repeat it.
     with np.errstate(all="ignore"):
         header = ["omega", "rho_c", "delta_rho_m", "delta_rho_t"]
@@ -279,7 +267,7 @@ def _cmd_cavity(cfg, args):
             header += ["alpha_m2", "alpha_normalized"]
 
     paths = _out_paths(args, "cavity.csv")
-    _write_table(paths["csv"], header, np.column_stack(series))
+    write_csv(paths["csv"], header, np.column_stack(series))
     payload = {
         "command": "cavity",
         "model": model_echo,
@@ -341,9 +329,8 @@ def _cmd_mc_compare(cfg, args):
                              result.mean_greens.real.T.ravel(), result.mean_greens.imag.T.ravel(),
                              result.stderr_re.T.ravel(), result.stderr_im.T.ravel()])
     paths = _out_paths(args, "mc-compare.csv")
-    _write_table(paths["csv"],
-                 ["omega", "element", "re_mean", "im_mean", "re_stderr", "im_stderr"],
-                 table, text=(1, labels))
+    write_csv(paths["csv"], ["omega", "element", "re_mean", "im_mean", "re_stderr", "im_stderr"],
+              table, text=(1, labels))
     summary = {
         "command": "mc-compare",
         "model": model_echo,
@@ -361,35 +348,34 @@ def _cmd_mc_compare(cfg, args):
 
 def _cmd_sum_rules(cfg, args):
     spec, extra, model_echo = _resolve_model(cfg)
-    checks = []
     if isinstance(extra, CavityParams):
         params = extra
         grid, grid_echo = _resolve_grid(
             cfg, args, lambda: _polariton_window(params, polariton_poles(params)), 0.0)
         w = grid.omegas
-        checks.append(_check("rho_c_norm",
-                             integrate_trapezoid(w, cavity_mod.rho_c(params, w, grid.eta)),
-                             target=1.0, tolerance=0.02))
         lo, hi = params.epsilon_a - 5 * params.gamma, params.epsilon_a + 5 * params.gamma
         w_band = SpectralGrid.uniform(lo, hi, 4001).omegas
-        checks.append(_check("delta_rho_m_band",
-                             integrate_trapezoid(w_band, cavity_mod.delta_rho_m(params, w_band, grid.eta)),
-                             target=cavity_mod.band_weight(params, lo, hi, grid.eta),
-                             tolerance=0.05))
         line_eta = grid.eta if grid.eta > 0 else DELTA_RHO_T_LINE_FACTOR * params.gamma
-        checks.append(_check("delta_rho_t_wide",
-                             integrate_trapezoid(w, cavity_mod.delta_rho_t(params, w, line_eta)),
-                             target=0.0, tolerance=0.05))
         grid_echo["delta_rho_t_eta"] = line_eta
+        band = cavity_mod.band_weight(params, lo, hi, grid.eta)
+        # An underflow or overflow leaves inf or nan in a curve, which _check
+        # refuses by name and frequency, so numpy's warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            checks = [
+                _check("rho_c_norm", w, cavity_mod.rho_c(params, w, grid.eta),
+                       target=1.0, tolerance=0.02),
+                _check("delta_rho_m_band", w_band,
+                       cavity_mod.delta_rho_m(params, w_band, grid.eta),
+                       target=band, tolerance=0.05),
+                _check("delta_rho_t_wide", w, cavity_mod.delta_rho_t(params, w, line_eta),
+                       target=0.0, tolerance=0.05)]
     else:
         grid, grid_echo = _resolve_grid(
             cfg, args, lambda: auto_window(diagonalize(spec)[0], spec.gamma), 0.0)
         rho_total = averaged_table(spec, grid, [("rho", None)],
                                    np.empty((grid.omegas.size, 1)))[:, 0]
-        checks.append(_check("total_dos_norm",
-                             integrate_trapezoid(grid.omegas, rho_total),
-                             target=float(spec.n_sites),
-                             tolerance=0.02 * spec.n_sites))
+        checks = [_check("total_dos_norm", grid.omegas, rho_total,
+                         target=float(spec.n_sites), tolerance=0.02 * spec.n_sites)]
 
     paths = _out_paths(args, "sum-rules.json")
     payload = {
@@ -403,10 +389,18 @@ def _cmd_sum_rules(cfg, args):
     return [paths["json"]]
 
 
-def _check(name, value, target, tolerance):
+def _check(name, omegas, curve, target, tolerance):
+    """The sum rule ``name``: the trapezoid of ``curve`` over ``omegas``
+    against ``target``.  A NaN or infinite curve value is a numerical
+    failure, named with its first frequency, and nothing is written."""
+    bad = np.flatnonzero(~np.isfinite(curve))
+    if bad.size:
+        raise NonFiniteResult(f"sum rule {name} is {curve[bad[0]]} at omega = "
+                              f"{omegas[bad[0]]}; no summary written")
+    value = integrate_trapezoid(omegas, curve)
     return {
         "name": name,
-        "value": float(value),
+        "value": value,
         "target": target,
         "tolerance": tolerance,
         "passed": bool(abs(value - target) <= tolerance),

@@ -28,13 +28,6 @@ plane of the pole sums is formed only when a column reads a real part or U
 is not empty.  ``averaged_greens`` is the same route read as complex
 numbers: the Re and Im columns of the requested elements, and of the trace
 on request, as one (n_omega, n_elements) complex array.
-
-The kernel's single-pole rows come raw: the real row is Re S, the imaginary
-row weights @ r with Im S = -eta times it.  Each reader applies -eta where
-it already works on the sums: ``averaged_table`` in each tile before it
-copies the columns out, the Monte-Carlo fold once per block of statistics,
-and the Schur route in forming z - h_uu - Sigma.  The double-pole rows come
-finished, from pre-scaled weights.
 """
 
 from __future__ import annotations
@@ -132,21 +125,19 @@ def _element_pairs(elements, n):
 def _pole_sums(weights, poles, omegas, eta, double=None, real=True):
     """Yield tiles (c0, c1, w0, w1, tile) of the pole sums
     S[c, p, w] = sum_m weights[c, p, m] / (omegas[w] + i*eta - poles[c, m])
-    over samples c0:c1 and frequencies w0:w1, as raw real sums that each
-    reader scales where it copies them: with d = w - pole and
-    r = 1/(d^2 + eta^2), tile[:, 0] = weights @ (d*r) = Re S and
-    tile[:, 1] = weights @ r, so Im S = -eta * tile[:, 1].  Two real matrix
-    products per tile; the readers apply -eta in the tile before they copy
-    it out (``averaged_table``) or once per block of statistics (the
-    Monte-Carlo fold).
+    over samples c0:c1 and frequencies w0:w1, with tile[:, 0] = Re S and
+    tile[:, 1] = Im S.  With d = w - pole and r = 1/(d^2 + eta^2) the real
+    part is weights @ (d*r) and the imaginary part (-eta * weights) @ r:
+    two real matrix products per tile, the second on each sample tile's
+    weights scaled by -eta once, into a buffer every tile reuses.
 
     ``weights`` is (c, p, m); weights that every sample shares can come as
     an ``np.broadcast_to`` view.  With ``real=False`` the real plane is
     skipped, neither d*r nor its product is formed, and tile[:, 0] holds
     stale values: for readers of imaginary parts and densities alone.
 
-    ``double`` (q, m), weights every sample shares, adds q finished rows
-    after the p (not with ``real=False``): the double-pole sums
+    ``double`` (q, m), weights every sample shares, adds q rows after the
+    p (not with ``real=False``): the double-pole sums
     sum_m double[j, m] / (omegas[w] + i*eta - poles[c, m])^2, whose real
     part is double @ r - 2 eta^2 double @ r^2 and imaginary part
     -2 eta double @ (d*r*r), from the same d and r and pre-scaled weights.
@@ -179,12 +170,14 @@ def _pole_sums(weights, poles, omegas, eta, double=None, real=True):
     columns = scratch[-2 * w_tile:].reshape(2, w_tile)
     rows[..., 1], columns[0] = 1, 1
     tile_cells = np.empty(c_tile * 2 * (p + q) * w_tile)
+    im_cells = np.empty(c_tile * p * m)
     if q:
         square_cells = np.empty(c_tile * q * w_tile)
         double_im, double_sq = double * (-2 * eta), double * (-2 * eta * eta)
     for c0 in range(0, n_samples, c_tile):
         c1 = min(c0 + c_tile, n_samples)
         mix = weights[c0:c1]
+        im_mix = np.multiply(mix, -eta, out=im_cells[:mix.size].reshape(mix.shape))
         np.negative(poles[c0:c1], out=rows[:c1 - c0, :, 0])
         for w0 in range(0, n_omega, w_tile):
             w1 = min(w0 + w_tile, n_omega)
@@ -198,7 +191,7 @@ def _pole_sums(weights, poles, omegas, eta, double=None, real=True):
             np.reciprocal(r, out=r)
             tile = tile_cells[:(c1 - c0) * 2 * (p + q) * (w1 - w0)].reshape(
                 c1 - c0, 2, p + q, w1 - w0)
-            np.matmul(mix, r, out=tile[:, 1, :p])
+            np.matmul(im_mix, r, out=tile[:, 1, :p])
             if real:
                 d *= r
                 np.matmul(mix, d, out=tile[:, 0, :p])
@@ -316,7 +309,7 @@ def averaged_table(spec: HamiltonianSpec, grid: SpectralGrid, columns, out):
     # then the Im rows, of the tile's G0 rows when every site is disordered,
     # else of the Woodbury result's elements and trace.  The densities are
     # then divided by -pi in the block, one run of adjacent columns at a time.
-    p = len(weights)  # the single-pole rows, whose Im G0 is -eta times the tile's
+    p = len(weights)
     sources, slot = (k + trace, range(k + 1)) if n_u else (p, target)
     position = {element: c for c, element in enumerate(elements)} | {None: k}
     index = np.array([(part != "re") * sources + slot[position[element]]
@@ -346,7 +339,6 @@ def averaged_table(spec: HamiltonianSpec, grid: SpectralGrid, columns, out):
     for _, _, w0, w1, tile in _pole_sums(weights[None], eigenvalues[None], grid.omegas,
                                          eta, double, real=real):
         re, im = tile[0]                                               # (rows, b) each
-        im[:p] *= -eta                                                 # Im G0
         for s0 in range(w0, w1, step):
             s1 = min(s0 + step, w1)
             if not n_u:

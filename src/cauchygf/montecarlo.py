@@ -20,9 +20,7 @@ Both routes reduce to sums of weights over real poles, which the package's one
 real-arithmetic kernel, ``engine._pole_sums``, evaluates in cache-sized tiles
 of samples x frequencies.  Each finished tile is folded into its block's
 mean and variance while it is still in cache, so no array spans a block's
-samples, elements and frequencies.  The eigendecomposition's tiles keep the
-kernel's raw imaginary sums, and the block's imaginary statistics take the
--eta once at its end.  Heavy Cauchy tails are safe without
+samples, elements and frequencies.  Heavy Cauchy tails are safe without
 truncation because every element is bounded by 1/eta at frequency w + i*eta,
 so the estimator has finite variance even though the inputs do not.
 
@@ -145,8 +143,7 @@ def _eigh_chunk(spec, xi, pairs, omegas, eta):
     """Tiles of the elements ``pairs`` of each realization's resolvent, laid
     out as ``_pole_sums`` yields them, from a batched eigendecomposition of
     h0 + diag(xi): the poles are the eigenvalues, the weights the
-    eigenvector products V_im V_jm.  The imaginary rows are the kernel's
-    raw sums: Im G is -eta times them."""
+    eigenvector products V_im V_jm."""
     c, n = xi.shape
     h = np.broadcast_to(spec.h0, (c, n, n)).copy()
     h[:, np.arange(n), np.arange(n)] += xi
@@ -159,7 +156,7 @@ def _eigh_chunk(spec, xi, pairs, omegas, eta):
 
 
 def _schur_chunk(spec, xi, pairs, omegas, eta):
-    """Tiles of G itself, each holding every frequency, for a request whose
+    """The same tiles, each holding every frequency, for a request whose
     elements are all (u, u), u the one undisordered site: the only requests
     _realization_route sends here.  Each disordered site i couples only to
     u, so eliminating them gives G_uu = 1/(z - h_uu - Sigma) with the
@@ -188,13 +185,11 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
         for t0, t1, w0, w1, sums in _pole_sums(shared, poles, omegas, eta):
             tile[t0:t1, :, 0, w0:w1] = sums[:, :, 0]
         # G_uu = 1/(a - ib) = (a + ib)/(a^2 + b^2), where a - ib is
-        # z - h_uu - Sigma and b = Im Sigma - eta = -eta (raw + 1) <= -eta,
-        # so it exists; raw is the kernel's unscaled imaginary sum.
+        # z - h_uu - Sigma and b = Im Sigma - eta <= -eta, so it exists.
         g_uu = tile[:s, :, 0]
         a, b = g_uu[:, 0], g_uu[:, 1]
         np.subtract(shifted, a, out=a)
-        b += 1
-        b *= -eta
+        b -= eta
         np.einsum("cjw,cjw->cw", g_uu, g_uu, out=norm[:s])  # a*a + b*b, no temporary
         g_uu /= norm[:s, None]
         tile[:s, :, 1:] = g_uu[:, :, None]
@@ -302,9 +297,7 @@ def _fold_block(solve, spec, xi, elements, omegas, eta):
     """(mean, m2) of one block of realizations, starting from zero: each
     tile's mean and the squared deviations from it, merged into the cells
     it covers (which have seen c0 of the block's samples) while it is still
-    in cache.  The ``_eigh_chunk`` tiles hold the kernel's raw imaginary
-    sums, so their imaginary statistics are scaled by -eta (the mean) and
-    eta^2 (m2) once for the block, not once per tile."""
+    in cache."""
     k, nw = len(elements), omegas.size
     mean = np.zeros((2, k, nw))
     m2 = np.zeros((2, k, nw))
@@ -316,9 +309,6 @@ def _fold_block(solve, spec, xi, elements, omegas, eta):
         _merge_streams(c0, mean[cells], m2[cells], c1 - c0,
                        tile_mean.reshape(2, k, w1 - w0),
                        np.einsum("cx,cx->x", flat, flat).reshape(2, k, w1 - w0))
-    if solve is _eigh_chunk:
-        mean[1] *= -eta
-        m2[1] *= eta * eta
     return mean, m2
 
 

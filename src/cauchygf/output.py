@@ -4,28 +4,29 @@ Floats are printed as ``"%.12e" % value`` would print them (13 significant
 digits in scientific notation), line endings are LF, and JSON keys are
 sorted, so identical inputs always produce byte-identical files.
 
-A CSV table is one 2-D float array, plus at most one text column.  The
-writer formats each block of rows, about 2**15 cells, with numpy rather
-than one Python ``%`` per cell.  A cell's mantissa
-m = |x| * 10**(12 - e) is computed with a single rounding by an exact power
-of ten (|12 - e| <= 22), so it lies within half an ulp of the true value,
-and floor(m + 1/2) is the correctly rounded 13-digit mantissa unless m is
-within one ulp, ``np.spacing(m)``, of a half-integer.  Every cell that test
-cannot settle is printed by ``%`` itself: zeros, NaN and infinities,
-magnitudes outside [1e-10, 1e35), and near-ties.  The text goes in as words
-read from tables built at import: the leading digit with its point, three
-groups of four digits and the exponent with its sign.
+A CSV table is one 2-D array of finite floats, plus at most one text
+column; a NaN or infinite cell is refused, by column and first bad row,
+before the target is opened.  The writer formats each block of rows, about
+2**15 cells, with numpy rather than one Python ``%`` per cell.  A cell's
+mantissa m = |x| * 10**(12 - e) is computed with a single rounding by an
+exact power of ten (|12 - e| <= 22), so it lies within half an ulp of the
+true value, and floor(m + 1/2) is the correctly rounded 13-digit mantissa
+unless m is within one ulp, ``np.spacing(m)``, of a half-integer.  Every
+cell that test cannot settle is printed by ``%`` itself: zeros, magnitudes
+outside [1e-10, 1e35), and near-ties.  The text goes in as words read from
+tables built at import: the leading digit with its point, three groups of
+four digits and the exponent with its sign.
 
 Without its sign, the text of a finite float with a two-digit exponent is
 18 bytes long.  So within a run of rows in which every float column keeps
 one sign (``np.signbit``, so -0.0 counts as negative), every cell has a
 fixed width and each word is stored at its final byte offset, once per
 group of adjacent columns of one sign; the ``%`` cells drop into their
-slots.  A block is laid out that way unless it holds a NaN, an infinity, a
-three-digit exponent or text cells of different lengths, or splits into
-more groups than their numpy calls pay for.  Such a block is laid out in
-21-byte slots padded with NUL, its text cells are joined in with one
-concatenation, and ``bytes.translate`` drops the padding.
+slots.  A block is laid out that way unless it holds a three-digit exponent
+or text cells of different lengths, or splits into more groups than their
+numpy calls pay for.  Such a block is laid out in 21-byte slots padded with
+NUL, its text cells are joined in with one concatenation, and
+``bytes.translate`` drops the padding.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ import json
 import math
 
 import numpy as np
+
+from .errors import NonFiniteResult
 
 
 # Cells formatted and written per block, in whole rows (at least one): the
@@ -119,7 +122,7 @@ def _mantissas(x, s):
     ok = s.flags[0, :x.size]
     np.abs(x, out=a)
     np.greater_equal(a, 1e-11, out=ok)
-    ok &= a < 1e36  # False for zeros, NaN and infinities
+    ok &= a < 1e36  # False for zeros
     np.copyto(a, 1.0, where=~ok)
     np.log10(a, out=m)
     np.floor(m, out=m)
@@ -298,10 +301,10 @@ def _csv_blocks(header, table, text):
     """Yield the CSV bytes: the header line, then the lines of one block of
     rows at a time, each valid until the next is asked for.
 
-    ``table`` is a 2-D float array with one row per line, ``header`` names
-    its columns in order and, with ``text = (position, strings)``, one text
-    column more, printed as it is at ``position`` among them.  Every float is
-    printed as "%.12e" prints it.
+    ``table`` is a 2-D array of finite floats with one row per line,
+    ``header`` names its columns in order and, with ``text = (position,
+    strings)``, one text column more, printed as it is at ``position`` among
+    them.  Every float is printed as "%.12e" prints it.
     """
     table = np.ascontiguousarray(table, dtype=np.float64)
     if table.ndim != 2:
@@ -317,6 +320,11 @@ def _csv_blocks(header, table, text):
     n_columns = n_floats + (text is not None)
     if len(header) != n_columns:
         raise ValueError(f"{len(header)} names for {n_columns} columns")
+    if not np.isfinite(table).all():  # one pass; the cell is looked for only now
+        row, column = np.argwhere(~np.isfinite(table))[0]  # row-major order
+        names = [name for c, name in enumerate(header) if c != position]
+        raise NonFiniteResult(f"column {names[column]} is {table[row, column]} in data "
+                              f"row {row + 1} of {n_rows}; no table written")
     yield (",".join(header) + "\n").encode()
     if not n_columns:
         return
@@ -329,10 +337,11 @@ def _csv_blocks(header, table, text):
 
 
 def write_csv(path, header, table, text=None) -> None:
-    """Write the float ``table`` (rows by columns) as CSV under ``header``,
-    with at most one text column ``text = (position, strings)``."""
+    """Write the finite float ``table`` (rows by columns) as CSV under
+    ``header``, with at most one text column ``text = (position, strings)``.
+    Raises NonFiniteResult for a NaN or infinite cell."""
     blocks = _csv_blocks(header, table, text)
-    # The header line comes after the shape checks: a rejected table raises
+    # The header line comes after the checks: a rejected table raises
     # before the target is opened, so an existing file keeps its contents.
     head = next(blocks)
     with open(path, "wb") as fh:

@@ -41,9 +41,9 @@ def pole_sum_tile(weights, poles, omegas, eta, double, c0, c1, w0, w1):
     """Tile (c0, c1, w0, w1) of ``engine._pole_sums``, with d = omega - pole
     formed by a copy of the frequencies and a broadcast subtraction of the
     poles; every later step is the kernel's, on buffers of the same shapes,
-    so the tile must match the kernel's bit for bit.  The single-pole rows
-    are raw, weights @ (d*r) and weights @ r (Im S is -eta times the
-    latter); the double-pole rows are finished."""
+    so the tile must match the kernel's bit for bit: Re S = weights @ (d*r)
+    and Im S = (-eta * weights) @ r, and the double-pole rows likewise from
+    pre-scaled weights."""
     p, q = weights.shape[1], 0 if double is None else double.shape[0]
     d = np.empty((c1 - c0, poles.shape[1], w1 - w0))
     np.copyto(d, omegas[w0:w1])
@@ -54,7 +54,7 @@ def pole_sum_tile(weights, poles, omegas, eta, double, c0, c1, w0, w1):
     d *= r
     tile = np.empty((c1 - c0, 2, p + q, w1 - w0))
     np.matmul(weights[c0:c1], d, out=tile[:, 0, :p])
-    np.matmul(weights[c0:c1], r, out=tile[:, 1, :p])
+    np.matmul(weights[c0:c1] * -eta, r, out=tile[:, 1, :p])
     if q:
         np.matmul(double, r, out=tile[:, 0, p:])
         d *= r

@@ -17,6 +17,7 @@ from cauchygf.engine import SpectralGrid, averaged_greens
 from cauchygf.lattice import (DisorderSpec, assemble_cavity, assemble_huckel,
                               build_topology)
 from cauchygf.montecarlo import EnsembleConfig, ensemble_average
+from cauchygf.output import write_csv
 from oracles import solve_greens
 
 STAR_INI = """\
@@ -258,8 +259,9 @@ def test_dos_rerun_rewrites_exactly_the_new_table(tmp_path):
 
 
 def test_write_table_names_the_first_bad_row_then_its_first_bad_column(tmp_path):
-    # Row order first, then column order among the floats, wherever the text
-    # column sits among the names.
+    # The writer every command's table goes through: row order first, then
+    # column order among the floats, wherever the text column sits among the
+    # names.
     table = np.ones((4, 3))
     table[3, 0] = np.nan
     table[2, 2] = -np.inf
@@ -270,7 +272,7 @@ def test_write_table_names_the_first_bad_row_then_its_first_bad_column(tmp_path)
         header.insert(position, "label")
         with pytest.raises(cli.NonFiniteResult,
                            match="column b is inf in data row 3 of 4; no table written"):
-            cli._write_table(path, header, table, text=(position, list("wxyz")))
+            write_csv(path, header, table, text=(position, list("wxyz")))
     assert not path.exists()
 
 
@@ -445,6 +447,21 @@ def test_sum_rules_cavity_reports_band_deficit(tmp_path):
     assert wide["passed"] is True
     assert payload["grid"]["delta_rho_t_eta"] == pytest.approx(0.01)
     assert payload["all_passed"] is True
+
+
+def test_sum_rules_with_a_non_finite_curve_is_numerical_error(tmp_path, capsys, recwarn):
+    # At eta = 1e-170, eta^2 underflows and delta_rho_t's bare line divides
+    # by zero at omega = eps_c, the middle of the default window.  The run
+    # exits 5, names the check and the frequency, prints no warning and
+    # leaves an existing summary as it was.
+    out = tmp_path / "rules.json"
+    out.write_text("kept\n")
+    assert run(tmp_path, CAVITY_INI, "sum-rules", "--out", str(out), "--eta", "1e-170") == 5
+    err = capsys.readouterr().err
+    assert "numerical error: sum rule delta_rho_t_wide is -inf at omega = 2.1" in err
+    assert "Warning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert out.read_text() == "kept\n"
 
 
 # -------------------------------------------------------------- error paths

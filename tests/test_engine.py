@@ -133,9 +133,9 @@ def test_pole_sum_tiles_are_sized_by_their_working_set(m, p, n_omega, first):
 
 
 def test_double_pole_rows_follow_the_single_pole_rows():
-    # tile[:, :, :p] are the sums of weights/(z - pole), whose imaginary
-    # part is -eta times the raw row, and tile[:, :, p:] the finished sums of
-    # double/(z - pole)^2, over tiles that span several frequency blocks.
+    # tile[:, :, :p] are the sums of weights/(z - pole) and tile[:, :, p:]
+    # the sums of double/(z - pole)^2, over tiles that span several
+    # frequency blocks.
     rng = np.random.default_rng(17)
     m, n_omega, eta = 300, 500, 0.07
     poles = rng.uniform(-2, 2, (1, m))
@@ -147,13 +147,12 @@ def test_double_pole_rows_follow_the_single_pole_rows():
     blocks = 0
     for _, _, w0, w1, tile in _pole_sums(weights, poles, omegas, eta, double):
         got[:, w0:w1] = tile[0, 0] + 1j * tile[0, 1]
-        got[:3, w0:w1].imag *= -eta
         blocks += 1
     assert blocks > 1
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("c, p, m, n_omega, q, shared", [
+TILE_SHAPES = [
     (1, 1, 1, 1, 0, False),      # one pole, one frequency
     (1, 3, 1, 700, 1, False),    # one pole, double rows
     (6, 2, 9, 1, 0, False),      # one frequency, several samples a tile
@@ -161,7 +160,10 @@ def test_double_pole_rows_follow_the_single_pole_rows():
     (5, 7, 7, 201, 0, False),    # mc-star's full diagonal
     (3, 1, 80, 601, 0, True),    # the Monte-Carlo self-energy, shared weights
     (2, 4, 300, 500, 2, False),  # several frequency blocks per sample block
-])
+]
+
+
+@pytest.mark.parametrize("c, p, m, n_omega, q, shared", TILE_SHAPES)
 def test_pole_sum_tiles_match_copy_and_subtract_reference(c, p, m, n_omega, q, shared):
     # d = omega - pole comes from one matrix product of rows (-pole, 1) and
     # columns (1, omega): two exact products and one rounding, the bits of
@@ -180,6 +182,31 @@ def test_pole_sum_tiles_match_copy_and_subtract_reference(c, p, m, n_omega, q, s
         assert tile.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
         cells += (c1 - c0) * (w1 - w0)
     assert cells == c * n_omega
+
+
+@pytest.mark.parametrize("c, p, m, n_omega, q, shared", TILE_SHAPES)
+@pytest.mark.parametrize("real", [True, False])
+def test_pole_sums_match_complex_sums(c, p, m, n_omega, q, shared, real):
+    # Each finished row against its sum in complex numpy, w/(z - pole) and
+    # double/(z - pole)^2, within 1e-13 of the row's largest magnitude; the
+    # imaginary rows also without the real plane (which takes no double rows).
+    rng = np.random.default_rng([c, p, m, n_omega, q, 1])
+    poles = rng.uniform(-3, 3, (c, m))
+    omegas = np.sort(rng.uniform(-3.5, 3.5, n_omega))
+    weights = (np.broadcast_to(rng.standard_normal((1, p, m)), (c, p, m)) if shared
+               else rng.standard_normal((c, p, m)))
+    double = rng.standard_normal((q, m)) if q and real else None
+    eta = 0.05
+    g = 1 / (omegas[None, None, :] + 1j * eta - poles[:, :, None])    # (c, m, w)
+    want = np.matmul(weights, g)                                       # (c, p, w)
+    if double is not None:
+        want = np.concatenate([want, np.matmul(double, g * g)], axis=1)
+    re, im = np.full((2, *want.shape), np.nan)
+    for c0, c1, w0, w1, tile in _pole_sums(weights, poles, omegas, eta, double, real=real):
+        re[c0:c1, :, w0:w1], im[c0:c1, :, w0:w1] = tile[:, 0], tile[:, 1]
+    bound = 1e-13 * np.abs(want).max(axis=2, keepdims=True)
+    assert np.all(np.abs(im - want.imag) <= bound)
+    assert not real or np.all(np.abs(re - want.real) <= bound)
 
 
 @pytest.mark.parametrize("c, p, m, n_omega, shared", [

@@ -174,50 +174,6 @@ def test_fused_statistics_match_two_pass_oracle(shape):
             assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300), m
 
 
-def eigh_scaled_per_tile(spec, xi, pairs, omegas, eta):
-    """The eigendecomposition's tiles with -eta applied to each tile's
-    imaginary rows, so the fold takes them as finished."""
-    for c0, c1, w0, w1, tile in mc._eigh_chunk(spec, xi, pairs, omegas, eta):
-        tile[:, 1] *= -eta
-        yield c0, c1, w0, w1, tile
-
-
-def schur_scaled_per_tile(spec, xi, pairs, omegas, eta):
-    """G_uu from Im Sigma scaled by -eta in every tile of pole sums, then
-    z - h_uu - Sigma inverted in complex arithmetic, one tile of G_uu per
-    tile of samples."""
-    d_sites, u = np.flatnonzero(spec.disordered), np.flatnonzero(~spec.disordered)[0]
-    coupling = spec.h0[d_sites, u] ** 2
-    poles = np.diagonal(spec.h0)[d_sites] + xi[:, d_sites]
-    shared = np.broadcast_to(coupling, (len(xi), 1, d_sites.size))
-    for c0, c1, w0, w1, sums in mc._pole_sums(shared, poles, omegas, eta):
-        sigma = sums[:, 0, 0] - 1j * eta * sums[:, 1, 0]
-        g_uu = 1 / (omegas[w0:w1] + 1j * eta - spec.h0[u, u] - sigma)
-        tile = np.empty((c1 - c0, 2, len(pairs), w1 - w0))
-        tile[:, 0], tile[:, 1] = g_uu.real[:, None], g_uu.imag[:, None]
-        yield c0, c1, w0, w1, tile
-
-
-@pytest.mark.parametrize("shape", ["star-eigh", "cavity-eigh", "mode-schur"])
-def test_block_level_eta_scaling_matches_per_tile_scaling(shape):
-    # The eigendecomposition's imaginary statistics take -eta (mean) and
-    # eta^2 (m2) once per block, and the Schur route forms b = -eta (raw + 1)
-    # itself; scaling every tile instead, and inverting in complex
-    # arithmetic, gives the same statistics to rounding.  The block spans
-    # many tiles.
-    spec, elements = ORACLE_SHAPES[shape]
-    grid = SpectralGrid(np.linspace(-2.5, 2.5, 301), eta=0.05)
-    solve = mc._realization_route(spec, elements)
-    per_tile = eigh_scaled_per_tile if solve is mc._eigh_chunk else schur_scaled_per_tile
-    xi = mc._draw(CAUCHY, (1500, spec.n_sites), make_rng(29)) * spec.disordered
-    tiles = sum(1 for _ in solve(spec, xi, elements, grid.omegas, grid.eta))
-    assert tiles > 10
-    got = mc._fold_block(solve, spec, xi, elements, grid.omegas, grid.eta)
-    want = mc._fold_block(per_tile, spec, xi, elements, grid.omegas, grid.eta)
-    for name, a, b in zip(("mean", "m2"), got, want):
-        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), name
-
-
 def mc_cavity_request():
     """The mc-cavity benchmark's shape: cavity(N=80), G_00 at 601 frequencies
     around the upper polariton, Cauchy disorder 0.02, eta 0.002."""

@@ -174,13 +174,10 @@ def test_schur_realizations_match_eigh_and_direct_solve(case):
 
         def collected(solver, elements):
             # The solvers hand over (re, im) tiles of samples x frequencies;
-            # gather them back into one (c, k, n_omega) complex array.  The
-            # eigendecomposition's imaginary rows are raw: Im G is -eta times
-            # them.
+            # gather them back into one (c, k, n_omega) complex array.
             out = np.full((len(xi), len(elements), z.size), np.nan, dtype=complex)
-            scale = -grid.eta if solver is mc._eigh_chunk else 1.0
             for c0, c1, w0, w1, tile in solver(spec, xi, elements, grid.omegas, grid.eta):
-                out[c0:c1, :, w0:w1] = tile[:, 0] + 1j * scale * tile[:, 1]
+                out[c0:c1, :, w0:w1] = tile[:, 0] + 1j * tile[:, 1]
             return out
 
         eigh = collected(mc._eigh_chunk, pairs)
