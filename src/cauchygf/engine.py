@@ -122,6 +122,23 @@ def _element_pairs(elements, n):
     return _normalized_elements(elements, n)
 
 
+def _tile_shape(n_samples, m, p, q, n_omega):
+    """(c_tile, w_tile): the samples and frequencies of each ``_pole_sums``
+    tile over n_samples samples of m poles, with p weight rows and q
+    double-pole rows, at n_omega frequencies.
+
+    A tile counts max(P, ceil((2m + 2P + q)/4)) cells per (sample, frequency),
+    with P = p + q rows, so that d and r (m cells each), the tile (2P) and the
+    r^2 term (q) together hold at most 4 * _TILE_BUDGET cells and the tile
+    alone 2 * _TILE_BUDGET: max(m, p) when q = 0 and p >= m, and wider tiles
+    when P < m, such as the Monte-Carlo self-energy (p = 1), whose
+    frequencies then take fewer numpy calls.
+    """
+    width = max(1, p + q, -(-(2 * m + 2 * (p + q) + q) // 4))
+    w_tile = min(n_omega, max(1, _TILE_BUDGET // width))
+    return min(n_samples, max(1, _TILE_BUDGET // (width * w_tile))), w_tile
+
+
 def _pole_sums(weights, poles, omegas, eta, double=None, real=True):
     """Yield tiles (c0, c1, w0, w1, tile) of the pole sums
     S[c, p, w] = sum_m weights[c, p, m] / (omegas[w] + i*eta - poles[c, m])
@@ -142,21 +159,14 @@ def _pole_sums(weights, poles, omegas, eta, double=None, real=True):
     part is double @ r - 2 eta^2 double @ r^2 and imaginary part
     -2 eta double @ (d*r*r), from the same d and r and pre-scaled weights.
 
-    A tile counts max(P, ceil((2m + 2P + q)/4)) cells per (sample, frequency),
-    with P = p + q rows, so that d and r (m cells each), the tile (2P) and the
-    r^2 term (q) together hold at most 4 * _TILE_BUDGET cells and the tile
-    alone 2 * _TILE_BUDGET: max(m, p) when q = 0 and p >= m, and wider tiles
-    when P < m, such as the Monte-Carlo self-energy (p = 1), whose
-    frequencies then take fewer numpy calls.  Sample blocks come in order,
-    each with all its frequency blocks, and every tile is a view of one
-    buffer that the next tile overwrites.
+    ``_tile_shape`` sizes the tiles.  Sample blocks come in order, each with
+    all its frequency blocks, and every tile is a view of one buffer that the
+    next tile overwrites.
     """
     n_samples, m = poles.shape
     p, n_omega = weights.shape[1], omegas.size
     q = 0 if double is None else double.shape[0]
-    width = max(1, p + q, -(-(2 * m + 2 * (p + q) + q) // 4))
-    w_tile = min(n_omega, max(1, _TILE_BUDGET // width))
-    c_tile = min(n_samples, max(1, _TILE_BUDGET // (width * w_tile)))
+    c_tile, w_tile = _tile_shape(n_samples, m, p, q, n_omega)
     # Reused buffers: with fresh temporaries per tile the allocator handed
     # their pages back to the system and faulted them in again, which
     # doubled the time at some tile widths.  So the operands of the product

@@ -14,7 +14,10 @@ h0 and the elements asked for:
 * Batched symmetric eigendecomposition of h0 + diag(xi) for every other
   request (the graphs, isolated sites, the molecules' elements, off-diagonal
   elements), G_ij = sum_m V_im V_jm / (z - lambda_m).  It is also the oracle
-  the Schur route is tested against.
+  the Schur route is tested against.  Each block is decomposed in
+  sub-batches of whole sample tiles whose (sub, n, n) batch fits the
+  kernel's tile budget, so memory per process is set by that budget, not by
+  the block times n^2.
 
 Both routes reduce to sums of weights over real poles, which the package's one
 real-arithmetic kernel, ``engine._pole_sums``, evaluates in cache-sized tiles
@@ -52,13 +55,14 @@ from itertools import islice
 
 import numpy as np
 
-from .engine import _TILE_BUDGET, SpectralGrid, _normalized_elements, _pole_sums
+from .engine import (_TILE_BUDGET, SpectralGrid, _normalized_elements, _pole_sums,
+                     _tile_shape)
 from .errors import ConvergenceFailure
 from .lattice import DisorderSpec, Distribution, HamiltonianSpec
 
-# Block sizing target, in array elements: keep a block's batched
-# eigendecomposition, its eigenvector products and its pole sums comfortably
-# inside a few hundred MB.
+# Block sizing target, in array elements: how the samples are split into
+# blocks, which fixes the statistics' bits and the work shared among
+# processes.  Memory is bounded by the kernel's tile budget instead.
 _BLOCK_BUDGET = int(1e7)
 
 
@@ -141,18 +145,36 @@ def _merge_streams(count, mean, m2, add_count, add_mean, add_m2):
 
 def _eigh_chunk(spec, xi, pairs, omegas, eta):
     """Tiles of the elements ``pairs`` of each realization's resolvent, laid
-    out as ``_pole_sums`` yields them, from a batched eigendecomposition of
+    out as ``_pole_sums`` yields them, from batched eigendecompositions of
     h0 + diag(xi): the poles are the eigenvalues, the weights the
-    eigenvector products V_im V_jm."""
+    eigenvector products V_im V_jm.
+
+    The samples are decomposed in sub-batches of the most whole sample tiles
+    of ``_pole_sums`` whose (sub, n, n) batch fits in _TILE_BUDGET cells, and
+    at least one tile, into buffers every sub-batch reuses.  So memory is set
+    by the tile budget, not by the block, and the tiles, their products and
+    the statistics' bits are those of one batch of the whole block.
+    """
     c, n = xi.shape
-    h = np.broadcast_to(spec.h0, (c, n, n)).copy()
-    h[:, np.arange(n), np.arange(n)] += xi
-    try:
-        evals, evecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"batched symmetric eigensolver failed: {exc}") from exc
+    k = len(pairs)
+    tile, _ = _tile_shape(c, n, k, 0, omegas.size)
+    sub = min(c, tile * max(1, _TILE_BUDGET // (tile * n * n)))
+    h = np.empty((sub, n, n))
+    weights = np.empty((sub, k, n))
     rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
-    yield from _pole_sums(evecs[:, rows, :] * evecs[:, cols, :], evals, omegas, eta)
+    diagonal = np.arange(n)
+    for s0 in range(0, c, sub):
+        s1 = min(s0 + sub, c)
+        batch = h[:s1 - s0]
+        batch[...] = spec.h0
+        batch[:, diagonal, diagonal] += xi[s0:s1]
+        try:
+            evals, evecs = np.linalg.eigh(batch)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"batched symmetric eigensolver failed: {exc}") from exc
+        mix = np.multiply(evecs[:, rows, :], evecs[:, cols, :], out=weights[:s1 - s0])
+        for c0, c1, w0, w1, sums in _pole_sums(mix, evals, omegas, eta):
+            yield s0 + c0, s0 + c1, w0, w1, sums
 
 
 def _schur_chunk(spec, xi, pairs, omegas, eta):
@@ -212,13 +234,14 @@ def _realization_route(spec, elements):
 
 
 def _block_size(n, k, n_omega):
-    """Samples per block, from the shape alone: the eigh batch (c, n, n), its
-    eigenvector products (c, k, n) and the pole sums over n poles at n_omega
-    frequencies (c, n, n_omega) stay within _BLOCK_BUDGET cells.  So a few
+    """Samples per block, from the shape alone: c * n * max(n, k, n_omega)
+    stays within _BLOCK_BUDGET, clamped to 32 through 2048 samples.  So a few
     thousand samples already make more than one block to share out, and a
     request with many frequencies, whose pole sums are most of its work,
     makes smaller blocks: the cavity's N = 80 at 601 frequencies takes 205
-    samples a block."""
+    samples a block.  The blocks fix the statistics' bits and the parallel
+    split, not memory: both routes keep that within the kernel's tile
+    budget whatever the block size."""
     return max(32, min(2048, _BLOCK_BUDGET // (n * max(n, k, n_omega))))
 
 

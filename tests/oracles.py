@@ -3,7 +3,7 @@ and the peak finder that reads positions off the spectra they compare."""
 
 import numpy as np
 
-from cauchygf.engine import SpectralGrid, _element_pairs
+from cauchygf.engine import SpectralGrid, _element_pairs, _pole_sums
 from cauchygf.errors import SingularMatrix
 from cauchygf.lattice import HamiltonianSpec
 from cauchygf.quadrature import _validated_curve
@@ -62,6 +62,19 @@ def pole_sum_tile(weights, poles, omegas, eta, double, c0, c1, w0, w1):
         r *= r
         tile[:, 0, p:] += np.matmul(double * (-2 * eta * eta), r)
     return tile
+
+
+def whole_block_eigh_chunk(spec, xi, pairs, omegas, eta):
+    """``montecarlo._eigh_chunk``'s tiles from one batched eigendecomposition
+    of the whole block: h0 + diag(xi) for every sample at once, the
+    eigenvector products of all of them, then one ``_pole_sums`` pass.  The
+    sub-batched route must fold to the same bits."""
+    c, n = xi.shape
+    h = np.broadcast_to(spec.h0, (c, n, n)).copy()
+    h[:, np.arange(n), np.arange(n)] += xi
+    evals, evecs = np.linalg.eigh(h)
+    rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+    yield from _pole_sums(evecs[:, rows, :] * evecs[:, cols, :], evals, omegas, eta)
 
 
 def reference_csv(header, columns) -> bytes:

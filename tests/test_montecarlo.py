@@ -17,6 +17,7 @@ from cauchygf.lattice import (DisorderSpec, HamiltonianSpec, assemble_cavity,
                               assemble_huckel, build_topology)
 from cauchygf.montecarlo import EnsembleConfig, ensemble_average, make_rng
 from cauchygf.quadrature import estimate_peak_width
+from oracles import whole_block_eigh_chunk
 
 CAUCHY = DisorderSpec("cauchy", 0.1)
 
@@ -174,6 +175,48 @@ def test_fused_statistics_match_two_pass_oracle(shape):
             assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300), m
 
 
+def sub_batch(spec, elements, grid, block):
+    """(tile, sub): the kernel's sample tile in a block of ``block`` samples
+    and the samples ``_eigh_chunk`` decomposes at once, a whole number of
+    tiles."""
+    n = spec.n_sites
+    tile, _ = mc._tile_shape(block, n, len(elements), 0, grid.omegas.size)
+    return tile, min(block, tile * max(1, mc._TILE_BUDGET // (tile * n * n)))
+
+
+@pytest.mark.parametrize("shape", ["star-diagonal", "ring-pairs", "cavity-diagonal"])
+def test_sub_batched_eigh_folds_to_the_whole_block_bits(shape):
+    # Every block's _fold_block statistics must equal, bit for bit, those of
+    # the whole block decomposed in one batch (tests/oracles.py).  ring(12)'s
+    # count ends partway into the second tile of its third sub-batch.
+    if shape == "star-diagonal":
+        spec = assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1)
+        elements, grid, m = None, SpectralGrid(np.linspace(-4, 4, 201), eta=0.02), 4000
+    elif shape == "ring-pairs":
+        spec = assemble_huckel(build_topology("ring", 12), 0.0, 1.0, 0.1)
+        elements = [(i, i) for i in range(12)] + [(0, 1), (3, 7), (11, 5)]
+        grid, m = SpectralGrid(np.linspace(-3, 3, 51), eta=0.05), None
+    else:
+        spec = assemble_cavity(CavityParams(2.1, 2.1, 0.02, 24, coupling=0.1 / np.sqrt(8)))
+        elements, grid, m = None, SpectralGrid(np.linspace(1.9, 2.3, 101), eta=0.002), 700
+    n = spec.n_sites
+    elements = tuple((i, i) for i in range(n)) if elements is None else tuple(elements)
+    assert mc._realization_route(spec, elements) is mc._eigh_chunk
+    block = mc._block_size(n, len(elements), grid.omegas.size)
+    tile, sub = sub_batch(spec, elements, grid, block)
+    if m is None:
+        assert 1 < tile and 2 * tile < sub and 3 * sub < block
+        m = 2 * sub + tile + 3
+    assert sub < min(block, m)
+    sizes = [min(block, m - b0) for b0 in range(0, m, block)]
+    for xi in mc._draws(CAUCHY, spec.disordered.astype(float), 17, sizes):
+        got = mc._fold_block(mc._eigh_chunk, spec, xi, elements, grid.omegas, grid.eta)
+        want = mc._fold_block(whole_block_eigh_chunk, spec, xi, elements, grid.omegas,
+                              grid.eta)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
 def mc_cavity_request():
     """The mc-cavity benchmark's shape: cavity(N=80), G_00 at 601 frequencies
     around the upper polariton, Cauchy disorder 0.02, eta 0.002."""
@@ -257,7 +300,10 @@ def test_eigh_failure_on_a_worker_is_convergence_failure(monkeypatch, tmp_path):
     with pytest.raises(ConvergenceFailure, match="eigensolver failed"):
         ensemble_average(spec, EnsembleConfig(block + 5, 1, CAUCHY, 0.05), grid)
     assert_no_child_process()
-    assert set(log.read_text().splitlines()) == {f"{block} True", "5 False"}
+    # The caller decomposes block 0 in sub-batches; the worker takes block 1.
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert sum(int(rows) for rows, own in calls if own == "True") == block
+    assert [rows for rows, own in calls if own == "False"] == ["5"]
 
     cfg = tmp_path / "run.ini"
     cfg.write_text("[model]\nkind = star\nn_sites = 7\ngamma = 0.1\n"
@@ -360,8 +406,8 @@ def test_importing_the_cli_starts_no_thread_or_process():
 def test_statistics_hold_no_per_sample_array():
     # star(7), 4000 samples, 201 omega, full diagonal: G held as one
     # (samples, elements, omega) complex array takes 24 MB even for 1066
-    # samples (90 MB for all 4000), while the eigh batch and its eigenvector
-    # products take about 5 MB.
+    # samples (90 MB for all 4000), while each eigh sub-batch and its
+    # eigenvector products stay within the kernel's tile budget.
     spec = assemble_huckel(build_topology("star", 7), 0.0, 1.0, 0.1)
     grid = SpectralGrid(np.linspace(-4, 4, 201), eta=0.02)
     config = EnsembleConfig(4000, 7, CAUCHY, 0.02)
@@ -372,6 +418,23 @@ def test_statistics_hold_no_per_sample_array():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_eigh_block_memory_is_set_by_the_tile_budget(monkeypatch):
+    # ring(60), 300 samples, 201 omega, full diagonal, one process: one
+    # batch of the whole block, with its eigenvectors and eigenvector
+    # products, traced 44.3 MB; sub-batches of whole sample tiles within the
+    # tile budget trace about 3 MB.
+    spec = assemble_huckel(build_topology("ring", 60), 0.0, 1.0, 0.1)
+    grid = SpectralGrid(np.linspace(-3, 3, 201), eta=0.02)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
+    tracemalloc.start()
+    try:
+        ensemble_average(spec, EnsembleConfig(300, 7, CAUCHY, 0.02), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_two_worker_schur_ensemble_holds_no_more_than_one_block(monkeypatch):
