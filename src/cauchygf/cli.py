@@ -84,10 +84,9 @@ def _parse_edges(raw: str):
 
 
 def _resolve_model(cfg):
-    """Build the Hamiltonian described by [model]; returns (spec, extra, echo).
-
-    ``extra`` is the CavityParams for kind = cavity, else the Topology.
-    """
+    """Read [model]; returns (model, echo).  ``model`` is the CavityParams
+    for kind = cavity, whose closed forms need no matrix, else the assembled
+    graph HamiltonianSpec."""
     kind = _get(cfg, "model", "kind").strip().lower()
     if kind == "cavity":
         params = CavityParams(
@@ -111,7 +110,7 @@ def _resolve_model(cfg):
             "collective_coupling_sq": params.nv2,
             "mu_debye": params.mu_debye,
         }
-        return assemble_cavity(params), params, echo
+        return params, echo
 
     try:
         family = Family(kind)
@@ -132,7 +131,16 @@ def _resolve_model(cfg):
         "gamma": gamma,
         "edges": [list(e) for e in topology.edges],
     }
-    return spec, topology, echo
+    return spec, echo
+
+
+def _resolve_spec(cfg):
+    """The HamiltonianSpec of [model] and its echo.  A cavity's dense
+    (N+1)² matrix is assembled only here, for the commands that need it."""
+    model, echo = _resolve_model(cfg)
+    if isinstance(model, CavityParams):
+        model = assemble_cavity(model)
+    return model, echo
 
 
 def _parse_grid_flag(raw: str) -> SpectralGrid:
@@ -224,7 +232,7 @@ def _dos_table(spec, grid, columns):
 
 
 def _cmd_dos(cfg, args):
-    spec, _, model_echo = _resolve_model(cfg)
+    spec, model_echo = _resolve_spec(cfg)
     grid, grid_echo = _resolve_grid(
         cfg, args, lambda: auto_window(diagonalize(spec)[0], spec.gamma),
         default_eta(spec))
@@ -246,7 +254,7 @@ def _cmd_dos(cfg, args):
 
 
 def _cmd_cavity(cfg, args):
-    spec, params, model_echo = _resolve_model(cfg)
+    params, model_echo = _resolve_model(cfg)
     if not isinstance(params, CavityParams):
         raise ConfigParseError("the cavity command needs [model] kind = cavity")
     poles = polariton_poles(params)
@@ -302,7 +310,7 @@ def _resolve_ensemble(cfg, args, spec):
 
 
 def _cmd_mc_compare(cfg, args):
-    spec, _, model_echo = _resolve_model(cfg)
+    spec, model_echo = _resolve_spec(cfg)
     ensemble, ensemble_echo = _resolve_ensemble(cfg, args, spec)
     grid, grid_echo = _resolve_grid(
         cfg, args, lambda: auto_window(diagonalize(spec)[0], spec.gamma,
@@ -347,9 +355,9 @@ def _cmd_mc_compare(cfg, args):
 
 
 def _cmd_sum_rules(cfg, args):
-    spec, extra, model_echo = _resolve_model(cfg)
-    if isinstance(extra, CavityParams):
-        params = extra
+    model, model_echo = _resolve_model(cfg)
+    if isinstance(model, CavityParams):
+        params = model
         grid, grid_echo = _resolve_grid(
             cfg, args, lambda: _polariton_window(params, polariton_poles(params)), 0.0)
         w = grid.omegas
@@ -370,6 +378,7 @@ def _cmd_sum_rules(cfg, args):
                 _check("delta_rho_t_wide", w, cavity_mod.delta_rho_t(params, w, line_eta),
                        target=0.0, tolerance=0.05)]
     else:
+        spec = model
         grid, grid_echo = _resolve_grid(
             cfg, args, lambda: auto_window(diagonalize(spec)[0], spec.gamma), 0.0)
         rho_total = averaged_table(spec, grid, [("rho", None)],

@@ -18,15 +18,15 @@ tables built at import: the leading digit with its point, three groups of
 four digits and the exponent with its sign.
 
 Without its sign, the text of a finite float with a two-digit exponent is
-18 bytes long.  So within a run of rows in which every float column keeps
-one sign (``np.signbit``, so -0.0 counts as negative), every cell has a
-fixed width and each word is stored at its final byte offset, once per
-group of adjacent columns of one sign; the ``%`` cells drop into their
-slots.  A block is laid out that way unless it holds a three-digit exponent
-or text cells of different lengths, or splits into more groups than their
-numpy calls pay for.  Such a block is laid out in 21-byte slots padded with
-NUL, its text cells are joined in with one concatenation, and
-``bytes.translate`` drops the padding.
+18 bytes long.  So within a run of rows in which every column keeps one
+sign (``np.signbit``, so -0.0 counts as negative), every cell has a fixed
+width and each word is stored at its final byte offset, once per group of
+adjacent columns of one sign; the ``%`` cells drop into their slots.  That
+pad-free layout is for blocks of floats only, without a three-digit
+exponent, that split into few enough groups for their numpy calls to pay.
+Every other block, and so every block of a table with a text column, is
+laid out in 21-byte slots padded with NUL, its text cells are joined in
+with one concatenation, and ``bytes.translate`` drops the padding.
 """
 
 from __future__ import annotations
@@ -92,12 +92,6 @@ class _Scratch:
         self.wide = wide.view(np.int64)
         self.exponents = exponents.view(np.int32)
         self.flags = flags.view(bool).reshape(2, cells)
-
-    def text(self, size):
-        """The first ``size`` bytes of the output buffer, grown as needed."""
-        if self.out.size < size:
-            self.out = np.empty(size, dtype=np.uint8)
-        return self.out[:size]
 
 
 def _scaled(a, e, out, k):
@@ -172,75 +166,58 @@ def _words(e, d, s):
 
 
 def _text_cells(column):
-    """A string column's cells as UTF-8 bytes, NUL-padded to the longest,
-    and whether none of them is padded.  Each run of equal strings, such as
-    mc-compare's element labels, is encoded once and its bytes repeated."""
+    """A string column's cells as UTF-8 bytes, NUL-padded to the longest.
+    Each run of equal strings, such as mc-compare's element labels, is
+    encoded once and its bytes repeated."""
     starts = np.flatnonzero(column[1:] != column[:-1]) + 1
     runs = np.array([str(v).encode() for v in column[np.append(0, starts)].tolist()],
                     dtype=bytes)
     text = np.repeat(runs, np.diff(starts, prepend=0, append=column.size))
-    cells = text.view(np.uint8).reshape(column.size, text.itemsize)
-    return cells, bool(cells[:, -1].all())
+    return text.view(np.uint8).reshape(column.size, text.itemsize)
 
 
-def _layout(neg, position, label, padded):
-    """Where each cell of a block goes, or None for a pad-free layout that
-    would take more groups than pay.
+def _layout(neg):
+    """Where each cell of a pad-free block goes, by the sign mask ``neg``
+    (rows by columns, at least one of each), or None when the block splits
+    into more groups than pay.
 
-    Returns (runs, begin, row, cells, texts, groups): run r holds rows
-    runs[r] up to runs[r + 1] at byte begin[r] of the block, each row[r]
-    bytes long; cells[r] holds the byte offset of every float cell within
-    such a row and texts[r] that of the text cell (``label`` bytes), if any;
-    groups lists (run, first column, end column, cell width) of adjacent
-    float columns laid out alike.  A padded block is one run of 21-byte
-    float cells, without the text cell (``position`` None).
+    Returns (runs, begin, row, cells, groups): run r holds rows runs[r] up
+    to runs[r + 1] at byte begin[r] of the block, each row[r] bytes long;
+    cells[r] holds the byte offset of every cell within such a row; groups
+    lists (run, first column, end column, cell width) of adjacent columns
+    laid out alike.
     """
     n_rows, n = neg.shape
-    if padded:
-        runs = np.zeros(1, dtype=np.intp)
-        widths = np.full((1, n), _SLOT)
-    else:
-        flat = neg.reshape(-1)
-        changed = np.flatnonzero(flat[n:] != flat[:-n]) // n  # rows before a change
-        runs = np.append(0, changed[np.diff(changed, prepend=-1) != 0] + 1)
-        if runs.size * _GROUP_CELLS + n_rows > neg.size:  # each run has a group
-            return None
-        widths = neg[runs] + (_BODY + 1)
+    flat = neg.reshape(-1)
+    changed = np.flatnonzero(flat[n:] != flat[:-n]) // n  # rows before a change
+    runs = np.append(0, changed[np.diff(changed, prepend=-1) != 0] + 1)
+    widths = neg[runs] + (_BODY + 1)
     edge = np.empty(widths.shape, dtype=bool)  # where each group starts
     edge[:, :1] = True
     np.not_equal(widths[:, 1:], widths[:, :-1], out=edge[:, 1:])
+    starts = np.flatnonzero(edge)
+    group_run, first = np.divmod(starts, n)
+    runs = np.append(runs, n_rows)
+    if starts.size * _GROUP_CELLS + np.diff(runs)[group_run].sum() > neg.size:
+        return None
     cells = np.cumsum(widths, axis=1) - widths
     row = widths.sum(axis=1)
-    texts = None
-    if position is not None:
-        edge[:, position:position + 1] = True  # no group spans the text cell
-        texts = (cells[:, position] if position < n else row).copy()
-        cells[:, position:] += label + 1
-        row += label + 1
-    starts = np.flatnonzero(edge)
-    group_run, first = np.divmod(starts, n)  # no starts when n is 0
-    runs = np.append(runs, n_rows)
-    if not padded and (starts.size * _GROUP_CELLS + np.diff(runs)[group_run].sum()
-                       > neg.size):
-        return None
     begin = np.append(0, np.cumsum(np.diff(runs) * row))
     ends = np.append(starts[1:], widths.size) - group_run * n
     groups = list(zip(group_run.tolist(), first.tolist(), ends.tolist(),
                       widths.reshape(-1)[starts].tolist()))
-    return runs, begin, row, cells, texts, groups
+    return runs, begin, row, cells, groups
 
 
 def _block_bytes(x, position, labels, s):
     """The CSV lines of the float block ``x`` (rows by columns) with the text
-    cells ``labels = (bytes, one length)`` at ``position``.  A pad-free block
-    comes back as a view of the scratch ``s``, valid until its next use."""
+    cells ``labels`` (rows by bytes, NUL-padded), if any, at ``position``.
+    A pad-free block comes back as a view of the scratch ``s``, valid until
+    its next use."""
     n_rows, n = x.shape
     flat = x.reshape(-1)
     neg = np.signbit(x, out=s.flags[1, :x.size].reshape(n_rows, n))
-    label = 0 if labels is None else labels[0].shape[1]
-    layout = None
-    if labels is None or labels[1]:
-        layout = _layout(neg, position, label, padded=False)
+    layout = _layout(neg) if labels is None else None
     ok, e, d = _mantissas(flat, s)
     rest = np.flatnonzero(~ok)
     if layout is not None:  # the sign is the group's
@@ -248,11 +225,13 @@ def _block_bytes(x, position, labels, s):
         if any(len(t) != _BODY for t in printed):
             layout = None
     padded = layout is None
-    if padded:
-        layout = _layout(neg, None, 0, padded=True)
+    if padded:  # one run of 21-byte cells; a text-only block has no group
+        layout = (np.array([0, n_rows]), np.array([0, n_rows * n * _SLOT]),
+                  np.array([n * _SLOT]), _SLOT * np.arange(n)[None],
+                  [(0, 0, n, _SLOT)] if n else [])
         printed = [b"%.12e" % v for v in flat[rest].tolist()]
-    runs, begin, row, cells, texts, groups = layout
-    out = s.text(begin[-1])
+    runs, begin, row, cells, groups = layout
+    out = s.out[:begin[-1]]  # a pad-free cell is narrower than a slot
 
     def view(r, c0, c1, at, dtype, width):
         return np.ndarray((runs[r + 1] - runs[r], c1 - c0), dtype, out,
@@ -285,15 +264,11 @@ def _block_bytes(x, position, labels, s):
         if labels is not None:  # one group of floats stores faster than two
             cut = position * _SLOT
             comma = np.full((n_rows, 1), ord(","), dtype=np.uint8)
-            lines = np.concatenate([lines[:, :cut], labels[0], comma, lines[:, cut:]], axis=1)
+            lines = np.concatenate([lines[:, :cut], labels, comma, lines[:, cut:]], axis=1)
         lines[:, -1] = ord("\n")
         return lines.tobytes().translate(None, b"\0")  # drop the NUL padding
     for r in range(len(runs) - 1):
-        lines = np.ndarray((runs[r + 1] - runs[r], row[r]), np.uint8, out, begin[r])
-        if labels is not None:
-            lines[:, texts[r]:texts[r] + label] = labels[0][runs[r]:runs[r + 1]]
-            lines[:, texts[r] + label] = ord(",")
-        lines[:, -1] = ord("\n")
+        np.ndarray((runs[r + 1] - runs[r], row[r]), np.uint8, out, begin[r])[:, -1] = ord("\n")
     return memoryview(out)
 
 

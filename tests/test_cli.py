@@ -11,7 +11,8 @@ import pytest
 
 import cauchygf.cli as cli
 import cauchygf.engine as engine
-from cauchygf.cavity import CavityParams, g_cc, polariton_poles
+import cauchygf.lattice as lattice
+from cauchygf.cavity import CavityParams, g_cc, polariton_poles, rho_c
 from cauchygf.cli import main
 from cauchygf.engine import SpectralGrid, averaged_greens
 from cauchygf.lattice import (DisorderSpec, assemble_cavity, assemble_huckel,
@@ -318,6 +319,26 @@ def test_cavity_without_dipole_omits_absorption(tmp_path):
 
 def test_cavity_command_requires_cavity_model(tmp_path):
     assert run(tmp_path, STAR_INI, "cavity") == 3
+
+
+def test_cavity_closed_forms_run_at_a_million_molecules(tmp_path, monkeypatch):
+    # cavity and the cavity sum-rules evaluate closed forms only; the dense
+    # (N+1)² matrix would take 7 TiB here, so assembling it fails the test.
+    def refuse(params):
+        raise AssertionError(f"assembled the cavity of {params.n_molecules} molecules")
+
+    monkeypatch.setattr(lattice, "assemble_cavity", refuse)
+    monkeypatch.setattr(cli, "assemble_cavity", refuse)
+    ini = CAVITY_INI.replace("n_molecules = 6", "n_molecules = 1000000")
+    out = tmp_path / "big.csv"
+    assert run(tmp_path, ini, "cavity", "--out", str(out), "--grid", "1.7:2.5:401") == 0
+    params = CavityParams(2.1, 2.1, 0.02, 10 ** 6, v_tilde=4.06e-14, number_density=1.16e25)
+    want = rho_c(params, SpectralGrid.uniform(1.7, 2.5, 401).omegas, 0.0)
+    assert read_columns(out)["rho_c"] == ["%.12e" % v for v in want.tolist()]
+
+    out = tmp_path / "big.json"
+    assert run(tmp_path, ini, "sum-rules", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["all_passed"] is True
 
 
 # ---------------------------------------------------------------- mc-compare

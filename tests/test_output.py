@@ -315,13 +315,12 @@ def test_csv_mixed_string_and_float_table_matches_oracle(tmp_path):
 ], ids=["one-row", "one-run", "recurring", "all-distinct", "mc-compare", "object"])
 def test_text_cells_match_one_encoding_per_row(labels):
     # Each run of equal labels is encoded once and its bytes repeated; the
-    # cells and the padding flag are those of one str(v).encode() per row.
+    # cells are those of one str(v).encode() per row, NUL-padded.
     column = np.asarray(labels)
-    cells, unpadded = output._text_cells(column)
+    cells = output._text_cells(column)
     want = np.array([str(v).encode() for v in column.tolist()], dtype=bytes)
     assert cells.shape == (column.size, want.itemsize)
     assert cells.tobytes() == want.tobytes()
-    assert unpadded == all(len(v) == want.itemsize for v in want.tolist())
 
 
 def test_label_runs_across_block_boundaries_match_oracle(tmp_path):
@@ -443,24 +442,37 @@ def test_a_cell_printed_at_another_width_pads_only_its_block(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("position", [0, 1, 3])
-@pytest.mark.parametrize("names, one_width", [(["G_0_1", "G_1_0", "G_3_3"], True),
-                                              (["G_0_1", "G_10_3", "G_3_3"], False)],
+@pytest.mark.parametrize("names", [["G_0_1", "G_1_0", "G_3_3"], ["G_0_1", "G_10_3", "G_3_3"]],
                          ids=["one-width", "mixed-widths"])
-def test_text_column_of_one_width_is_written_pad_free(tmp_path, pad_free, position, names,
-                                                      one_width):
+def test_text_tables_take_the_padded_layout(tmp_path, pad_free, position, names):
+    # Columns of one sign, which alone would be written pad-free.
     table = log_uniform(np.random.default_rng(position), (2000, 3))
     labels = np.repeat(names, 700)[:2000]
     assert matches_oracle(tmp_path, table, text=(position, labels))
-    assert pad_free == [one_width]
+    assert pad_free == [False]
+
+
+def test_text_tables_never_lay_out_pad_free(tmp_path, monkeypatch, pad_free):
+    # mc-compare's shape: element labels in column 1, one run per element.
+    def layout(neg):
+        raise AssertionError("a text table was laid out pad-free")
+
+    monkeypatch.setattr(output, "_layout", layout)
+    monkeypatch.setattr(output, "_CSV_BLOCK_CELLS", 4000)
+    table = log_uniform(np.random.default_rng(15), (1407, 4)) * [1, -1, 1, 1]
+    labels = np.repeat(["G_0_0", "G_1_1", "G_0_3"], 469)
+    assert matches_oracle(tmp_path, table, text=(1, labels))
+    assert pad_free == [False] * 2
 
 
 def test_dos_ring_table_never_takes_the_padded_path(tmp_path, monkeypatch, pad_free):
     # A ring's dos table: sorted omega crossing zero, then positive densities.
     real = output._layout
 
-    def layout(neg, position, label, padded):
-        assert not padded
-        return real(neg, position, label, padded)
+    def layout(neg):
+        placed = real(neg)
+        assert placed is not None  # few enough groups to pay
+        return placed
 
     monkeypatch.setattr(output, "_layout", layout)
     omegas = np.linspace(-2.6, 2.4, 4001)
