@@ -6,10 +6,15 @@ configuration (the seed covers the Monte-Carlo commands).  The effective
 configuration, with every default resolved, is echoed into the JSON summary
 so a run is reproducible from its artifacts alone.
 
+Commands compute and write nothing: each returns its JSON fields and its
+CSV table (header, rows, text column), or None for none.  ``main`` names the
+artifacts after ``--out``, writes them, adds the ``command`` and
+``artifacts`` keys to the JSON and prints the paths.
+
 Exit codes: 0 success, 2 usage (argparse), 3 config file problems,
 4 filesystem problems, 5 numerical failure (a singular shifted matrix, e.g. an
-undisordered resonance probed at eta = 0, a non-converging eigensolver, or a
-NaN or infinite value in a result table).
+undisordered resonance probed at eta = 0, a non-converging eigensolver, a
+NaN or infinite value in a result table, or a model too large for memory).
 """
 
 from __future__ import annotations
@@ -179,19 +184,6 @@ def _polariton_window(params, poles) -> SpectralGrid:
                         params.epsilon_c], params.gamma)
 
 
-def _out_paths(args, default_base):
-    base = args.out if args.out else default_base
-    stem, ext = os.path.splitext(base)
-    if not ext:
-        ext = ".csv"
-    return {
-        "csv": stem + ext if ext != ".json" else stem + ".csv",
-        "summary": stem + ".summary.json",
-        "poles": stem + ".poles.json",
-        "json": stem + ".json",
-    }
-
-
 _SITE_COLUMN = re.compile(r"^rho_site_(0|[1-9][0-9]*)$")
 _G_COLUMN = re.compile(r"^(re|im)_G_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)$")
 
@@ -238,19 +230,9 @@ def _cmd_dos(cfg, args):
         default_eta(spec))
 
     columns = _dos_columns(cfg, spec.n_sites)
-    table = _dos_table(spec, grid, columns)
     names = [name for name, _, _ in columns]
-    paths = _out_paths(args, "dos.csv")
-    write_csv(paths["csv"], ["omega"] + names, table)
-    summary = {
-        "command": "dos",
-        "model": model_echo,
-        "grid": grid_echo,
-        "columns": names,
-        "artifacts": {"csv": paths["csv"]},
-    }
-    write_json(paths["summary"], summary)
-    return [paths["csv"], paths["summary"]]
+    summary = {"model": model_echo, "grid": grid_echo, "columns": names}
+    return summary, (["omega"] + names, _dos_table(spec, grid, columns), None)
 
 
 def _cmd_cavity(cfg, args):
@@ -274,10 +256,7 @@ def _cmd_cavity(cfg, args):
             series += [alpha, alpha / top if top > 0 else alpha]
             header += ["alpha_m2", "alpha_normalized"]
 
-    paths = _out_paths(args, "cavity.csv")
-    write_csv(paths["csv"], header, np.column_stack(series))
-    payload = {
-        "command": "cavity",
+    summary = {
         "model": model_echo,
         "grid": grid_echo,
         "poles": {
@@ -285,10 +264,8 @@ def _cmd_cavity(cfg, args):
             "eps_minus": poles.eps_minus,
             "rabi_splitting": poles.rabi_splitting,
         },
-        "artifacts": {"csv": paths["csv"]},
     }
-    write_json(paths["poles"], payload)
-    return [paths["csv"], paths["poles"]]
+    return summary, (header, np.column_stack(series), None)
 
 
 def _resolve_ensemble(cfg, args, spec):
@@ -336,11 +313,7 @@ def _cmd_mc_compare(cfg, args):
     table = np.column_stack([np.tile(grid.omegas, len(result.elements)),
                              result.mean_greens.real.T.ravel(), result.mean_greens.imag.T.ravel(),
                              result.stderr_re.T.ravel(), result.stderr_im.T.ravel()])
-    paths = _out_paths(args, "mc-compare.csv")
-    write_csv(paths["csv"], ["omega", "element", "re_mean", "im_mean", "re_stderr", "im_stderr"],
-              table, text=(1, labels))
     summary = {
-        "command": "mc-compare",
         "model": model_echo,
         "grid": grid_echo,
         "ensemble": ensemble_echo,
@@ -348,10 +321,9 @@ def _cmd_mc_compare(cfg, args):
         "seed": ensemble_echo["seed"],
         "max_deviation_stderr_units": worst,
         "fraction_within_3_stderr": within,
-        "artifacts": {"csv": paths["csv"]},
     }
-    write_json(paths["summary"], summary)
-    return [paths["csv"], paths["summary"]]
+    header = ["omega", "element", "re_mean", "im_mean", "re_stderr", "im_stderr"]
+    return summary, (header, table, (1, labels))
 
 
 def _cmd_sum_rules(cfg, args):
@@ -386,16 +358,13 @@ def _cmd_sum_rules(cfg, args):
         checks = [_check("total_dos_norm", grid.omegas, rho_total,
                          target=float(spec.n_sites), tolerance=0.02 * spec.n_sites)]
 
-    paths = _out_paths(args, "sum-rules.json")
-    payload = {
-        "command": "sum-rules",
+    summary = {
         "model": model_echo,
         "grid": grid_echo,
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
     }
-    write_json(paths["json"], payload)
-    return [paths["json"]]
+    return summary, None
 
 
 def _check(name, omegas, curve, target, tolerance):
@@ -416,12 +385,36 @@ def _check(name, omegas, curve, target, tolerance):
     }
 
 
+# Each command's function, the suffix its JSON adds to the --out stem, and
+# its help line.  The --out base defaults to the command's name.
 _COMMANDS = {
-    "dos": _cmd_dos,
-    "cavity": _cmd_cavity,
-    "mc-compare": _cmd_mc_compare,
-    "sum-rules": _cmd_sum_rules,
+    "dos": (_cmd_dos, ".summary.json",
+            "total/per-site density of states of a graph model"),
+    "cavity": (_cmd_cavity, ".poles.json",
+               "closed-form cavity spectra and polariton poles"),
+    "mc-compare": (_cmd_mc_compare, ".summary.json",
+                   "Monte-Carlo ensemble vs the deterministic engine"),
+    "sum-rules": (_cmd_sum_rules, ".json",
+                  "trapezoid sum rules with pass/fail verdicts"),
 }
+
+
+def _write_artifacts(command, out, summary, csv):
+    """Write a run's artifacts and return their paths in order.  The table
+    ``csv = (header, rows, text)``, unless None, goes to the ``--out`` base
+    ``out`` (the command's name if None), with ``.csv`` for no extension or
+    ``.json`` and any other extension kept; the JSON ``summary``, with the
+    ``command`` and ``artifacts`` keys added, to the stem plus the
+    command's suffix."""
+    stem, ext = os.path.splitext(out or command)
+    written = []
+    if csv is not None:
+        written.append(stem + (".csv" if ext in ("", ".json") else ext))
+        write_csv(written[-1], *csv)
+        summary["artifacts"] = {"csv": written[-1]}
+    written.append(stem + _COMMANDS[command][1])
+    write_json(written[-1], {"command": command, **summary})
+    return written
 
 
 @functools.cache
@@ -441,16 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--eta", type=float, help="probe regularizer, overrides [grid] eta")
     common.add_argument("--quiet", action="store_true", help="do not print the 'wrote PATH' lines")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("dos", parents=[common],
-                   help="total/per-site density of states of a graph model")
-    sub.add_parser("cavity", parents=[common],
-                   help="closed-form cavity spectra and polariton poles")
-    mc = sub.add_parser("mc-compare", parents=[common],
-                        help="Monte-Carlo ensemble vs the deterministic engine")
+    commands = {name: sub.add_parser(name, parents=[common], help=help_line)
+                for name, (_, _, help_line) in _COMMANDS.items()}
+    mc = commands["mc-compare"]
     mc.add_argument("--seed", type=int, help="ensemble seed, overrides [ensemble] seed")
     mc.add_argument("--samples", type=int, help="ensemble size, overrides [ensemble] samples")
-    sub.add_parser("sum-rules", parents=[common],
-                   help="trapezoid sum rules with pass/fail verdicts")
     return parser
 
 
@@ -458,15 +446,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        written = _COMMANDS[args.command](cfg, args)
+        summary, csv = _COMMANDS[args.command][0](cfg, args)
+        written = _write_artifacts(args.command, args.out, summary, csv)
     except ValueError as exc:  # ConfigParseError and all validation errors
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ArithmeticError, RuntimeError) as exc:  # the numerical errors of errors.py
-        print(f"numerical error: {exc}", file=sys.stderr)
+    # The numerical errors of errors.py, and a model too large for memory.
+    except (ArithmeticError, RuntimeError, MemoryError) as exc:
+        print(f"numerical error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL
     if not args.quiet:
         for path in written:

@@ -246,11 +246,8 @@ def _block_size(n, k, n_omega):
 
 
 def _usable_cpus():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
+    """CPUs this process may run on (Linux only, as are the workers)."""
+    return len(os.sched_getaffinity(0))
 
 
 def _draws(dist, mask, seed, sizes):

@@ -6,16 +6,18 @@ sorted, so identical inputs always produce byte-identical files.
 
 A CSV table is one 2-D array of finite floats, plus at most one text
 column; a NaN or infinite cell is refused, by column and first bad row,
-before the target is opened.  The writer formats each block of rows, about
-2**15 cells, with numpy rather than one Python ``%`` per cell.  A cell's
-mantissa m = |x| * 10**(12 - e) is computed with a single rounding by an
-exact power of ten (|12 - e| <= 22), so it lies within half an ulp of the
-true value, and floor(m + 1/2) is the correctly rounded 13-digit mantissa
-unless m is within one ulp, ``np.spacing(m)``, of a half-integer.  Every
-cell that test cannot settle is printed by ``%`` itself: zeros, magnitudes
-outside [1e-10, 1e35), and near-ties.  The text goes in as words read from
-tables built at import: the leading digit with its point, three groups of
-four digits and the exponent with its sign.
+before the target is opened, and so is a column name or text cell that
+holds NUL, a comma, CR or LF, which no CSV line can carry.  The writer
+formats each block of rows, about 2**15 cells, with numpy rather than one
+Python ``%`` per cell.  A cell's mantissa m = |x| * 10**(12 - e) is
+computed with a single rounding by an exact power of ten (|12 - e| <= 22),
+so it lies within half an ulp of the true value, and floor(m + 1/2) is the
+correctly rounded 13-digit mantissa unless m is within one ulp,
+``np.spacing(m)``, of a half-integer.  Every cell that test cannot settle
+is printed by ``%`` itself: zeros, magnitudes outside [1e-10, 1e35), and
+near-ties.  The text goes in as words read from tables built at import:
+the leading digit with its point, three groups of four digits and the
+exponent with its sign.
 
 Without its sign, the text of a finite float with a two-digit exponent is
 18 bytes long.  So within a run of rows in which every column keeps one
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 
@@ -56,6 +59,8 @@ _SLOT = _BODY + 3
 # Measured on 496 x 66 and 6,553 x 5 blocks with 1 to 2,112 groups.
 _GROUP_CELLS = 512
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # exact in binary64
+# What a name or text cell cannot hold: the padding, the separator, line ends.
+_UNCARRIED = re.compile(r"[\x00,\r\n]")
 
 
 def _table(texts, dtype):
@@ -165,14 +170,19 @@ def _words(e, d, s):
     yield 14, np.take(_EXPONENTS, np.add(e, 99, out=q), out=words, mode="clip")
 
 
+def _runs(column):
+    """The first row of each run of equal cells in the text ``column``, such
+    as mc-compare's element labels, and that run's text."""
+    starts = np.append(0, np.flatnonzero(column[1:] != column[:-1]) + 1)[:column.size]
+    return starts, [str(v) for v in column[starts].tolist()]
+
+
 def _text_cells(column):
     """A string column's cells as UTF-8 bytes, NUL-padded to the longest.
-    Each run of equal strings, such as mc-compare's element labels, is
-    encoded once and its bytes repeated."""
-    starts = np.flatnonzero(column[1:] != column[:-1]) + 1
-    runs = np.array([str(v).encode() for v in column[np.append(0, starts)].tolist()],
-                    dtype=bytes)
-    text = np.repeat(runs, np.diff(starts, prepend=0, append=column.size))
+    Each run of equal strings is encoded once and its bytes repeated."""
+    starts, texts = _runs(column)
+    runs = np.array([t.encode() for t in texts], dtype=bytes)
+    text = np.repeat(runs, np.diff(starts, append=column.size))
     return text.view(np.uint8).reshape(column.size, text.itemsize)
 
 
@@ -279,7 +289,8 @@ def _csv_blocks(header, table, text):
     ``table`` is a 2-D array of finite floats with one row per line,
     ``header`` names its columns in order and, with ``text = (position,
     strings)``, one text column more, printed as it is at ``position`` among
-    them.  Every float is printed as "%.12e" prints it.
+    them; no name or text cell may hold NUL, ",", CR or LF.  Every float is
+    printed as "%.12e" prints it.
     """
     table = np.ascontiguousarray(table, dtype=np.float64)
     if table.ndim != 2:
@@ -287,14 +298,24 @@ def _csv_blocks(header, table, text):
     n_rows, n_floats = table.shape
     position = None
     if text is not None:
-        position, strings = text[0], np.asarray(text[1])
+        # A list goes in as Python strings: numpy's own strings drop a trailing NUL.
+        position, strings = text[0], np.asarray(
+            text[1], dtype=None if isinstance(text[1], np.ndarray) else object)
         if not 0 <= position <= n_floats:
             raise ValueError(f"text column {position} outside {n_floats + 1} columns")
         if strings.shape != (n_rows,):
             raise ValueError(f"{strings.size} strings for {n_rows} rows")
+        for row, cell in zip(*_runs(strings)):
+            if _UNCARRIED.search(cell):
+                raise ValueError(f"text cell {cell!r} in data row {row + 1} of {n_rows} "
+                                 f"holds NUL, ',', CR or LF; no table written")
     n_columns = n_floats + (text is not None)
     if len(header) != n_columns:
         raise ValueError(f"{len(header)} names for {n_columns} columns")
+    for name in header:
+        if _UNCARRIED.search(name):
+            raise ValueError(f"column name {name!r} holds NUL, ',', CR or LF; "
+                             f"no table written")
     if not np.isfinite(table).all():  # one pass; the cell is looked for only now
         row, column = np.argwhere(~np.isfinite(table))[0]  # row-major order
         names = [name for c, name in enumerate(header) if c != position]
@@ -314,7 +335,8 @@ def _csv_blocks(header, table, text):
 def write_csv(path, header, table, text=None) -> None:
     """Write the finite float ``table`` (rows by columns) as CSV under
     ``header``, with at most one text column ``text = (position, strings)``.
-    Raises NonFiniteResult for a NaN or infinite cell."""
+    Raises NonFiniteResult for a NaN or infinite cell, and ValueError for
+    text that a CSV line cannot carry."""
     blocks = _csv_blocks(header, table, text)
     # The header line comes after the checks: a rejected table raises
     # before the target is opened, so an existing file keeps its contents.

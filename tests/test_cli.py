@@ -659,12 +659,75 @@ def test_parser_is_built_once_and_keeps_no_option_between_runs(tmp_path):
         assert [path.read_bytes() for path in artifacts] == in_process
 
 
+# Per command: its INI, its flags, and the artifacts it writes for each --out
+# form, in the order of its "wrote" lines.  No extension or .json gives the
+# CSV .csv, another extension is kept, and the JSON takes the stem plus the
+# command's suffix; with no --out the stem is the command's name.
+ARTIFACT_RUNS = {
+    "dos": (STAR_INI, ["--grid=-1:1:3"], {
+        None: ["dos.csv", "dos.summary.json"],
+        "x": ["x.csv", "x.summary.json"],
+        "x.csv": ["x.csv", "x.summary.json"],
+        "x.json": ["x.csv", "x.summary.json"],
+        "x.txt": ["x.txt", "x.summary.json"]}),
+    "cavity": (CAVITY_INI, ["--grid", "1.7:2.5:5"], {
+        None: ["cavity.csv", "cavity.poles.json"],
+        "x": ["x.csv", "x.poles.json"],
+        "x.csv": ["x.csv", "x.poles.json"],
+        "x.json": ["x.csv", "x.poles.json"],
+        "x.txt": ["x.txt", "x.poles.json"]}),
+    "mc-compare": (STAR_INI + "[ensemble]\nsamples = 20\n", ["--grid=-1:1:3"], {
+        None: ["mc-compare.csv", "mc-compare.summary.json"],
+        "x": ["x.csv", "x.summary.json"],
+        "x.csv": ["x.csv", "x.summary.json"],
+        "x.json": ["x.csv", "x.summary.json"],
+        "x.txt": ["x.txt", "x.summary.json"]}),
+    "sum-rules": (STAR_INI, [], {
+        None: ["sum-rules.json"],
+        "x": ["x.json"],
+        "x.csv": ["x.json"],
+        "x.json": ["x.json"],
+        "x.txt": ["x.json"]}),
+}
+
+
 def test_default_artifact_names_and_progress_lines(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(STAR_INI)
-    assert main(["dos", "--config", str(cfg), "--grid=-1:1:3"]) == 0
-    out = capsys.readouterr().out
-    assert "wrote dos.csv" in out and "wrote dos.summary.json" in out
-    assert (tmp_path / "dos.csv").exists()
-    assert (tmp_path / "dos.summary.json").exists()
+    # Every command and --out form writes exactly its artifacts, prints one
+    # "wrote" line for each in order, and its JSON names the CSV it wrote.
+    for command, (ini, flags, forms) in ARTIFACT_RUNS.items():
+        for out, artifacts in forms.items():
+            case = tmp_path / f"{command}-{out}"
+            case.mkdir()
+            (case / "run.ini").write_text(ini)
+            monkeypatch.chdir(case)
+            argv = [command, "--config", "run.ini", *flags] + (["--out", out] if out else [])
+            assert main(argv) == 0, (command, out)
+            assert capsys.readouterr().out == "".join(f"wrote {a}\n" for a in artifacts)
+            assert sorted(os.listdir(case)) == sorted(artifacts + ["run.ini"])
+            summary = json.loads((case / artifacts[-1]).read_text())
+            assert summary["command"] == command
+            csv_name = artifacts[0] if len(artifacts) == 2 else None
+            assert summary.get("artifacts") == (csv_name and {"csv": csv_name}), (command, out)
+
+
+NUMPY_MEMORY_ERROR = ("Unable to allocate 7.28 TiB for an array with shape "
+                      "(1000001, 1000001) and data type float64")
+
+
+@pytest.mark.parametrize("command, message, reported", [
+    ("dos", NUMPY_MEMORY_ERROR, NUMPY_MEMORY_ERROR),
+    ("mc-compare", NUMPY_MEMORY_ERROR, NUMPY_MEMORY_ERROR),
+    ("dos", "", "MemoryError"),  # Python's own allocator gives no message
+], ids=["dos", "mc-compare", "bare"])
+def test_model_too_large_for_memory_is_numerical_error(tmp_path, monkeypatch, capsys,
+                                                       command, message, reported):
+    # A million molecules' dense matrix would take 7.28 TiB; the stand-in
+    # raises the error for it without allocating anything.
+    def refuse(params):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "assemble_cavity", refuse)
+    ini = CAVITY_INI.replace("n_molecules = 6", "n_molecules = 1000000")
+    assert run(tmp_path, ini, command, "--out", str(tmp_path / "big")) == 5
+    assert capsys.readouterr().err == f"numerical error: {reported}\n"
+    assert sorted(os.listdir(tmp_path)) == ["run.ini"]

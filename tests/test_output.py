@@ -52,6 +52,16 @@ REJECTED_TABLES = [
     (["a", "b"], np.ones((2, 1)), (2, ["x", "y"])),    # text column past the end
     (["a"], np.ones((2, 1, 1)), None),                 # not two-dimensional
     (["a"], np.ones(2), None),
+    # text a CSV line cannot carry: NUL, the separator, CR or LF
+    (["a", "b"], np.ones((1, 1)), (1, ["x\0y"])),
+    (["a", "b"], np.ones((1, 1)), (1, ["x\0"])),
+    (["a", "b"], np.ones((2, 1)), (0, np.array(["ok", "x,y"]))),
+    (["a", "b"], np.ones((1, 1)), (1, ["p\nq"])),
+    (["a", "b"], np.ones((1, 1)), (1, ["p\rq"])),
+    (["a,b"], np.ones((1, 1)), None),
+    (["a", "p\nq"], np.ones((1, 2)), None),
+    (["a\r"], np.ones((1, 1)), None),
+    (["a\0"], np.ones((1, 1)), None),
 ]
 
 
@@ -60,6 +70,19 @@ def test_csv_rejects_mismatched_shapes(tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", header, table, text)
         assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("header, text, message", [
+    (["a", "label"], (1, ["ok", "ok", "x\0y", "p\nq"]),
+     r"text cell 'x\\x00y' in data row 3 of 4 holds NUL"),
+    (["label", "a"], (0, np.repeat(["G_0_0", "G,1"], 2)),
+     r"text cell 'G,1' in data row 3 of 4 holds NUL, ',', CR or LF"),
+    (["a", "b\r"], None, r"column name 'b\\r' holds NUL, ',', CR or LF"),
+], ids=["nul-label", "comma-label", "cr-name"])
+def test_csv_refuses_text_a_line_cannot_carry(tmp_path, header, text, message):
+    table = np.ones((4, 1 if text else 2))
+    with pytest.raises(ValueError, match=message):
+        write_csv(tmp_path / "t.csv", header, table, text)
 
 
 def test_rejected_columns_leave_an_existing_file_untouched(tmp_path):
