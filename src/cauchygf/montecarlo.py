@@ -10,7 +10,16 @@ h0 and the elements asked for:
   undisordered and every element asked for is G_uu: the cavity mode, whose
   molecules couple only through it.  Then G_uu = 1/(z - h_uu - Sigma) with
   the self-energy Sigma = sum_i h_ui^2 / (z - h_ii - xi_i), with no
-  eigensolver.
+  eigensolver.  Sigma is split by each pole's distance from the frequency
+  window: with w0 its midpoint and R = hypot(half-span, eta), a pole at
+  least 4R from w0 is far, and the far poles are summed by 27 terms of
+  their series in powers of (z - w0), whose remainder is at most
+  4^-27 / (3/4) < 7.5e-17 of each term: per-sample moments times one power
+  table per call, two real matrix products per step.  Only the near poles
+  go through the pole-sum kernel, so a window far from most molecular
+  levels (a polariton) costs far less than one pole sum per molecule.  A
+  step in which some sample has no far pole keeps the all-pole kernel call
+  and its bits.
 * Batched symmetric eigendecomposition of h0 + diag(xi) for every other
   request (the graphs, isolated sites, the molecules' elements, off-diagonal
   elements), G_ij = sum_m V_im V_jm / (z - lambda_m).  It is also the oracle
@@ -21,11 +30,12 @@ h0 and the elements asked for:
 
 Both routes reduce to sums of weights over real poles, which the package's one
 real-arithmetic kernel, ``engine._pole_sums``, evaluates in cache-sized tiles
-of samples x frequencies.  Each finished tile is folded into its block's
-mean and variance while it is still in cache, so no array spans a block's
-samples, elements and frequencies.  Heavy Cauchy tails are safe without
-truncation because every element is bounded by 1/eta at frequency w + i*eta,
-so the estimator has finite variance even though the inputs do not.
+of samples x frequencies (all but the Schur route's far poles).  Each
+finished tile is folded into its block's mean and variance while it is still
+in cache, so no array spans a block's samples, elements and frequencies.
+Heavy Cauchy tails are safe without truncation because every element is
+bounded by 1/eta at frequency w + i*eta, so the estimator has finite variance
+even though the inputs do not.
 
 The samples are split into blocks whose size depends only on the shape of
 the request: its sites, elements and frequencies.  Block b holds the b-th
@@ -64,6 +74,13 @@ from .lattice import DisorderSpec, Distribution, HamiltonianSpec
 # blocks, which fixes the statistics' bits and the work shared among
 # processes.  Memory is bounded by the kernel's tile budget instead.
 _BLOCK_BUDGET = int(1e7)
+
+# The Schur route's far field (_schur_chunk): a pole at least _FAR_RADII
+# window radii from the window's midpoint is summed by a series of
+# _SERIES_TERMS terms, each moment a product of a low and a high power.
+_FAR_RADII = 4.0
+_LOW_POWERS, _HIGH_POWERS = 9, 3
+_SERIES_TERMS = _LOW_POWERS * _HIGH_POWERS
 
 
 @dataclass(frozen=True)
@@ -177,19 +194,67 @@ def _eigh_chunk(spec, xi, pairs, omegas, eta):
             yield s0 + c0, s0 + c1, w0, w1, sums
 
 
+def _series_powers(x, y):
+    """(2, _SERIES_TERMS, n) table of the real and imaginary parts of
+    (x + iy)^n, n = 0 .. _SERIES_TERMS - 1, by the real recurrence of one
+    complex product per term: no complex temporaries."""
+    powers = np.empty((2, _SERIES_TERMS, x.size))
+    re, im = powers
+    re[0], im[0] = 1, 0
+    scratch = np.empty(x.size)
+    for n in range(1, _SERIES_TERMS):
+        np.multiply(re[n - 1], x, out=re[n])
+        np.multiply(im[n - 1], y, out=scratch)
+        re[n] -= scratch
+        np.multiply(re[n - 1], y, out=im[n])
+        np.multiply(im[n - 1], x, out=scratch)
+        im[n] += scratch
+    return powers
+
+
+def _self_energy(tile, weights, poles, omegas, eta, add=False):
+    """Write, or with ``add`` add, the pole sums of ``weights`` over
+    ``poles`` into row 0 of ``tile``.  No view of the kernel's buffers
+    outlives the call, so they are freed before the next call's."""
+    for c0, c1, w0, w1, sums in _pole_sums(weights, poles, omegas, eta):
+        if add:
+            tile[c0:c1, :, 0, w0:w1] += sums[:, :, 0]
+        else:
+            tile[c0:c1, :, 0, w0:w1] = sums[:, :, 0]
+
+
 def _schur_chunk(spec, xi, pairs, omegas, eta):
     """The same tiles, each holding every frequency, for a request whose
     elements are all (u, u), u the one undisordered site: the only requests
     _realization_route sends here.  Each disordered site i couples only to
     u, so eliminating them gives G_uu = 1/(z - h_uu - Sigma) with the
-    self-energy Sigma = sum_i h_ui^2 / (z - h_ii - xi_i), one row of pole
-    sums with no eigensolver.
+    self-energy Sigma = sum_i c_i / (z - a_i), c_i = h_ui^2 and
+    a_i = h_ii + xi_i, and no eigensolver.
+
+    Sigma is split by the poles' distance from the window.  With w0 the
+    midpoint of the frequencies and R = hypot(half-span, eta), every z has
+    |z - w0| <= R, and a pole is far when |a - w0| >= 4R.  A far pole's
+    term is the series -sum_n c (z - w0)^n / (a - w0)^(n+1), cut after
+    _SERIES_TERMS = 27 terms: its ratio is at most 1/4, so the remainder is
+    at most 4^-27 / (3/4) < 7.5e-17 of the term.  Written as
+    -sum_n ((z - w0)/R)^n * c R^n / (a - w0)^(n+1), every factor is at most
+    1, so nothing overflows however small eta or the window.  Each sample's
+    27 moments come from products of 9 low and 3 high powers of
+    R/(a - w0), the frequencies' powers from one table per call, and the far
+    sum from two real matrix products per step.  The near poles go through
+    _pole_sums, each sample's gathered with their weights and padded with
+    its own far poles at zero weight, in calls of at most half the cells of
+    an all-pole tile, so the near sums' buffers and the series' together
+    hold about what the all-pole call held.  A step in which some sample has
+    no far pole gains nothing from the split: it keeps one _pole_sums call
+    over every pole, so its tiles keep those bits.
     """
     d_sites = np.flatnonzero(spec.disordered)
     u = np.flatnonzero(~spec.disordered)[0]
-    c, n_omega, k = xi.shape[0], omegas.size, len(pairs)
+    c, n_omega, k, m = xi.shape[0], omegas.size, len(pairs), d_sites.size
     levels = np.diagonal(spec.h0)[d_sites]
     coupling = spec.h0[d_sites, u] ** 2
+    neg_coupling = -coupling
     shifted = omegas - spec.h0[u, u]
 
     # Row 0 of the tile holds G_uu.  A step of _TILE_BUDGET // ((k + 1) *
@@ -197,15 +262,65 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
     # calls, and it sets the tiles _fold_block merges, so it fixes the
     # statistics' last bits.
     step = min(c, max(1, _TILE_BUDGET // ((k + 1) * n_omega)))
+    c_all, w_all = _tile_shape(step, m, 1, 0, n_omega)
+    # Samples whose moments' powers are formed at once, within the tile budget.
+    group = min(step, max(1, _TILE_BUDGET // ((_LOW_POWERS + _HIGH_POWERS) * max(m, 1))))
     # Buffers reused by every tile, for the same reason as in engine._pole_sums.
+    # The moments' powers and G_uu's norm are needed one after the other, so
+    # they share one buffer.
     tile = np.empty((step, 2, k, n_omega))
-    norm = np.empty((step, n_omega))
+    n_low, n_high = _LOW_POWERS * group * m, _HIGH_POWERS * group * m
+    work = np.empty(max(step * n_omega, n_low + n_high))
+    norm = work[:step * n_omega].reshape(step, n_omega)
+    low = work[:n_low].reshape(_LOW_POWERS, group, m)      # -c/(a - w0) * ratio^i
+    high = work[n_low:n_low + n_high].reshape(_HIGH_POWERS, group, m)  # ratio^(9j)
+    center = 0.5 * (omegas[0] + omegas[-1])
+    radius = math.hypot(0.5 * (omegas[-1] - omegas[0]), eta)
+    powers = None                     # ((z - w0)/R)^n, built by the first far step
+    offset = np.empty((step, m))      # a - w0
+    far = np.empty((step, m), dtype=bool)
+    ratio = np.empty((step, m))       # R/(a - w0) at far poles, else 0
+    moments = np.empty((step, _HIGH_POWERS, _LOW_POWERS))
     for c0 in range(0, c, step):
         s = min(step, c - c0)
         poles = levels + xi[c0:c0 + s, d_sites]                       # (s, |D|)
-        shared = np.broadcast_to(coupling, (s, 1, d_sites.size))
-        for t0, t1, w0, w1, sums in _pole_sums(shared, poles, omegas, eta):
-            tile[t0:t1, :, 0, w0:w1] = sums[:, :, 0]
+        off, f, q = np.subtract(poles, center, out=offset[:s]), far[:s], ratio[:s]
+        np.greater_equal(np.abs(off, out=q), _FAR_RADII * radius, out=f)
+        width = m - int(f.sum(axis=1).min())  # the most near poles of one sample
+        if width == m:
+            _self_energy(tile, np.broadcast_to(coupling, (s, 1, m)), poles, omegas, eta)
+        else:
+            if powers is None:
+                powers = _series_powers((omegas - center) / radius, eta / radius)
+            q.fill(0)
+            np.divide(radius, off, out=q, where=f)
+            # moments[:, j, i] = -sum over far poles of c R^n / (a - w0)^(n+1), n = 9j + i
+            for g0 in range(0, s, group):
+                g1 = min(s, g0 + group)
+                lo, hi, qg = low[:, :g1 - g0], high[:, :g1 - g0], q[g0:g1]
+                lo[0] = 0
+                np.divide(neg_coupling, off[g0:g1], out=lo[0], where=f[g0:g1])
+                for i in range(1, _LOW_POWERS):
+                    np.multiply(lo[i - 1], qg, out=lo[i])
+                hi[0] = 1
+                np.square(qg, out=hi[1])
+                hi[1] *= hi[1]
+                hi[1] *= hi[1]
+                hi[1] *= qg                                           # ratio^9
+                np.square(hi[1], out=hi[2])                           # ratio^18
+                np.matmul(hi.transpose(1, 0, 2), lo.transpose(1, 2, 0), out=moments[g0:g1])
+            terms = moments[:s].reshape(s, -1)
+            np.matmul(terms, powers[0], out=tile[:s, 0, 0])
+            np.matmul(terms, powers[1], out=tile[:s, 1, 0])
+            if width:
+                order = np.argsort(f, axis=1, kind="stable")[:, :width]  # near first
+                near = np.take_along_axis(poles, order, axis=1)
+                weights = np.where(np.take_along_axis(f, order, axis=1), 0.0, coupling[order])
+                # Calls of at most half the cells (poles and tile row) of an all-pole tile.
+                cap = max(1, c_all * w_all * (m + 1) // (2 * (width + 1) * n_omega))
+                for e0 in range(0, s, cap):
+                    _self_energy(tile[e0:], weights[e0:e0 + cap, None], near[e0:e0 + cap],
+                                 omegas, eta, add=True)
         # G_uu = 1/(a - ib) = (a + ib)/(a^2 + b^2), where a - ib is
         # z - h_uu - Sigma and b = Im Sigma - eta <= -eta, so it exists.
         g_uu = tile[:s, :, 0]

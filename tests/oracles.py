@@ -3,7 +3,7 @@ and the peak finder that reads positions off the spectra they compare."""
 
 import numpy as np
 
-from cauchygf.engine import SpectralGrid, _element_pairs, _pole_sums
+from cauchygf.engine import _TILE_BUDGET, SpectralGrid, _element_pairs, _pole_sums
 from cauchygf.errors import SingularMatrix
 from cauchygf.lattice import HamiltonianSpec
 from cauchygf.quadrature import _validated_curve
@@ -75,6 +75,38 @@ def whole_block_eigh_chunk(spec, xi, pairs, omegas, eta):
     evals, evecs = np.linalg.eigh(h)
     rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
     yield from _pole_sums(evecs[:, rows, :] * evecs[:, cols, :], evals, omegas, eta)
+
+
+def direct_schur_chunk(spec, xi, pairs, omegas, eta):
+    """``montecarlo._schur_chunk``'s tiles with every molecular pole, near or
+    far, through ``_pole_sums``: the self-energy
+    Sigma = sum_i h_ui^2 / (z - h_ii - xi_i) as one row of pole sums with
+    shared weights, then G_uu = 1/(z - h_uu - Sigma).  A step whose poles
+    are all near the window must give the same bits; others must agree to
+    rounding."""
+    d_sites = np.flatnonzero(spec.disordered)
+    u = np.flatnonzero(~spec.disordered)[0]
+    c, n_omega, k = xi.shape[0], omegas.size, len(pairs)
+    levels = np.diagonal(spec.h0)[d_sites]
+    coupling = spec.h0[d_sites, u] ** 2
+    shifted = omegas - spec.h0[u, u]
+    step = min(c, max(1, _TILE_BUDGET // ((k + 1) * n_omega)))
+    tile = np.empty((step, 2, k, n_omega))
+    norm = np.empty((step, n_omega))
+    for c0 in range(0, c, step):
+        s = min(step, c - c0)
+        poles = levels + xi[c0:c0 + s, d_sites]
+        shared = np.broadcast_to(coupling, (s, 1, d_sites.size))
+        for t0, t1, w0, w1, sums in _pole_sums(shared, poles, omegas, eta):
+            tile[t0:t1, :, 0, w0:w1] = sums[:, :, 0]
+        g_uu = tile[:s, :, 0]
+        a, b = g_uu[:, 0], g_uu[:, 1]
+        np.subtract(shifted, a, out=a)
+        b -= eta
+        np.einsum("cjw,cjw->cw", g_uu, g_uu, out=norm[:s])
+        g_uu /= norm[:s, None]
+        tile[:s, :, 1:] = g_uu[:, :, None]
+        yield c0, c0 + s, 0, n_omega, tile[:s]
 
 
 def reference_csv(header, columns) -> bytes:

@@ -17,7 +17,7 @@ from cauchygf.lattice import (DisorderSpec, HamiltonianSpec, assemble_cavity,
                               assemble_huckel, build_topology)
 from cauchygf.montecarlo import EnsembleConfig, ensemble_average, make_rng
 from cauchygf.quadrature import estimate_peak_width
-from oracles import whole_block_eigh_chunk
+from oracles import direct_schur_chunk, whole_block_eigh_chunk
 
 CAUCHY = DisorderSpec("cauchy", 0.1)
 
@@ -476,6 +476,120 @@ def test_empty_schur_request_holds_no_chunk_sized_tile(monkeypatch):
         tracemalloc.stop()
     assert result.mean_greens.shape == (601, 0) and result.n_samples == 8192
     assert peak < 16e6
+
+
+# ------------------------------------------- far-field series of the Schur route
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def cavity_window(n, half_span=0.04, n_omega=601):
+    """mc-cavity's request at N = n: cavity(n), G_00 around the upper
+    polariton, Cauchy disorder 0.02, eta 0.002."""
+    params = CavityParams(2.1, 2.1, 0.02, n, coupling=0.1 / np.sqrt(8))
+    center = 2.1 + np.sqrt(params.nv2)
+    omegas = np.linspace(center - half_span, center + half_span, n_omega)
+    return assemble_cavity(params), omegas, 0.002, DisorderSpec("cauchy", 0.02)
+
+
+def schur_tiles(solve, spec, xi, omegas, eta):
+    """Every tile of a Schur solver over ``xi``, each a copy, with its
+    (c0, c1) sample bounds."""
+    tiles = []
+    for c0, c1, w0, w1, tile in solve(spec, xi, ((0, 0),), omegas, eta):
+        assert (w0, w1) == (0, omegas.size)
+        tiles.append((c0, c1, tile.copy()))
+    return tiles
+
+
+def series_steps(spec, xi, omegas, eta, tiles):
+    """Per tile, whether the far-field series serves it: every one of its
+    samples has a pole at least 4R from the window's midpoint."""
+    center = 0.5 * (omegas[0] + omegas[-1])
+    radius = np.hypot(0.5 * (omegas[-1] - omegas[0]), eta)
+    poles = np.diagonal(spec.h0)[spec.disordered] + xi[:, spec.disordered]
+    far = np.abs(poles - center) >= 4 * radius
+    return [bool(far[c0:c1].any(axis=1).all()) for c0, c1, _ in tiles]
+
+
+def rounding_bound(spec, xi, omegas, eta, want):
+    """How far two evaluations of G_uu may differ by rounding, per sample
+    and frequency.  Each puts Sigma within (m + 64) u S of the exact sum,
+    with S = sum_i c_i / |z - a_i| over the m poles (a recursive sum of m
+    terms, plus the series' 27 terms and moments at a few roundings each),
+    which moves G_uu = 1/(z - h_uu - Sigma) by |G|^2 times that to first
+    order; the reciprocal adds a few roundings of |G|."""
+    d = spec.disordered
+    coupling = spec.h0[d, 0] ** 2
+    poles = np.diagonal(spec.h0)[d] + xi[:, d]
+    g = np.hypot(want[:, 0, 0], want[:, 1, 0])
+    total = np.stack([(coupling[:, None] / np.hypot(omegas - a[:, None], eta)).sum(axis=0)
+                      for a in poles])
+    return UNIT_ROUNDOFF * (2 * (d.sum() + 64) * g * g * total + 8 * g)
+
+
+@pytest.mark.parametrize("n", [8, 25, 80, 800])
+def test_schur_far_field_matches_the_direct_oracle(n):
+    # Three steps of mc-cavity's request at N = n against every pole through
+    # _pole_sums (tests/oracles.py).  The first sample's poles all sit on
+    # the window, so its step keeps the all-pole call and must give its
+    # bits; a step whose every sample has a far pole goes through the
+    # series and must agree within rounding_bound.  N = 8's poles are
+    # mostly near, so its steps keep the bits; from N = 25 on the series
+    # serves the second step.
+    spec, omegas, eta, law = cavity_window(n)
+    xi = next(mc._draws(law, spec.disordered.astype(float), 19 + n, [60]))
+    xi[0, 1:] = omegas[300] - np.diagonal(spec.h0)[1:]
+    got = schur_tiles(mc._schur_chunk, spec, xi, omegas, eta)
+    want = schur_tiles(direct_schur_chunk, spec, xi, omegas, eta)
+    series = series_steps(spec, xi, omegas, eta, want)
+    assert [(c0, c1) for c0, c1, _ in got] == [(c0, c1) for c0, c1, _ in want]
+    assert len(got) == 3 and not series[0] and (n == 8 or series[1])
+    for (c0, c1, a), (_, _, b), far in zip(got, want, series):
+        assert np.isfinite(a).all()
+        if not far:
+            assert np.array_equal(a, b)
+        else:
+            diff = np.hypot(*(a - b)[:, :, 0].transpose(1, 0, 2))
+            assert (diff <= rounding_bound(spec, xi[c0:c1], omegas, eta, b)).all()
+
+
+@pytest.mark.parametrize("n", [8, 25, 80, 800])
+def test_schur_window_with_no_far_pole_keeps_the_direct_bits(n):
+    # A window wider than twice every pole's distance from its midpoint
+    # has no far pole, so each step makes the all-pole call.
+    spec, omegas, eta, law = cavity_window(n)
+    xi = next(mc._draws(law, spec.disordered.astype(float), 23 + n, [40]))
+    poles = np.diagonal(spec.h0)[1:] + xi[:, 1:]
+    center = 0.5 * (omegas[0] + omegas[-1])
+    reach = np.abs(poles - center).max()
+    wide = np.linspace(center - reach, center + reach, 101)
+    assert not any(series_steps(spec, xi, wide, eta, [(0, 40, None)]))
+    got = schur_tiles(mc._schur_chunk, spec, xi, wide, eta)
+    want = schur_tiles(direct_schur_chunk, spec, xi, wide, eta)
+    for (c0, c1, a), (d0, d1, b) in zip(got, want, strict=True):
+        assert (c0, c1) == (d0, d1) and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("grid", ["single frequency at eta 1e-150", "mc-cavity window"])
+def test_schur_far_field_is_finite_at_extreme_geometry(grid):
+    # One frequency at eta = 1e-150 makes R = 1e-150, so every pole is far
+    # and each power of R/(a - w0) past the first underflows; a pole 1e12
+    # away from the window makes R/(a - w0) = 4e-14.  The tiles must stay
+    # finite, warn of nothing (the suite makes a RuntimeWarning an error)
+    # and agree with the direct oracle.
+    spec, omegas, eta, law = cavity_window(80)
+    if grid.startswith("single"):
+        omegas, eta = omegas[300:301], 1e-150
+    xi = next(mc._draws(law, spec.disordered.astype(float), 29, [30]))
+    xi[3, 7] = 1e12
+    got = schur_tiles(mc._schur_chunk, spec, xi, omegas, eta)
+    want = schur_tiles(direct_schur_chunk, spec, xi, omegas, eta)
+    assert all(series_steps(spec, xi, omegas, eta, want))
+    for (c0, c1, a), (_, _, b) in zip(got, want, strict=True):
+        assert np.isfinite(a).all()
+        diff = np.hypot(*(a - b)[:, :, 0].transpose(1, 0, 2))
+        assert (diff <= rounding_bound(spec, xi[c0:c1], omegas, eta, b)).all()
 
 
 # --------------------------------------------------- convergence to theorem
