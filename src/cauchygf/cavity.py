@@ -71,9 +71,9 @@ class CavityParams:
         if self.mu_debye is not None and self.mu_debye < 0:
             raise ValueError("transition dipole must be non-negative")
         if self.volume is not None and self.volume <= 0:
-            raise ValueError("cavity volume must be positive")
+            raise ValueError(f"volume must be positive, got {self.volume}")
         if self.number_density is not None and self.number_density <= 0:
-            raise ValueError("number density must be positive")
+            raise ValueError(f"number_density must be positive, got {self.number_density}")
 
         # Fill in whichever coupling quantities the given route determines.
         coupling = self.coupling
@@ -170,18 +170,14 @@ def g_cc(params: CavityParams, omega, eta: float = 0.0):
 def polariton_poles(params: CavityParams) -> PolaritonPoles:
     """Roots of (w - eps_c)(w - eps_a + i*gamma) = NV2.
 
-    Principal square-root branch (non-negative real part; non-negative
-    imaginary part on the branch cut).  Labels are assigned so that
-    Re eps_plus >= Re eps_minus; for a purely imaginary root the +root keeps
-    the plus label.
+    eps_plus adds the principal square root, whose real part is
+    non-negative (its imaginary part too on the branch cut), so
+    Re eps_plus >= Re eps_minus.
     """
     center = 0.5 * (params.epsilon_a + params.epsilon_c - 1j * params.gamma)
     half_detuning = 0.5 * (params.epsilon_c - params.epsilon_a + 1j * params.gamma)
     root = np.sqrt(complex(params.nv2 + half_detuning * half_detuning))
-    plus, minus = center + root, center - root
-    if plus.real < minus.real:
-        plus, minus = minus, plus
-    return PolaritonPoles(complex(plus), complex(minus))
+    return PolaritonPoles(complex(center + root), complex(center - root))
 
 
 def rho_c(params: CavityParams, omegas, eta: float = 0.0):

@@ -72,8 +72,6 @@ def _get(cfg, section, key, convert=str, default=_REQUIRED):
     raw = cfg.get(section, key)
     try:
         return convert(raw)
-    except ConfigParseError:
-        raise
     except Exception as exc:
         raise ConfigParseError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
@@ -83,7 +81,7 @@ def _parse_edges(raw: str):
     for token in raw.replace(",", " ").split():
         pieces = token.split("-")
         if len(pieces) != 2:
-            raise ConfigParseError(f"edge {token!r} is not of the form i-j")
+            raise ValueError(f"edge {token!r} is not of the form i-j")
         edges.append((int(pieces[0]), int(pieces[1])))
     return edges
 

@@ -317,18 +317,14 @@ def averaged_table(spec: HamiltonianSpec, grid: SpectralGrid, columns, out):
 
     # Each column copies one row of a (2 * sources, b) block: the Re rows,
     # then the Im rows, of the tile's G0 rows when every site is disordered,
-    # else of the Woodbury result's elements and trace.  The densities are
-    # then divided by -pi in the block, one run of adjacent columns at a time.
+    # else of the Woodbury result's elements and trace.  The block is then
+    # divided by each column's divisor: -pi for a density, exactly 1.0 else.
     p = len(weights)
     sources, slot = (k + trace, range(k + 1)) if n_u else (p, target)
     position = {element: c for c, element in enumerate(elements)} | {None: k}
     index = np.array([(part != "re") * sources + slot[position[element]]
                       for part, element in zip(parts, requested)], dtype=np.intp)
-    runs, stop = [], 0
-    for density, group in itertools.groupby(part == "rho" for part in parts):
-        start, stop = stop, stop + len(list(group))
-        if density:
-            runs.append(slice(start, stop))
+    divisor = np.where([part == "rho" for part in parts], -np.pi, 1.0)[:, None]
 
     target = np.array(target, dtype=np.intp)  # the elements, then the trace's columns
     left, right = (np.array(lists, dtype=np.intp).reshape(n_u, target.size)
@@ -372,8 +368,7 @@ def averaged_table(spec: HamiltonianSpec, grid: SpectralGrid, columns, out):
                 if trace:
                     result[k] = np.sum(result[k:], axis=0)
                 block = np.concatenate([result.real[:sources], result.imag[:sources]])[index]
-            for run in runs:
-                block[run] /= -np.pi
+            block /= divisor
             out[s0:s1] = block.T
     return out
 

@@ -10,23 +10,13 @@ h0 and the elements asked for:
   undisordered and every element asked for is G_uu: the cavity mode, whose
   molecules couple only through it.  Then G_uu = 1/(z - h_uu - Sigma) with
   the self-energy Sigma = sum_i h_ui^2 / (z - h_ii - xi_i), with no
-  eigensolver.  Sigma is split by each pole's distance from the frequency
-  window: with w0 its midpoint and R = hypot(half-span, eta), a pole at
-  least 4R from w0 is far, and the far poles are summed by 27 terms of
-  their series in powers of (z - w0), whose remainder is at most
-  4^-27 / (3/4) < 7.5e-17 of each term: per-sample moments times one power
-  table per call, two real matrix products per step.  Only the near poles
-  go through the pole-sum kernel, so a window far from most molecular
-  levels (a polariton) costs far less than one pole sum per molecule.  A
-  step in which some sample has no far pole keeps the all-pole kernel call
-  and its bits.
+  eigensolver, and the poles far from the frequency window are summed by a
+  truncated series instead of one by one (``_schur_chunk``).
 * Batched symmetric eigendecomposition of h0 + diag(xi) for every other
   request (the graphs, isolated sites, the molecules' elements, off-diagonal
   elements), G_ij = sum_m V_im V_jm / (z - lambda_m).  It is also the oracle
   the Schur route is tested against.  Each block is decomposed in
-  sub-batches of whole sample tiles whose (sub, n, n) batch fits the
-  kernel's tile budget, so memory per process is set by that budget, not by
-  the block times n^2.
+  sub-batches sized by the kernel's tile budget (``_eigh_chunk``).
 
 Both routes reduce to sums of weights over real poles, which the package's one
 real-arithmetic kernel, ``engine._pole_sums``, evaluates in cache-sized tiles
@@ -212,17 +202,6 @@ def _series_powers(x, y):
     return powers
 
 
-def _self_energy(tile, weights, poles, omegas, eta, add=False):
-    """Write, or with ``add`` add, the pole sums of ``weights`` over
-    ``poles`` into row 0 of ``tile``.  No view of the kernel's buffers
-    outlives the call, so they are freed before the next call's."""
-    for c0, c1, w0, w1, sums in _pole_sums(weights, poles, omegas, eta):
-        if add:
-            tile[c0:c1, :, 0, w0:w1] += sums[:, :, 0]
-        else:
-            tile[c0:c1, :, 0, w0:w1] = sums[:, :, 0]
-
-
 def _schur_chunk(spec, xi, pairs, omegas, eta):
     """The same tiles, each holding every frequency, for a request whose
     elements are all (u, u), u the one undisordered site: the only requests
@@ -244,10 +223,8 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
     sum from two real matrix products per step.  The near poles go through
     _pole_sums, each sample's gathered with their weights and padded with
     its own far poles at zero weight, in calls of at most half the cells of
-    an all-pole tile, so the near sums' buffers and the series' together
-    hold about what the all-pole call held.  A step in which some sample has
-    no far pole gains nothing from the split: it keeps one _pole_sums call
-    over every pole, so its tiles keep those bits.
+    an all-pole tile.  A step in which some sample has no far pole gains
+    nothing from the split: it keeps one _pole_sums call over every pole.
     """
     d_sites = np.flatnonzero(spec.disordered)
     u = np.flatnonzero(~spec.disordered)[0]
@@ -263,17 +240,11 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
     # statistics' last bits.
     step = min(c, max(1, _TILE_BUDGET // ((k + 1) * n_omega)))
     c_all, w_all = _tile_shape(step, m, 1, 0, n_omega)
-    # Samples whose moments' powers are formed at once, within the tile budget.
-    group = min(step, max(1, _TILE_BUDGET // ((_LOW_POWERS + _HIGH_POWERS) * max(m, 1))))
     # Buffers reused by every tile, for the same reason as in engine._pole_sums.
-    # The moments' powers and G_uu's norm are needed one after the other, so
-    # they share one buffer.
     tile = np.empty((step, 2, k, n_omega))
-    n_low, n_high = _LOW_POWERS * group * m, _HIGH_POWERS * group * m
-    work = np.empty(max(step * n_omega, n_low + n_high))
-    norm = work[:step * n_omega].reshape(step, n_omega)
-    low = work[:n_low].reshape(_LOW_POWERS, group, m)      # -c/(a - w0) * ratio^i
-    high = work[n_low:n_low + n_high].reshape(_HIGH_POWERS, group, m)  # ratio^(9j)
+    norm = np.empty((step, n_omega))
+    low = np.empty((_LOW_POWERS, step, m))      # -c/(a - w0) * ratio^i
+    high = np.empty((_HIGH_POWERS, step, m))    # ratio^(9j)
     center = 0.5 * (omegas[0] + omegas[-1])
     radius = math.hypot(0.5 * (omegas[-1] - omegas[0]), eta)
     powers = None                     # ((z - w0)/R)^n, built by the first far step
@@ -288,27 +259,27 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
         np.greater_equal(np.abs(off, out=q), _FAR_RADII * radius, out=f)
         width = m - int(f.sum(axis=1).min())  # the most near poles of one sample
         if width == m:
-            _self_energy(tile, np.broadcast_to(coupling, (s, 1, m)), poles, omegas, eta)
+            for s0, s1, w0, w1, sums in _pole_sums(np.broadcast_to(coupling, (s, 1, m)),
+                                                   poles, omegas, eta):
+                tile[s0:s1, :, 0, w0:w1] = sums[:, :, 0]
         else:
             if powers is None:
                 powers = _series_powers((omegas - center) / radius, eta / radius)
             q.fill(0)
             np.divide(radius, off, out=q, where=f)
             # moments[:, j, i] = -sum over far poles of c R^n / (a - w0)^(n+1), n = 9j + i
-            for g0 in range(0, s, group):
-                g1 = min(s, g0 + group)
-                lo, hi, qg = low[:, :g1 - g0], high[:, :g1 - g0], q[g0:g1]
-                lo[0] = 0
-                np.divide(neg_coupling, off[g0:g1], out=lo[0], where=f[g0:g1])
-                for i in range(1, _LOW_POWERS):
-                    np.multiply(lo[i - 1], qg, out=lo[i])
-                hi[0] = 1
-                np.square(qg, out=hi[1])
-                hi[1] *= hi[1]
-                hi[1] *= hi[1]
-                hi[1] *= qg                                           # ratio^9
-                np.square(hi[1], out=hi[2])                           # ratio^18
-                np.matmul(hi.transpose(1, 0, 2), lo.transpose(1, 2, 0), out=moments[g0:g1])
+            lo, hi = low[:, :s], high[:, :s]
+            lo[0] = 0
+            np.divide(neg_coupling, off, out=lo[0], where=f)
+            for i in range(1, _LOW_POWERS):
+                np.multiply(lo[i - 1], q, out=lo[i])
+            hi[0] = 1
+            np.square(q, out=hi[1])
+            hi[1] *= hi[1]
+            hi[1] *= hi[1]
+            hi[1] *= q                                                # ratio^9
+            np.square(hi[1], out=hi[2])                               # ratio^18
+            np.matmul(hi.transpose(1, 0, 2), lo.transpose(1, 2, 0), out=moments[:s])
             terms = moments[:s].reshape(s, -1)
             np.matmul(terms, powers[0], out=tile[:s, 0, 0])
             np.matmul(terms, powers[1], out=tile[:s, 1, 0])
@@ -319,8 +290,9 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
                 # Calls of at most half the cells (poles and tile row) of an all-pole tile.
                 cap = max(1, c_all * w_all * (m + 1) // (2 * (width + 1) * n_omega))
                 for e0 in range(0, s, cap):
-                    _self_energy(tile[e0:], weights[e0:e0 + cap, None], near[e0:e0 + cap],
-                                 omegas, eta, add=True)
+                    for s0, s1, w0, w1, sums in _pole_sums(weights[e0:e0 + cap, None],
+                                                           near[e0:e0 + cap], omegas, eta):
+                        tile[e0 + s0:e0 + s1, :, 0, w0:w1] += sums[:, :, 0]
         # G_uu = 1/(a - ib) = (a + ib)/(a^2 + b^2), where a - ib is
         # z - h_uu - Sigma and b = Im Sigma - eta <= -eta, so it exists.
         g_uu = tile[:s, :, 0]
@@ -355,8 +327,8 @@ def _block_size(n, k, n_omega):
     request with many frequencies, whose pole sums are most of its work,
     makes smaller blocks: the cavity's N = 80 at 601 frequencies takes 205
     samples a block.  The blocks fix the statistics' bits and the parallel
-    split, not memory: both routes keep that within the kernel's tile
-    budget whatever the block size."""
+    split, not memory: both routes work through a block in steps of samples
+    sized from the kernel's tile budget, whatever the block size."""
     return max(32, min(2048, _BLOCK_BUDGET // (n * max(n, k, n_omega))))
 
 

@@ -284,6 +284,18 @@ def test_dos_rejects_unknown_column(tmp_path):
         assert run(tmp_path, ini, "dos") == 3
 
 
+def test_custom_edges_write_the_ring_they_list(tmp_path):
+    ring = "[model]\nkind = ring\nn_sites = 6\ngamma = 0.1\n"
+    custom = ("[model]\nkind = custom\nn_sites = 6\ngamma = 0.1\n"
+              "edges = 0-1, 1-2, 2-3, 3-4, 4-5, 5-0\n")
+    for name, ini in (("ring", ring), ("custom", custom)):
+        assert run(tmp_path, ini, "dos", "--out", str(tmp_path / name)) == 0
+    assert (tmp_path / "custom.csv").read_bytes() == (tmp_path / "ring.csv").read_bytes()
+    model = json.loads((tmp_path / "custom.summary.json").read_text())["model"]
+    assert model["kind"] == "custom"
+    assert model["edges"] == [[0, 1], [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]]
+
+
 # -------------------------------------------------------------------- cavity
 
 def test_cavity_poles_and_absorption_columns(tmp_path):
@@ -623,6 +635,23 @@ def test_non_finite_alpha_beta_is_config_error(tmp_path, key, capsys, recwarn):
     assert run(tmp_path, STAR_INI + f"{key} = inf\n", "dos") == 3
     assert f"{key} must be finite" in capsys.readouterr().err
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("command, ini, named", [
+    ("dos", "[model]\nkind = custom\nn_sites = 3\ngamma = 0.1\nedges = 0-1-2\n",
+     "[model] edges"),
+    ("dos", "[model]\nkind = custom\nn_sites = 3\ngamma = 0.1\nedges = a-b\n",
+     "[model] edges"),
+    ("dos", "[model]\nkind = ring\nn_sites = seven\ngamma = 0.1\n", "[model] n_sites"),
+    ("dos", STAR_INI + "[output]\ncolumns = ,\n", "[output] columns"),
+    ("mc-compare", STAR_INI + "[ensemble]\ndistribution = lorentz\neta = 0.02\n",
+     "[ensemble]"),
+], ids=["three-ended-edge", "non-integer-edge", "word-count", "empty-columns",
+        "unknown-law"])
+def test_bad_config_value_is_config_error_naming_it(tmp_path, capsys, command, ini, named):
+    assert run(tmp_path, ini, command, "--out", str(tmp_path / "x")) == 3
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
 
 
 def test_bad_grid_flag_is_config_error(tmp_path):

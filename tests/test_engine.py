@@ -12,7 +12,7 @@ from cauchygf import output
 from cauchygf.cavity import CavityParams
 from cauchygf.engine import (_TILE_BUDGET, SpectralGrid, _pole_sums, averaged_greens,
                              averaged_table, default_eta, diagonalize)
-from cauchygf.errors import NonMonotonicGrid, SingularMatrix
+from cauchygf.errors import InvalidCoupling, NonMonotonicGrid, SingularMatrix
 from cauchygf.lattice import (HamiltonianSpec, assemble_cavity,
                               assemble_huckel, build_topology)
 from cauchygf.quadrature import auto_window, integrate_trapezoid
@@ -54,6 +54,26 @@ def test_grid_single_frequency_and_eta_validation():
 def test_grid_rejects_non_finite_eta(eta):
     with pytest.raises(ValueError, match="eta"):
         SpectralGrid(np.array([0.0, 1.0]), eta=eta)
+
+
+@pytest.mark.parametrize("build, error, named", [
+    (lambda: CavityParams(2.1, 2.1, 0.02, 4, coupling=0.01, volume=0.0),
+     ValueError, "volume"),
+    (lambda: CavityParams(2.1, 2.1, 0.02, 4, v_tilde=4e-14, number_density=-1.0),
+     ValueError, "number_density"),
+    # v_tilde/sqrt(volume) = 4e-5 eV, not the given 0.01 eV.
+    (lambda: CavityParams(2.1, 2.1, 0.02, 4, v_tilde=4e-14, volume=1e-18, coupling=0.01),
+     InvalidCoupling, "coupling"),
+    (lambda: HamiltonianSpec(np.zeros((2, 3)), 0.1), ValueError, "h0"),
+    (lambda: SpectralGrid([]), NonMonotonicGrid, "frequency"),
+    (lambda: auto_window([np.nan], 0.1), ValueError, "spectrum"),
+], ids=["zero-volume", "negative-density", "inconsistent-coupling", "non-square-h0",
+        "empty-grid", "non-finite-spectrum"])
+def test_construction_rejects_bad_input_by_type_and_name(build, error, named):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is error
+    assert named in str(info.value)
 
 
 # -------------------------------------------------------------- diagonalize

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cauchygf.montecarlo as mc
-from cauchygf.cavity import CavityParams, g_cc
+from cauchygf.cavity import CavityParams, g_cc, polariton_poles
 from cauchygf.engine import SpectralGrid, averaged_greens
 from cauchygf.lattice import HamiltonianSpec, assemble_cavity
 from cauchygf.quadrature import auto_window, integrate_trapezoid
@@ -138,6 +138,34 @@ def test_cavity_element_matches_closed_form(case):
     params, grid = case
     engine = averaged_greens(assemble_cavity(params), grid, [(0, 0)])[:, 0]
     assert np.abs(engine - g_cc(params, grid.omegas, grid.eta)).max() <= 1e-9
+
+
+@st.composite
+def polaritons(draw):
+    """Cavity parameters, detuned or not, or resonant with N V^2 < gamma^2/4,
+    where the discriminant is negative and its square root purely imaginary."""
+    gamma, n = draw(st.floats(0.001, 0.5)), draw(st.integers(1, 10 ** 6))
+    epsilon_a = draw(st.floats(-5.0, 5.0))
+    if draw(st.booleans()):
+        epsilon_c = epsilon_a
+        coupling = draw(st.floats(0.0, 0.999)) * gamma / (2 * np.sqrt(n))
+    else:
+        epsilon_c = draw(st.floats(-5.0, 5.0))
+        coupling = draw(st.floats(0.0, 1.0))
+    return CavityParams(epsilon_c, epsilon_a, gamma, n, coupling=coupling)
+
+
+@given(polaritons())
+def test_polariton_poles_are_ordered_and_sum_to_the_trace(params):
+    poles = polariton_poles(params)
+    plus, minus = poles.eps_plus, poles.eps_minus
+    assert plus.real >= minus.real
+    trace = params.epsilon_a + params.epsilon_c - 1j * params.gamma
+    scale = abs(params.epsilon_a) + abs(params.epsilon_c) + params.gamma + abs(plus - minus)
+    assert abs(plus + minus - trace) <= 4 * np.finfo(float).eps * scale
+    if params.epsilon_c == params.epsilon_a and params.nv2 < params.gamma ** 2 / 4:
+        # A purely imaginary root: equal real parts, the plus pole the less damped.
+        assert plus.real == minus.real and plus.imag >= minus.imag
 
 
 @st.composite
