@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import math
 import os
 import re
 import sys
@@ -34,7 +35,7 @@ from .engine import (SpectralGrid, averaged_greens, averaged_table, default_eta,
                      diagonalize)
 from .errors import ConfigParseError, NonFiniteResult
 from .lattice import (DisorderSpec, Family, assemble_cavity, assemble_huckel,
-                      build_topology)
+                      bright_spec, build_topology)
 from .montecarlo import EnsembleConfig, ensemble_average
 from .output import write_csv, write_json
 from .quadrature import auto_window, integrate_trapezoid
@@ -137,15 +138,6 @@ def _resolve_model(cfg):
     return spec, echo
 
 
-def _resolve_spec(cfg):
-    """The HamiltonianSpec of [model] and its echo.  A cavity's dense
-    (N+1)² matrix is assembled only here, for the commands that need it."""
-    model, echo = _resolve_model(cfg)
-    if isinstance(model, CavityParams):
-        model = assemble_cavity(model)
-    return model, echo
-
-
 def _parse_grid_flag(raw: str) -> SpectralGrid:
     pieces = raw.split(":")
     if len(pieces) != 3:
@@ -221,16 +213,46 @@ def _dos_table(spec, grid, columns):
     return table
 
 
+def _bright_table(params, grid, columns):
+    """``_dos_table`` of the cavity ``params``, exact at any N without the
+    (N+1)² matrix.  With B the averaged resolvent of its bright matrix H_b
+    (``lattice.bright_spec``) and the dark line g_d = 1/(omega + i*(eta + gamma) - epsilon_a):
+    G_00 = B_00, G_0i = G_i0 = B_01/sqrt(N), G_ij = (B_11 - g_d)/N + [i = j] g_d
+    and Tr G = B_00 + B_11 + (N - 1) g_d."""
+    n = params.n_molecules
+    b00, b01, b11 = averaged_greens(bright_spec(params), grid, [(0, 0), (0, 1), (1, 1)]).T
+    dark = 1 / (grid.omegas + 1j * (grid.eta + params.gamma) - params.epsilon_a)
+    molecules = (b11 - dark) / n
+    table = np.empty((grid.omegas.size, 1 + len(columns)))
+    table[:, 0] = grid.omegas
+    for c, (_, part, element) in enumerate(columns, 1):
+        if element is None:
+            value = b00 + b11 + (n - 1) * dark
+        elif element == (0, 0):
+            value = b00
+        elif 0 in element:
+            value = b01 / math.sqrt(n)
+        else:
+            value = molecules + dark if element[0] == element[1] else molecules
+        table[:, c] = value.real if part == "re" else \
+            value.imag if part == "im" else value.imag / -np.pi
+    return table
+
+
 def _cmd_dos(cfg, args):
-    spec, model_echo = _resolve_spec(cfg)
+    model, model_echo = _resolve_model(cfg)
+    cavity = isinstance(model, CavityParams)
+    # H_b's two eigenvalues bound the (N+1)² spectrum: the same default window.
+    spec = bright_spec(model) if cavity else model
     grid, grid_echo = _resolve_grid(
         cfg, args, lambda: auto_window(diagonalize(spec)[0], spec.gamma),
         default_eta(spec))
 
-    columns = _dos_columns(cfg, spec.n_sites)
+    columns = _dos_columns(cfg, model.n_molecules + 1 if cavity else spec.n_sites)
     names = [name for name, _, _ in columns]
+    table = _bright_table(model, grid, columns) if cavity else _dos_table(spec, grid, columns)
     summary = {"model": model_echo, "grid": grid_echo, "columns": names}
-    return summary, (["omega"] + names, _dos_table(spec, grid, columns), None)
+    return summary, (["omega"] + names, table, None)
 
 
 def _cmd_cavity(cfg, args):
@@ -285,7 +307,9 @@ def _resolve_ensemble(cfg, args, spec):
 
 
 def _cmd_mc_compare(cfg, args):
-    spec, model_echo = _resolve_spec(cfg)
+    spec, model_echo = _resolve_model(cfg)
+    if isinstance(spec, CavityParams):
+        spec = assemble_cavity(spec)  # realizations need the dense (N+1)² matrix
     ensemble, ensemble_echo = _resolve_ensemble(cfg, args, spec)
     grid, grid_echo = _resolve_grid(
         cfg, args, lambda: auto_window(diagonalize(spec)[0], spec.gamma,

@@ -15,11 +15,10 @@ reduced by elimination without pivoting, vectorized over frequencies, so no
 LAPACK call runs per frequency.  Each entry of G0 is a sum of weights over
 real poles, evaluated by ``_pole_sums``, the package's one cache-tiled kernel
 (the Monte-Carlo realizations run it too), at one real matrix product per
-frequency tile for Im and one more for Re.  The exact trace,
-Tr G = Tr G0 - Tr(K^-1 (G0^2)[U, U]), costs one more weight row and |U|^2
-double-pole sums, so with k elements and few undisordered sites the total
-density of states costs O(n (k + |U|^2)) per frequency, not the O(n^2) of
-the whole diagonal.
+frequency tile for Im and one more for Re.  The exact trace is Tr G0's
+row of ones when every site is disordered, O(n) per frequency; with
+undisordered sites it is the sum of the diagonal, carried through the same
+Woodbury step, O(n^2) per frequency.
 
 A request is the columns of a float table, each the real part, the
 imaginary part or the density -Im/pi of one element or of the trace, and
@@ -122,24 +121,23 @@ def _element_pairs(elements, n):
     return _normalized_elements(elements, n)
 
 
-def _tile_shape(n_samples, m, p, q, n_omega):
+def _tile_shape(n_samples, m, p, n_omega):
     """(c_tile, w_tile): the samples and frequencies of each ``_pole_sums``
-    tile over n_samples samples of m poles, with p weight rows and q
-    double-pole rows, at n_omega frequencies.
+    tile over n_samples samples of m poles, with p weight rows, at n_omega
+    frequencies.
 
-    A tile counts max(P, ceil((2m + 2P + q)/4)) cells per (sample, frequency),
-    with P = p + q rows, so that d and r (m cells each), the tile (2P) and the
-    r^2 term (q) together hold at most 4 * _TILE_BUDGET cells and the tile
-    alone 2 * _TILE_BUDGET: max(m, p) when q = 0 and p >= m, and wider tiles
-    when P < m, such as the Monte-Carlo self-energy (p = 1), whose
-    frequencies then take fewer numpy calls.
+    A tile counts max(p, ceil((m + p)/2)) cells per (sample, frequency), so
+    that d and r (m cells each) and the tile (2p) together hold at most
+    4 * _TILE_BUDGET cells and the tile alone 2 * _TILE_BUDGET: max(m, p)
+    when p >= m, and wider tiles when p < m, such as the Monte-Carlo
+    self-energy (p = 1), whose frequencies then take fewer numpy calls.
     """
-    width = max(1, p + q, -(-(2 * m + 2 * (p + q) + q) // 4))
+    width = max(1, p, -(-(m + p) // 2))
     w_tile = min(n_omega, max(1, _TILE_BUDGET // width))
     return min(n_samples, max(1, _TILE_BUDGET // (width * w_tile))), w_tile
 
 
-def _pole_sums(weights, poles, omegas, eta, double=None, real=True):
+def _pole_sums(weights, poles, omegas, eta, real=True):
     """Yield tiles (c0, c1, w0, w1, tile) of the pole sums
     S[c, p, w] = sum_m weights[c, p, m] / (omegas[w] + i*eta - poles[c, m])
     over samples c0:c1 and frequencies w0:w1, with tile[:, 0] = Re S and
@@ -153,20 +151,13 @@ def _pole_sums(weights, poles, omegas, eta, double=None, real=True):
     skipped, neither d*r nor its product is formed, and tile[:, 0] holds
     stale values: for readers of imaginary parts and densities alone.
 
-    ``double`` (q, m), weights every sample shares, adds q rows after the
-    p (not with ``real=False``): the double-pole sums
-    sum_m double[j, m] / (omegas[w] + i*eta - poles[c, m])^2, whose real
-    part is double @ r - 2 eta^2 double @ r^2 and imaginary part
-    -2 eta double @ (d*r*r), from the same d and r and pre-scaled weights.
-
     ``_tile_shape`` sizes the tiles.  Sample blocks come in order, each with
     all its frequency blocks, and every tile is a view of one buffer that the
     next tile overwrites.
     """
     n_samples, m = poles.shape
     p, n_omega = weights.shape[1], omegas.size
-    q = 0 if double is None else double.shape[0]
-    c_tile, w_tile = _tile_shape(n_samples, m, p, q, n_omega)
+    c_tile, w_tile = _tile_shape(n_samples, m, p, n_omega)
     # Reused buffers: with fresh temporaries per tile the allocator handed
     # their pages back to the system and faulted them in again, which
     # doubled the time at some tile widths.  So the operands of the product
@@ -179,11 +170,8 @@ def _pole_sums(weights, poles, omegas, eta, double=None, real=True):
     rows = scratch[2 * cells:-2 * w_tile].reshape(c_tile, m, 2)
     columns = scratch[-2 * w_tile:].reshape(2, w_tile)
     rows[..., 1], columns[0] = 1, 1
-    tile_cells = np.empty(c_tile * 2 * (p + q) * w_tile)
+    tile_cells = np.empty(c_tile * 2 * p * w_tile)
     im_cells = np.empty(c_tile * p * m)
-    if q:
-        square_cells = np.empty(c_tile * q * w_tile)
-        double_im, double_sq = double * (-2 * eta), double * (-2 * eta * eta)
     for c0 in range(0, n_samples, c_tile):
         c1 = min(c0 + c_tile, n_samples)
         mix = weights[c0:c1]
@@ -199,21 +187,11 @@ def _pole_sums(weights, poles, omegas, eta, double=None, real=True):
             np.square(d, out=r)
             r += eta * eta
             np.reciprocal(r, out=r)
-            tile = tile_cells[:(c1 - c0) * 2 * (p + q) * (w1 - w0)].reshape(
-                c1 - c0, 2, p + q, w1 - w0)
-            np.matmul(im_mix, r, out=tile[:, 1, :p])
+            tile = tile_cells[:(c1 - c0) * 2 * p * (w1 - w0)].reshape(c1 - c0, 2, p, w1 - w0)
+            np.matmul(im_mix, r, out=tile[:, 1])
             if real:
                 d *= r
-                np.matmul(mix, d, out=tile[:, 0, :p])
-            if q:
-                np.matmul(double, r, out=tile[:, 0, p:])
-                d *= r
-                np.matmul(double_im, d, out=tile[:, 1, p:])
-                r *= r
-                square = square_cells[:(c1 - c0) * q * (w1 - w0)].reshape(
-                    c1 - c0, q, w1 - w0)
-                np.matmul(double_sq, r, out=square)
-                tile[:, 0, p:] += square
+                np.matmul(mix, d, out=tile[:, 0])
             yield c0, c1, w0, w1, tile
 
 
@@ -258,20 +236,20 @@ def averaged_table(spec: HamiltonianSpec, grid: SpectralGrid, columns, out):
     G_ij and "rho" the density -Im G_ij/pi; element (i, j) names the entry,
     and None the exact trace Tr G.  ``out`` is any float view of shape
     (n_omega, len(columns)), such as the columns of a wider table or a
-    complex array's ``.view(float)``.
+    complex array's ``.view(float)``; with no columns it is returned as it is.
 
     The weight rows are one per distinct symmetric pair (G0 = G0^T) among
     the requested entries and, for the Woodbury correction, the rows and
-    columns of the undisordered sites U, then Tr G0's row of ones and the
-    double-pole rows of S = (G0^2)[U, U] when the trace is asked for.  The
-    Woodbury step works on each tile's complex columns, frequency last:
+    columns of the undisordered sites U.  The trace is Tr G0's row of ones
+    when every site is disordered, and else the sum of the diagonal, whose
+    n elements ride through the Woodbury step after the requested ones.
+    That step works on each tile's complex columns, frequency last:
     K = G0[U, U] + (i/gamma) I is reduced without pivoting
-    (``_woodbury_step``), and the trace rides along as |U| more columns,
-    lhs = e_u and rhs = S[:, u], for Tr G = Tr G0 - Tr(K^-1 S).  That is
-    safe: -Im G0 <= I/(gamma + eta), so Im K >= eta/(gamma (gamma + eta)) I
-    and no pivot vanishes when eta > 0.  At eta = 0 a pivot that is exactly
-    zero makes K singular -- an undisordered resonance -- and SingularMatrix
-    names the first such frequency.
+    (``_woodbury_step``).  That is safe: -Im G0 <= I/(gamma + eta), so
+    Im K >= eta/(gamma (gamma + eta)) I and no pivot vanishes when eta > 0.
+    At eta = 0 a pivot that is exactly zero makes K singular -- an
+    undisordered resonance -- and SingularMatrix names the first such
+    frequency.
     """
     n = spec.n_sites
     parts = [part for part, _ in columns]
@@ -279,10 +257,14 @@ def averaged_table(spec: HamiltonianSpec, grid: SpectralGrid, columns, out):
         raise ValueError(f"column parts must be re, im or rho, got {parts}")
     named = iter(_normalized_elements([e for _, e in columns if e is not None], n))
     requested = [None if e is None else next(named) for _, e in columns]
+    if not requested:
+        return out
     elements = list(dict.fromkeys(e for e in requested if e is not None))
     trace = None in requested
     eigenvalues, eigenvectors = diagonalize(spec)
     undisordered = np.flatnonzero(~spec.disordered).tolist()
+    k, n_u, n_omega = len(elements), len(undisordered), grid.omegas.size
+    corrected = elements + ([(i, i) for i in range(n)] if trace and n_u else [])
 
     # One row of G0 values per distinct symmetric pair (G0 = G0^T).
     rows = {}
@@ -290,30 +272,15 @@ def averaged_table(spec: HamiltonianSpec, grid: SpectralGrid, columns, out):
     def row(a, b):
         return rows.setdefault((a, b) if a <= b else (b, a), len(rows))
 
-    k, n_u, n_omega = len(elements), len(undisordered), grid.omegas.size
-    target = [row(i, j) for i, j in elements]
-    left = [[row(u, i) for i, _ in elements] for u in undisordered]
-    right = [[row(u, j) for _, j in elements] for u in undisordered]
+    target = [row(i, j) for i, j in corrected]
+    left = [[row(u, i) for i, _ in corrected] for u in undisordered]
+    right = [[row(u, j) for _, j in corrected] for u in undisordered]
     square = [[row(u, v) for v in undisordered] for u in undisordered]
     keys = np.fromiter(itertools.chain.from_iterable(rows), np.intp, 2 * len(rows))
     weights = eigenvectors[keys[0::2]] * eigenvectors[keys[1::2]]  # (p, n)
-    double = None
-    if trace:
-        # Rows after the pairs: Tr G0, then S's upper triangle, then the
-        # constants 0 and 1 that the trace columns' lhs = e_u is made of.
-        total = len(rows)
+    if trace and not n_u:
+        target.append(len(rows))
         weights = np.vstack([weights, np.ones(n)])
-        s_keys = [(u, v) for s, u in enumerate(undisordered) for v in undisordered[s:]]
-        s_row = {key: total + 1 + c for c, key in enumerate(s_keys)}
-        zero, one = total + 1 + len(s_keys), total + 2 + len(s_keys)
-        if s_keys:
-            a, b = np.array(s_keys, dtype=int).T
-            double = eigenvectors[a] * eigenvectors[b]                    # (q, n)
-        target += [total] + [zero] * (n_u - 1)
-        for s, u in enumerate(undisordered):
-            left[s] += [one if t == s else zero for t in range(n_u)]
-            right[s] += [s_row[min(u, v), max(u, v)] for v in undisordered]
-    n_rows = one + 1 if trace else len(rows)
 
     # Each column copies one row of a (2 * sources, b) block: the Re rows,
     # then the Im rows, of the tile's G0 rows when every site is disordered,
@@ -326,7 +293,7 @@ def averaged_table(spec: HamiltonianSpec, grid: SpectralGrid, columns, out):
                       for part, element in zip(parts, requested)], dtype=np.intp)
     divisor = np.where([part == "rho" for part in parts], -np.pi, 1.0)[:, None]
 
-    target = np.array(target, dtype=np.intp)  # the elements, then the trace's columns
+    target = np.array(target, dtype=np.intp)  # the elements, then the trace's rows
     left, right = (np.array(lists, dtype=np.intp).reshape(n_u, target.size)
                    for lists in (left, right))
     square = np.array(square, dtype=np.intp).reshape(n_u, n_u)
@@ -335,7 +302,7 @@ def averaged_table(spec: HamiltonianSpec, grid: SpectralGrid, columns, out):
     # rows, lhs, rhs, result) hold at most _TILE_BUDGET cells, so that they
     # stay in cache beside the kernel's tile: on 49 columns of cavity(N=24)
     # the whole 668-wide tile took half as long again.
-    shapes = ((n_rows,), left.shape, right.shape, target.shape)
+    shapes = ((p,), left.shape, right.shape, target.shape)
     step = min(n_omega, max(1, _TILE_BUDGET // sum(map(math.prod, shapes)))) \
         if n_u else n_omega
     buffers = [np.empty(math.prod(shape) * step, dtype=complex) for shape in shapes] \
@@ -343,8 +310,8 @@ def averaged_table(spec: HamiltonianSpec, grid: SpectralGrid, columns, out):
     eta = grid.eta + spec.gamma
     real = bool(n_u) or "re" in parts
     for _, _, w0, w1, tile in _pole_sums(weights[None], eigenvalues[None], grid.omegas,
-                                         eta, double, real=real):
-        re, im = tile[0]                                               # (rows, b) each
+                                         eta, real=real):
+        re, im = tile[0]                                               # (p, b) each
         for s0 in range(w0, w1, step):
             s1 = min(s0 + step, w1)
             if not n_u:
@@ -353,10 +320,8 @@ def averaged_table(spec: HamiltonianSpec, grid: SpectralGrid, columns, out):
                 g0, lhs, rhs, result = (cells[:math.prod(shape) * (s1 - s0)].reshape(*shape, -1)
                                         for cells, shape in zip(buffers, shapes))
                 part = np.s_[s0 - w0:s1 - w0]
-                g0.real[:len(re)] = re[:, part]
-                g0.imag[:len(re)] = im[:, part]
-                if trace:
-                    g0[zero], g0[one] = 0, 1
+                g0.real[:] = re[:, part]
+                g0.imag[:] = im[:, part]
                 # The indices are valid, and with mode="clip" take fills each buffer
                 # directly instead of through a temporary.
                 np.take(g0, left, axis=0, out=lhs, mode="clip")

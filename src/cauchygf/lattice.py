@@ -1,4 +1,4 @@
-"""Hamiltonian assembly: named graph families, custom edge lists, cavity layout.
+"""Hamiltonian assembly: named graph families, custom edge lists, cavity layouts.
 
 All matrices are real symmetric and dense; the design envelope is molecule-scale
 problems (a few thousand sites at most).  The hub of a star and the cavity
@@ -200,3 +200,13 @@ def assemble_cavity(params: CavityParams) -> HamiltonianSpec:
     mask = np.ones(n + 1, dtype=bool)
     mask[0] = False
     return HamiltonianSpec(h0, params.gamma, mask)
+
+
+def bright_spec(params: CavityParams) -> HamiltonianSpec:
+    """Two-state bright matrix H_b of the cavity model: index 0 the cavity
+    state at epsilon_c, not disordered, index 1 the symmetric combination of
+    the N molecules at epsilon_a, disordered, coupled by sqrt(N)*V.  The
+    cavity reaches none of the N - 1 dark combinations."""
+    coupling = math.sqrt(params.n_molecules) * params.coupling
+    h0 = np.array([[params.epsilon_c, coupling], [coupling, params.epsilon_a]])
+    return HamiltonianSpec(h0, params.gamma, np.array([False, True]))

@@ -164,7 +164,7 @@ def _eigh_chunk(spec, xi, pairs, omegas, eta):
     """
     c, n = xi.shape
     k = len(pairs)
-    tile, _ = _tile_shape(c, n, k, 0, omegas.size)
+    tile, _ = _tile_shape(c, n, k, omegas.size)
     sub = min(c, tile * max(1, _TILE_BUDGET // (tile * n * n)))
     h = np.empty((sub, n, n))
     weights = np.empty((sub, k, n))
@@ -239,7 +239,7 @@ def _schur_chunk(spec, xi, pairs, omegas, eta):
     # calls, and it sets the tiles _fold_block merges, so it fixes the
     # statistics' last bits.
     step = min(c, max(1, _TILE_BUDGET // ((k + 1) * n_omega)))
-    c_all, w_all = _tile_shape(step, m, 1, 0, n_omega)
+    c_all, w_all = _tile_shape(step, m, 1, n_omega)
     # Buffers reused by every tile, for the same reason as in engine._pole_sums.
     tile = np.empty((step, 2, k, n_omega))
     norm = np.empty((step, n_omega))

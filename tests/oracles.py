@@ -37,14 +37,12 @@ def solve_greens(spec: HamiltonianSpec, grid: SpectralGrid,
     return out
 
 
-def pole_sum_tile(weights, poles, omegas, eta, double, c0, c1, w0, w1):
+def pole_sum_tile(weights, poles, omegas, eta, c0, c1, w0, w1):
     """Tile (c0, c1, w0, w1) of ``engine._pole_sums``, with d = omega - pole
     formed by a copy of the frequencies and a broadcast subtraction of the
     poles; every later step is the kernel's, on buffers of the same shapes,
     so the tile must match the kernel's bit for bit: Re S = weights @ (d*r)
-    and Im S = (-eta * weights) @ r, and the double-pole rows likewise from
-    pre-scaled weights."""
-    p, q = weights.shape[1], 0 if double is None else double.shape[0]
+    and Im S = (-eta * weights) @ r."""
     d = np.empty((c1 - c0, poles.shape[1], w1 - w0))
     np.copyto(d, omegas[w0:w1])
     d -= poles[c0:c1, :, None]
@@ -52,15 +50,9 @@ def pole_sum_tile(weights, poles, omegas, eta, double, c0, c1, w0, w1):
     r += eta * eta
     np.reciprocal(r, out=r)
     d *= r
-    tile = np.empty((c1 - c0, 2, p + q, w1 - w0))
-    np.matmul(weights[c0:c1], d, out=tile[:, 0, :p])
-    np.matmul(weights[c0:c1] * -eta, r, out=tile[:, 1, :p])
-    if q:
-        np.matmul(double, r, out=tile[:, 0, p:])
-        d *= r
-        np.matmul(double * (-2 * eta), d, out=tile[:, 1, p:])
-        r *= r
-        tile[:, 0, p:] += np.matmul(double * (-2 * eta * eta), r)
+    tile = np.empty((c1 - c0, 2, weights.shape[1], w1 - w0))
+    np.matmul(weights[c0:c1], d, out=tile[:, 0])
+    np.matmul(weights[c0:c1] * -eta, r, out=tile[:, 1])
     return tile
 
 

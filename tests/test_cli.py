@@ -14,11 +14,12 @@ import cauchygf.engine as engine
 import cauchygf.lattice as lattice
 from cauchygf.cavity import CavityParams, g_cc, polariton_poles, rho_c
 from cauchygf.cli import main
-from cauchygf.engine import SpectralGrid, averaged_greens
+from cauchygf.engine import SpectralGrid, averaged_greens, default_eta, diagonalize
 from cauchygf.lattice import (DisorderSpec, assemble_cavity, assemble_huckel,
-                              build_topology)
+                              bright_spec, build_topology)
 from cauchygf.montecarlo import EnsembleConfig, ensemble_average
 from cauchygf.output import write_csv
+from cauchygf.quadrature import auto_window
 from oracles import solve_greens
 
 STAR_INI = """\
@@ -331,6 +332,63 @@ def test_cavity_without_dipole_omits_absorption(tmp_path):
 
 def test_cavity_command_requires_cavity_model(tmp_path):
     assert run(tmp_path, STAR_INI, "cavity") == 3
+
+
+@pytest.mark.parametrize("n_molecules", [1, 2, 7, 200])
+def test_cavity_dos_from_the_bright_matrix_matches_the_dense_engine(n_molecules):
+    # Every column kind of a detuned cavity with a negative coupling, read off
+    # H_b, against the engine on the (N+1)² matrix, within 1e-9 of each
+    # column's peak.  At N = 1 there is no dark state and no pair of molecules.
+    params = CavityParams(2.15, 2.1, 0.02, n_molecules, coupling=-0.1 / math.sqrt(8))
+    spec = bright_spec(params)
+    grid = SpectralGrid(auto_window(diagonalize(spec)[0], spec.gamma).omegas,
+                        default_eta(spec))
+    last = n_molecules
+    pairs = [(0, 1), (1, 0), (last, last)] + [(1, last), (last, 1)] * (last > 1)
+    columns = [("rho_total", "rho", None), ("rho_site_0", "rho", (0, 0)),
+               (f"rho_site_{last}", "rho", (last, last))] + [
+        (f"{part}_G_{i}_{j}", part, (i, j)) for i, j in pairs for part in ("re", "im")]
+    bright = cli._bright_table(params, grid, columns)
+    dense = cli._dos_table(assemble_cavity(params), grid, columns)
+    assert np.array_equal(bright[:, 0], dense[:, 0])
+    for c, (name, _, _) in enumerate(columns, 1):
+        peak = np.abs(dense[:, c]).max()
+        assert np.abs(bright[:, c] - dense[:, c]).max() <= 1e-9 * peak, name
+
+
+def test_dos_reads_a_million_molecule_cavity_off_its_bright_matrix(tmp_path, monkeypatch):
+    # With explicit columns dos builds no (N+1)² matrix, which would take
+    # 7 TiB here: assembling it fails the test.  Against the closed forms,
+    # with a = 1/(z + i*gamma - eps_a): G_00 = g_cc, G_0i = V a g_cc,
+    # G_ii = a + V² a² g_cc, G_ij = V² a² g_cc for i != j, and
+    # Tr G = g_cc + N a + N V² a² g_cc.
+    def refuse(params):
+        raise AssertionError(f"assembled the cavity of {params.n_molecules} molecules")
+
+    monkeypatch.setattr(lattice, "assemble_cavity", refuse)
+    monkeypatch.setattr(cli, "assemble_cavity", refuse)
+    n = 10 ** 6
+    ini = CAVITY_INI.replace("n_molecules = 6", f"n_molecules = {n}") + (
+        "[output]\ncolumns = rho_total, rho_site_0, re_G_0_1, im_G_0_1, rho_site_7, "
+        "re_G_7_999999, im_G_7_999999\n")
+    out = tmp_path / "big.csv"
+    assert run(tmp_path, ini, "dos", "--out", str(out)) == 0
+    eta = json.loads((tmp_path / "big.summary.json").read_text())["grid"]["eta"]
+    table = {name: np.array([float(x) for x in values])
+             for name, values in read_columns(out).items()}
+    assert table["omega"].size == 4001
+    params = CavityParams(2.1, 2.1, 0.02, n, v_tilde=4.06e-14, number_density=1.16e25)
+    w, v = table["omega"], params.coupling
+    g = g_cc(params, w, eta)
+    a = 1 / (w + 1j * eta + 1j * params.gamma - params.epsilon_a)
+    pair = v * v * a * a * g
+    want = {"rho_total": -(g + n * a + params.nv2 * a * a * g).imag / np.pi,
+            "rho_site_0": -g.imag / np.pi, "re_G_0_1": (v * a * g).real,
+            "im_G_0_1": (v * a * g).imag, "rho_site_7": -(a + pair).imag / np.pi,
+            "re_G_7_999999": pair.real, "im_G_7_999999": pair.imag}
+    for name, values in want.items():
+        peak = np.abs(values).max()
+        assert np.abs(table[name] - values).max() <= 1e-9 * peak, name
 
 
 def test_cavity_closed_forms_run_at_a_million_molecules(tmp_path, monkeypatch):
@@ -743,20 +801,20 @@ NUMPY_MEMORY_ERROR = ("Unable to allocate 7.28 TiB for an array with shape "
                       "(1000001, 1000001) and data type float64")
 
 
-@pytest.mark.parametrize("command, message, reported", [
-    ("dos", NUMPY_MEMORY_ERROR, NUMPY_MEMORY_ERROR),
-    ("mc-compare", NUMPY_MEMORY_ERROR, NUMPY_MEMORY_ERROR),
-    ("dos", "", "MemoryError"),  # Python's own allocator gives no message
-], ids=["dos", "mc-compare", "bare"])
+@pytest.mark.parametrize("message, reported", [
+    (NUMPY_MEMORY_ERROR, NUMPY_MEMORY_ERROR),
+    ("", "MemoryError"),  # Python's own allocator gives no message
+], ids=["mc-compare", "bare"])
 def test_model_too_large_for_memory_is_numerical_error(tmp_path, monkeypatch, capsys,
-                                                       command, message, reported):
-    # A million molecules' dense matrix would take 7.28 TiB; the stand-in
-    # raises the error for it without allocating anything.
+                                                       message, reported):
+    # mc-compare's realizations need the dense matrix, which for a million
+    # molecules would take 7.28 TiB; the stand-in raises the error for it
+    # without allocating anything.
     def refuse(params):
         raise MemoryError(message)
 
     monkeypatch.setattr(cli, "assemble_cavity", refuse)
     ini = CAVITY_INI.replace("n_molecules = 6", "n_molecules = 1000000")
-    assert run(tmp_path, ini, command, "--out", str(tmp_path / "big")) == 5
+    assert run(tmp_path, ini, "mc-compare", "--out", str(tmp_path / "big")) == 5
     assert capsys.readouterr().err == f"numerical error: {reported}\n"
     assert sorted(os.listdir(tmp_path)) == ["run.ini"]

@@ -14,7 +14,7 @@ from cauchygf.engine import (_TILE_BUDGET, SpectralGrid, _pole_sums, averaged_gr
                              averaged_table, default_eta, diagonalize)
 from cauchygf.errors import InvalidCoupling, NonMonotonicGrid, SingularMatrix
 from cauchygf.lattice import (HamiltonianSpec, assemble_cavity,
-                              assemble_huckel, build_topology)
+                              assemble_huckel, bright_spec, build_topology)
 from cauchygf.quadrature import auto_window, integrate_trapezoid
 from oracles import pole_sum_tile, solve_greens
 
@@ -152,77 +152,54 @@ def test_pole_sum_tiles_are_sized_by_their_working_set(m, p, n_omega, first):
     assert (c1 - c0, w1 - w0) == first
 
 
-def test_double_pole_rows_follow_the_single_pole_rows():
-    # tile[:, :, :p] are the sums of weights/(z - pole) and tile[:, :, p:]
-    # the sums of double/(z - pole)^2, over tiles that span several
-    # frequency blocks.
-    rng = np.random.default_rng(17)
-    m, n_omega, eta = 300, 500, 0.07
-    poles = rng.uniform(-2, 2, (1, m))
-    weights, double = rng.standard_normal((1, 3, m)), rng.standard_normal((2, m))
-    omegas = np.linspace(-3, 3, n_omega)
-    g = 1 / (omegas[:, None] + 1j * eta - poles[0])                  # (w, m)
-    want = np.concatenate([weights[0] @ g.T, double @ (g * g).T])    # (p + q, w)
-    got = np.full((5, n_omega), np.nan, dtype=complex)
-    blocks = 0
-    for _, _, w0, w1, tile in _pole_sums(weights, poles, omegas, eta, double):
-        got[:, w0:w1] = tile[0, 0] + 1j * tile[0, 1]
-        blocks += 1
-    assert blocks > 1
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
+# Each shape's draws are seeded by its numbers and a salt.
 TILE_SHAPES = [
     (1, 1, 1, 1, 0, False),      # one pole, one frequency
-    (1, 3, 1, 700, 1, False),    # one pole, double rows
+    (1, 3, 1, 700, 1, False),    # one pole, several rows
     (6, 2, 9, 1, 0, False),      # one frequency, several samples a tile
-    (1, 27, 25, 4001, 2, False), # the engine's cavity trace shape
+    (1, 27, 25, 4001, 2, False), # more rows than poles
     (5, 7, 7, 201, 0, False),    # mc-star's full diagonal
     (3, 1, 80, 601, 0, True),    # the Monte-Carlo self-energy, shared weights
     (2, 4, 300, 500, 2, False),  # several frequency blocks per sample block
 ]
 
 
-@pytest.mark.parametrize("c, p, m, n_omega, q, shared", TILE_SHAPES)
-def test_pole_sum_tiles_match_copy_and_subtract_reference(c, p, m, n_omega, q, shared):
+@pytest.mark.parametrize("c, p, m, n_omega, salt, shared", TILE_SHAPES)
+def test_pole_sum_tiles_match_copy_and_subtract_reference(c, p, m, n_omega, salt, shared):
     # d = omega - pole comes from one matrix product of rows (-pole, 1) and
     # columns (1, omega): two exact products and one rounding, the bits of
     # the subtraction.  Cauchy poles reach 1e13, and some sit on a frequency.
-    rng = np.random.default_rng([c, p, m, n_omega, q])
+    rng = np.random.default_rng([c, p, m, n_omega, salt])
     poles = 0.1 * rng.standard_cauchy((c, m))
     poles.flat[::3] = rng.choice([-1e13, 1e13, 3e7, -2.5e-9], poles.flat[::3].size)
     omegas = np.sort(rng.uniform(-3, 3, n_omega))
     poles.flat[1::5] = rng.choice(omegas, poles.flat[1::5].size)
     weights = (np.broadcast_to(rng.standard_normal((1, p, m)), (c, p, m)) if shared
                else rng.standard_normal((c, p, m)))
-    double = rng.standard_normal((q, m)) if q else None
     cells = 0
-    for c0, c1, w0, w1, tile in _pole_sums(weights, poles, omegas, 0.05, double):
-        want = pole_sum_tile(weights, poles, omegas, 0.05, double, c0, c1, w0, w1)
+    for c0, c1, w0, w1, tile in _pole_sums(weights, poles, omegas, 0.05):
+        want = pole_sum_tile(weights, poles, omegas, 0.05, c0, c1, w0, w1)
         assert tile.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
         cells += (c1 - c0) * (w1 - w0)
     assert cells == c * n_omega
 
 
-@pytest.mark.parametrize("c, p, m, n_omega, q, shared", TILE_SHAPES)
+@pytest.mark.parametrize("c, p, m, n_omega, salt, shared", TILE_SHAPES)
 @pytest.mark.parametrize("real", [True, False])
-def test_pole_sums_match_complex_sums(c, p, m, n_omega, q, shared, real):
-    # Each finished row against its sum in complex numpy, w/(z - pole) and
-    # double/(z - pole)^2, within 1e-13 of the row's largest magnitude; the
-    # imaginary rows also without the real plane (which takes no double rows).
-    rng = np.random.default_rng([c, p, m, n_omega, q, 1])
+def test_pole_sums_match_complex_sums(c, p, m, n_omega, salt, shared, real):
+    # Each finished row against its sum in complex numpy, w/(z - pole),
+    # within 1e-13 of the row's largest magnitude; the imaginary rows also
+    # without the real plane.
+    rng = np.random.default_rng([c, p, m, n_omega, salt, 1])
     poles = rng.uniform(-3, 3, (c, m))
     omegas = np.sort(rng.uniform(-3.5, 3.5, n_omega))
     weights = (np.broadcast_to(rng.standard_normal((1, p, m)), (c, p, m)) if shared
                else rng.standard_normal((c, p, m)))
-    double = rng.standard_normal((q, m)) if q and real else None
     eta = 0.05
     g = 1 / (omegas[None, None, :] + 1j * eta - poles[:, :, None])    # (c, m, w)
     want = np.matmul(weights, g)                                       # (c, p, w)
-    if double is not None:
-        want = np.concatenate([want, np.matmul(double, g * g)], axis=1)
     re, im = np.full((2, *want.shape), np.nan)
-    for c0, c1, w0, w1, tile in _pole_sums(weights, poles, omegas, eta, double, real=real):
+    for c0, c1, w0, w1, tile in _pole_sums(weights, poles, omegas, eta, real=real):
         re[c0:c1, :, w0:w1], im[c0:c1, :, w0:w1] = tile[:, 0], tile[:, 1]
     bound = 1e-13 * np.abs(want).max(axis=2, keepdims=True)
     assert np.all(np.abs(im - want.imag) <= bound)
@@ -261,6 +238,19 @@ def test_table_rejects_invalid_sites_and_parts():
         averaged_table(star, grid, [("abs", (0, 0))], out[:, :1])
     densities = averaged_table(star, grid, [("rho", (0, 0)), ("rho", None), ("rho", (0, 0))], out)
     assert densities is out and np.array_equal(out[:, 0], out[:, 2])
+
+
+@pytest.mark.parametrize("shape", ["ring", "cavity", "bright"])
+def test_empty_request_gives_an_empty_table(shape):
+    # No elements and no columns ask for nothing: an (n_omega, 0) result on
+    # every mask, as from an empty Monte-Carlo request.
+    params = CavityParams(2.1, 2.1, 0.02, 3, coupling=0.05)
+    spec = {"ring": huckel("ring", 6), "cavity": assemble_cavity(params),
+            "bright": bright_spec(params)}[shape]
+    grid = SpectralGrid(np.linspace(1.9, 2.3, 7), 0.01)
+    assert averaged_greens(spec, grid, []).shape == (7, 0)
+    out = np.empty((7, 0))
+    assert averaged_table(spec, grid, [], out) is out
 
 
 def test_tiny_gamma_standin_matches_clean_resolvent():
@@ -367,6 +357,20 @@ def test_exactly_singular_matrix_raises():
         solve_greens(spec, SpectralGrid(np.array([0.5])))
     with pytest.raises(SingularMatrix, match="omega = 0.5"):
         averaged_greens(spec, SpectralGrid(np.array([0.3, 0.4, 0.5, 0.6])))
+
+
+def test_trace_with_two_undisordered_sites_is_the_direct_diagonal_sum():
+    # |U| = 2: the trace is the sum of the Woodbury-corrected diagonal, here
+    # over frequency blocks of several Woodbury steps, with and without a
+    # requested element before it.
+    rng = np.random.default_rng(29)
+    h0 = rng.uniform(-1, 1, (7, 7))
+    spec = HamiltonianSpec(h0 + h0.T, 0.1, np.arange(7) >= 2)
+    grid = SpectralGrid(np.linspace(-4, 4, 4001), 0.01)
+    want = solve_greens(spec, grid, diagonal(7)).sum(axis=1)
+    for elements in ([], [(0, 5)]):
+        _, trace = averaged_greens(spec, grid, elements, trace=True)
+        assert np.abs(trace - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_trace_at_an_undisordered_resonance_is_singular():

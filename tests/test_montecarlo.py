@@ -180,7 +180,7 @@ def sub_batch(spec, elements, grid, block):
     and the samples ``_eigh_chunk`` decomposes at once, a whole number of
     tiles."""
     n = spec.n_sites
-    tile, _ = mc._tile_shape(block, n, len(elements), 0, grid.omegas.size)
+    tile, _ = mc._tile_shape(block, n, len(elements), grid.omegas.size)
     return tile, min(block, tile * max(1, mc._TILE_BUDGET // (tile * n * n)))
 
 

@@ -62,8 +62,8 @@ def test_route_matches_direct_solve(problem):
 
 @given(problems())
 def test_trace_matches_diagonal_sum_and_direct_solve(problem):
-    # Tr G from G0's trace and the Woodbury step's double-pole columns, on
-    # every mask, |U| = n ("none" disordered) included.
+    # Tr G from G0's row of ones, or from the Woodbury-corrected diagonal,
+    # on every mask, |U| = n ("none" disordered) included.
     spec, grid = problem
     diagonal = [(i, i) for i in range(spec.n_sites)]
     greens, trace = averaged_greens(spec, grid, diagonal, trace=True)
